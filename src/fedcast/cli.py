@@ -52,7 +52,7 @@ from .data import (
     write_weather_csv,
 )
 from .errors import DataError, NumericalError, ValidationError
-from .federation import ScenarioConfig, run_scenario
+from .federation import ScenarioConfig, group_entries, run_scenario
 from .reporting import emit_report, render_tables, build_comparison
 
 SEED_ENV = "FEDCAST_SEED"
@@ -166,10 +166,23 @@ def _entry_datasets(cache_dir: str, k: int, with_weather: bool) -> list:
     return _DATASET_CACHE[key]
 
 
-def _run_entry(cache_dir: str, cfg_fields: dict):
-    cfg = ScenarioConfig(**cfg_fields)
-    datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
-    return run_scenario(datasets, cfg)
+def _run_group(cache_dir: str, group: list):
+    """Run one group of related entries in order, sharing one memo.
+
+    Returns (done, failure): (entry_id, report, models) for each entry that
+    finished, and (entry_id, error) for the entry whose NumericalError ended
+    the group, or None.
+    """
+    memo = {}
+    done = []
+    for cfg in group:
+        datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
+        try:
+            report, models = run_scenario(datasets, cfg, memo)
+        except NumericalError as err:
+            return done, (cfg.entry_id, err)
+        done.append((cfg.entry_id, report, models))
+    return done, None
 
 
 def _write_entry_outputs(out: Path, entry_id: str, report: dict,
@@ -262,33 +275,43 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
+    # Entries that share a base or a warm-up run as one group in one worker.
+    groups = group_entries(entries)
+    outcomes = []
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(_run_group, str(data_dir), group)
+                       for group in sorted(groups, key=len, reverse=True)]
+            outcomes = [future.result() for future in futures]
+    else:
+        for group in groups:
+            # Outputs stop at the first failed entry in entry_id order, so a
+            # group starting after a failed entry could not add any.
+            if any(failure and failure[0] < group[0].entry_id
+                   for _, failure in outcomes):
+                break
+            outcomes.append(_run_group(str(data_dir), group))
+    done = sorted((item for items, _ in outcomes for item in items),
+                  key=lambda item: item[0])
+    failures = sorted((failure for _, failure in outcomes if failure),
+                      key=lambda failure: failure[0])
+
     files = []
     reports = []
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = {
-                    cfg.entry_id: pool.submit(_run_entry, str(data_dir),
-                                              cfg.to_dict())
-                    for cfg in entries
-                }
-                for entry_id in sorted(futures):
-                    report, models = futures[entry_id].result()
-                    files += _write_entry_outputs(out, entry_id, report, models)
-                    reports.append(report)
-        else:
-            for cfg in entries:
-                report, models = _run_entry(str(data_dir), cfg.to_dict())
-                files += _write_entry_outputs(out, cfg.entry_id, report, models)
-                reports.append(report)
-    except NumericalError as err:
+    for entry_id, report, models in done:
+        if failures and entry_id > failures[0][0]:
+            break
+        files += _write_entry_outputs(out, entry_id, report, models)
+        reports.append(report)
+    if failures:
+        err = failures[0][1]
         # Flush what we have for post-mortem before reporting failure.
         with (out / "failure.json").open("w") as fh:
             json.dump({"error": str(err), "param_index": err.param_index,
                        "completed": [r["entry_id"] for r in reports]},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
-        raise
+        raise err
 
     emit_report(reports, out, run_meta={
         "seed": seed, "run_id": run_id, "data_digest": digest})

@@ -14,6 +14,7 @@ from .scenarios import (
     fedavg_aggregate,
     fedavg_round,
     fine_tune,
+    group_entries,
     recount_samples,
     run_fl,
     run_flhc,
@@ -37,6 +38,7 @@ __all__ = [
     "fedavg_round",
     "fine_tune",
     "fit_epochs",
+    "group_entries",
     "predict",
     "recount_samples",
     "run_fl",

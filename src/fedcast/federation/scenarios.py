@@ -14,9 +14,18 @@ Regimes:
                  then independent federated training per cluster
     fl_lft       fl followed by per-client fine-tuning of the global model
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
+
+Entries of one sweep that train the same thing share a memo (a plain dict,
+one per group from `group_entries`): an fl or fl_hc run is trained once and
+reused as the base of the fine-tuning entries, and the fl_hc warm-up is
+trained once for every threshold and linkage.  A hit returns exactly what a
+fresh run would, and its samples are still charged to every entry using it.
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +41,7 @@ __all__ = [
     "fedavg_aggregate",
     "fedavg_round",
     "fine_tune",
+    "group_entries",
     "recount_samples",
     "run_fl",
     "run_flhc",
@@ -326,42 +336,33 @@ def run_fl(datasets, cfg: ScenarioConfig):
     return report, {"global": best}
 
 
-def run_flhc(datasets, cfg: ScenarioConfig):
-    """Federated averaging, update clustering, then per-cluster federation.
+def _flhc_warmup(members, cfg: ScenarioConfig, evaluator):
+    """Phases 1 and 2 of fl_hc, which no threshold or linkage reads.
 
-    Phase 1 runs hc_rounds plain federated rounds.  Phase 2 has every client
-    train local_epochs from the phase-1 model; the parameter deltas feed
-    agglomerative clustering.  Phase 3 restarts from the phase-1 model inside
-    each cluster and runs independent federated training, sharing the overall
-    round cap, with early stopping per cluster.
+    Returns (initial_val_rmse, params, records, distances): the phase-1
+    model, the round records of both phases, and the pairwise Euclidean
+    distances between the burst's parameter deltas.
     """
-    datasets, excluded = _check_datasets(datasets, cfg)
-    if len(datasets) < 2:
-        raise ValidationError("clustering needs at least two clients")
-    members = [(ds.household_id, ds) for ds in datasets]
     ids = [hid for hid, _ in members]
-    report = _base_report(cfg, datasets, excluded)
-    params = _init_flat(cfg, datasets[0].feature_dim)
-    evaluator = _uniform_val_eval(datasets)
-    report["initial_val_rmse"] = evaluator(params)
+    by_id = dict(members)
+    feature_dim = members[0][1].feature_dim
+    params = _init_flat(cfg, feature_dim)
+    initial = evaluator(params)
+    records = []
 
     # Phase 1: fixed-length federated warm-up (no early stopping).
-    by_id = dict(members)
-    pre_samples = 0
     for r in range(1, cfg.hc_rounds + 1):
         chosen = sample_clients(ids, cfg.client_fraction,
                                 stream(cfg.seed, SELECT, r))
         participants = [(hid, by_id[hid]) for hid in chosen]
         params, stats, samples = fedavg_round(params, participants, cfg, r)
-        report["rounds"].append({
+        records.append({
             "phase": 1, "round": r, "participants": chosen, "train_loss": stats,
             "avg_val_rmse": evaluator(params), "samples": samples})
-        pre_samples += samples
 
     # Phase 2: full participation burst; deltas against the shared model.
     updates = []
     burst_samples = 0
-    feature_dim = datasets[0].feature_dim
     for hid, ds in members:
         model = unflatten(params, feature_dim)
         gen = stream(cfg.seed, TRAIN, key_int(hid), CLUSTERING)
@@ -374,12 +375,36 @@ def run_flhc(datasets, cfg: ScenarioConfig):
                                  "non-finite parameters")
         updates.append(w - params)
         burst_samples += n
-    report["rounds"].append({
+    records.append({
         "phase": 2, "round": cfg.hc_rounds, "participants": ids,
         "train_loss": None, "avg_val_rmse": None, "samples": burst_samples})
+    return initial, params, records, pairwise_euclidean(updates)
 
-    assignment = agglomerate(pairwise_euclidean(updates), cfg.hc_linkage,
-                             cfg.hc_threshold)
+
+def run_flhc(datasets, cfg: ScenarioConfig, memo: dict | None = None):
+    """Federated averaging, update clustering, then per-cluster federation.
+
+    Phase 1 runs hc_rounds plain federated rounds.  Phase 2 has every client
+    train local_epochs from the phase-1 model; the parameter deltas feed
+    agglomerative clustering.  Phase 3 restarts from the phase-1 model inside
+    each cluster and runs independent federated training, sharing the overall
+    round cap, with early stopping per cluster.  Phases 1 and 2 are taken
+    from `memo` when an entry with the same warm-up already ran them.
+    """
+    datasets, excluded = _check_datasets(datasets, cfg)
+    if len(datasets) < 2:
+        raise ValidationError("clustering needs at least two clients")
+    members = [(ds.household_id, ds) for ds in datasets]
+    ids = [hid for hid, _ in members]
+    feature_dim = datasets[0].feature_dim
+    report = _base_report(cfg, datasets, excluded)
+    evaluator = _uniform_val_eval(datasets)
+    initial, params, report["rounds"], distances = _memoised(
+        {} if memo is None else memo, _warmup_key(cfg),
+        lambda: _flhc_warmup(members, cfg, evaluator))
+    report["initial_val_rmse"] = initial
+
+    assignment = agglomerate(distances, cfg.hc_linkage, cfg.hc_threshold)
     report["cluster_assignment"] = {
         hid: int(assignment.labels[i]) for i, hid in enumerate(ids)}
     report["merge_distances"] = [float(m.distance) for m in assignment.merges]
@@ -455,19 +480,65 @@ def fine_tune(base_params_by_client: dict, datasets, cfg: ScenarioConfig):
     return records, models, client_rmse, val_before, val_after, excluded
 
 
-def _run_lft(datasets, cfg: ScenarioConfig, base_kind: str):
-    base_cfg_fields = cfg.to_dict()
-    base_cfg_fields["kind"] = base_kind
-    if base_kind == "fl":
-        for key in ("hc_threshold", "hc_linkage", "hc_rounds"):
-            base_cfg_fields[key] = None
-    base_cfg = ScenarioConfig(**base_cfg_fields)
-    if base_kind == "fl":
-        base_report, base_models = run_fl(datasets, base_cfg)
+def _memoised(memo: dict, key, compute):
+    """compute() once per key of `memo`; every caller gets its own deep copy.
+
+    Callers extend reports and may change model arrays, so no two of them,
+    and not the memo, may hold the same objects.
+    """
+    if key not in memo:
+        memo[key] = compute()
+    return copy.deepcopy(memo[key])
+
+
+def _warmup_key(cfg: ScenarioConfig) -> tuple:
+    """Every field the fl_hc warm-up (phases 1 and 2) reads."""
+    return ("fl_hc warm-up", cfg.k, cfg.with_weather, cfg.seed,
+            cfg.client_fraction, cfg.local_epochs, cfg.batch_size,
+            cfg.learning_rate, cfg.hc_rounds)
+
+
+_BASE_KIND = {"fl_lft": "fl", "fl_hc_lft": "fl_hc"}
+
+
+def _base_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The standalone fl or fl_hc entry a fine-tuning entry starts from."""
+    return replace(cfg, kind=_BASE_KIND[cfg.kind])
+
+
+def _base_run(datasets, cfg: ScenarioConfig, memo: dict):
+    """An fl or fl_hc entry's (report, models), trained once per memo."""
+    if cfg.kind == "fl":
+        return _memoised(memo, cfg, lambda: run_fl(datasets, cfg))
+    return _memoised(memo, cfg, lambda: run_flhc(datasets, cfg, memo))
+
+
+def group_entries(cfgs) -> list:
+    """Partition sweep entries into groups that can share one memo.
+
+    An fl entry and the fl_lft entries fine-tuning it form one group, as do
+    the fl_hc and fl_hc_lft entries with one warm-up; every other entry
+    stands alone.  Groups and the entries in them keep the input order.
+    """
+    groups = {}
+    for cfg in cfgs:
+        if cfg.kind in ("fl_hc", "fl_hc_lft"):
+            key = _warmup_key(cfg)
+        elif cfg.kind == "fl_lft":
+            key = _base_config(cfg)
+        else:
+            key = cfg
+        groups.setdefault(key, []).append(cfg)
+    return list(groups.values())
+
+
+def _run_lft(datasets, cfg: ScenarioConfig, memo: dict):
+    base_cfg = _base_config(cfg)
+    base_report, base_models = _base_run(datasets, base_cfg, memo)
+    if base_cfg.kind == "fl":
         sorted_sets, _ = _check_datasets(datasets, base_cfg)
         base_for = {ds.household_id: base_models["global"] for ds in sorted_sets}
     else:
-        base_report, base_models = run_flhc(datasets, base_cfg)
         assignment = base_report["cluster_assignment"]
         base_for = {hid: base_models[f"cluster{assignment[hid]}"]
                     for hid in assignment}
@@ -486,20 +557,21 @@ def _run_lft(datasets, cfg: ScenarioConfig, base_kind: str):
     return report, models
 
 
-def run_scenario(datasets, cfg: ScenarioConfig):
-    """Dispatch a scenario config to its regime; returns (report, models)."""
+def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
+    """Dispatch a scenario config to its regime; returns (report, models).
+
+    `memo` lets entries run on the same datasets share work (see the module
+    docstring); pass one dict for a whole group from `group_entries`.
+    """
+    memo = {} if memo is None else memo
     if cfg.kind == "centralised":
         return train_centralised(datasets, cfg)
     if cfg.kind == "localised":
         return train_localised(datasets, cfg)
-    if cfg.kind == "fl":
-        return run_fl(datasets, cfg)
-    if cfg.kind == "fl_hc":
-        return run_flhc(datasets, cfg)
-    if cfg.kind == "fl_lft":
-        return _run_lft(datasets, cfg, "fl")
-    if cfg.kind == "fl_hc_lft":
-        return _run_lft(datasets, cfg, "fl_hc")
+    if cfg.kind in ("fl", "fl_hc"):
+        return _base_run(datasets, cfg, memo)
+    if cfg.kind in _BASE_KIND:
+        return _run_lft(datasets, cfg, memo)
     raise ValidationError(f"unknown scenario {cfg.kind!r}")
 
 

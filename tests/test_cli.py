@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from fedcast.cli import main, resolve_config, run_identity
-from fedcast.errors import ValidationError
+from fedcast.errors import NumericalError, ValidationError
+from fedcast.federation import group_entries, scenarios
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
                    "lft_epochs_cap": 1}
@@ -220,6 +221,100 @@ def test_report_rejects_duplicate_entries(pipeline, capsys):
     _, run_dir = pipeline
     assert main(["report", str(run_dir), str(run_dir)]) == 2
     assert "duplicate entry" in capsys.readouterr().err
+
+
+# ------------------------------------------------ groups of related entries
+
+GROUPED = [
+    {"kind": "fl", "client_fraction": 0.5, "local_epochs": 1},
+    {"kind": "fl_lft", "client_fraction": 0.5, "local_epochs": 1},
+    {"kind": "fl_hc", "hc_threshold": 1e-9, "hc_linkage": "ward", "hc_rounds": 1},
+    {"kind": "fl_hc", "hc_threshold": 1e9, "hc_linkage": "ward", "hc_rounds": 1},
+    {"kind": "fl_hc_lft", "hc_threshold": 1e-9, "hc_linkage": "ward",
+     "hc_rounds": 1},
+]
+
+
+def grouped_config(sections):
+    return base_config(scenarios=sections, overrides=dict(
+        SMALL_OVERRIDES, flhc_rounds_cap=3))
+
+
+def run_into(root, out, raw, jobs=1):
+    """Run `raw` against the pipeline's cache; (exit code, run directory)."""
+    config = out / "config.json"
+    out.mkdir(parents=True, exist_ok=True)
+    config.write_text(json.dumps(dict(raw, data=str(root / "cache"))))
+    code = main(["run", "--config", str(config), "--out", str(out / "runs"),
+                 "--jobs", str(jobs)])
+    run_dirs = [p for p in (out / "runs").iterdir() if p.is_dir()]
+    assert len(run_dirs) == 1
+    return code, run_dirs[0]
+
+
+def entry_files(run_dir, entry_id):
+    files = [run_dir / "logs" / f"{entry_id}.json"]
+    files += sorted((run_dir / "models" / entry_id).glob("*.npy"))
+    return {p.relative_to(run_dir): p.read_bytes() for p in files}
+
+
+def test_related_entries_are_grouped():
+    raw = base_config(scenarios=[{"kind": "centralised"}, {"kind": "localised"},
+                                 *GROUPED])
+    _, entries = resolve_config(raw)
+    groups = [[cfg.entry_id for cfg in group] for group in group_entries(entries)]
+    assert sorted(e for group in groups for e in group) == sorted(
+        cfg.entry_id for cfg in entries)
+    assert [[e.split("__")[0] for e in group] for group in groups] == [
+        ["centralised"], ["fl", "fl_lft"], ["fl_hc", "fl_hc", "fl_hc_lft"],
+        ["localised"]]
+
+
+def test_grouped_entries_match_entries_run_alone(pipeline, tmp_path):
+    root, _ = pipeline
+    code, serial = run_into(root, tmp_path / "serial", grouped_config(GROUPED))
+    assert code == 0
+    code, parallel = run_into(root, tmp_path / "parallel",
+                              grouped_config(GROUPED), jobs=2)
+    assert code == 0
+    assert (serial / "results.json").read_bytes() == \
+        (parallel / "results.json").read_bytes()
+    for i, section in enumerate(GROUPED):
+        code, alone = run_into(root, tmp_path / f"alone{i}",
+                               grouped_config([section]))
+        assert code == 0
+        (entry_id,) = [p.stem for p in (alone / "logs").glob("*.json")]
+        files = entry_files(alone, entry_id)
+        assert len(files) >= 2  # the log and at least one model
+        assert entry_files(serial, entry_id) == files
+        assert entry_files(parallel, entry_id) == files
+
+
+def test_failure_inside_a_group_keeps_completed_outputs(pipeline, tmp_path,
+                                                        monkeypatch, capsys):
+    # The tiny threshold's fl_hc entry fails after the huge threshold's entry
+    # of its group finished: entries sorted before the failure are written,
+    # nothing from it on, whichever group ran them.
+    root, _ = pipeline
+    real = scenarios.agglomerate
+
+    def agglomerate(dist, linkage, threshold):
+        if threshold < 1.0:
+            raise NumericalError("clustering failed", param_index=7)
+        return real(dist, linkage, threshold)
+    monkeypatch.setattr(scenarios, "agglomerate", agglomerate)
+    code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED))
+    assert code == 3
+    assert "clustering failed" in capsys.readouterr().err
+    failure = json.loads((run_dir / "failure.json").read_text())
+    assert failure["param_index"] == 7
+    assert failure["completed"] == [
+        "fl__k6-w__f0.5_e1", "fl_hc__k6-w__f0.1_e3__n1_t1e+09_ward"]
+    assert sorted(p.stem for p in (run_dir / "logs").iterdir()) == \
+        failure["completed"]
+    assert sorted(p.name for p in (run_dir / "models").iterdir()) == \
+        failure["completed"]
+    assert not (run_dir / "results.json").exists()
 
 
 # ----------------------------------------------------------------- exit codes

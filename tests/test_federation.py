@@ -1,10 +1,14 @@
-"""Training regimes: aggregation math, early stopping, and cross-regime
-consistency on a small synthetic population."""
+"""Training regimes: aggregation math, early stopping, cross-regime
+consistency and the memo shared by related entries, on a small synthetic
+population."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import small_config
+from fedcast.data import household_datasets, prepare_datasets
 from fedcast.errors import ValidationError
 from fedcast.federation import (
     EarlyStopper,
@@ -16,6 +20,7 @@ from fedcast.federation import (
     run_scenario,
     sample_clients,
 )
+from fedcast.federation import scenarios
 from fedcast.federation.scenarios import _init_flat
 from fedcast.nn import init_model
 from fedcast.nn.lstm import flatten, unflatten
@@ -307,3 +312,120 @@ def test_duplicated_training_data_matches_single_client(tiny_datasets):
     doubled, _ = run_scenario([ds, twin], cfg)
     assert doubled["total_samples"] == 2 * single["total_samples"]
     assert doubled["pooled_rmse"] == pytest.approx(single["pooled_rmse"], rel=1e-9)
+
+
+# ---------------------------------------------------- memo of related entries
+
+@pytest.fixture(scope="module")
+def variants(tiny_population, tiny_prepared):
+    """Client datasets per (K, weather) variant of the tiny population."""
+    readings = {h.household_id: h.readings for h in tiny_population.households}
+    k4 = prepare_datasets(readings, None, [4], with_weather=False)
+    return {(6, False): household_datasets(tiny_prepared, 6, False),
+            (6, True): household_datasets(tiny_prepared, 6, True),
+            (4, False): household_datasets(k4, 4, False)}
+
+
+def _federated_fits(variants, monkeypatch, cfg, memo):
+    """Client trainings (federated rounds and the burst) run for cfg."""
+    calls = []
+    real = scenarios.fit_epochs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "fit_epochs", counted)
+    run_scenario(variants[cfg.k, cfg.with_weather], cfg, memo)
+    monkeypatch.setattr(scenarios, "fit_epochs", real)
+    return len(calls)
+
+
+FL = small_config("fl", client_fraction=0.5, local_epochs=1)
+FL_HC = small_config("fl_hc", hc_threshold=2.0, hc_linkage="ward", hc_rounds=1)
+
+
+def _after(variants, monkeypatch, first, second):
+    """Trainings of `second` after `first` filled the memo, and on its own."""
+    memo = {}
+    run_scenario(variants[first.k, first.with_weather], first, memo)
+    return (_federated_fits(variants, monkeypatch, second, memo),
+            _federated_fits(variants, monkeypatch, second, {}))
+
+
+def test_memo_hits_skip_shared_training(variants, monkeypatch):
+    shared, alone = _after(variants, monkeypatch, FL, replace(FL, kind="fl_lft"))
+    assert shared == 0 < alone
+    shared, alone = _after(variants, monkeypatch, FL_HC,
+                           replace(FL_HC, kind="fl_hc_lft"))
+    assert shared == 0 < alone
+    # another threshold or linkage reuses the warm-up and reruns phase 3
+    shared, alone = _after(variants, monkeypatch, FL_HC,
+                           replace(FL_HC, hc_threshold=1e9, hc_linkage="single"))
+    assert 0 < shared < alone
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 12}, {"batch_size": 32}, {"learning_rate": 0.002},
+    {"local_epochs": 2}, {"patience": 3}, {"fl_rounds_cap": 2},
+    {"k": 4}, {"with_weather": True},
+])
+def test_fl_base_memo_misses_on_any_changed_field(variants, monkeypatch, change):
+    second = replace(FL, kind="fl_lft", **change)
+    shared, alone = _after(variants, monkeypatch, FL, second)
+    assert shared == alone > 0
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 12}, {"hc_rounds": 2}, {"batch_size": 32},
+    {"learning_rate": 0.002}, {"k": 4}, {"with_weather": True},
+])
+def test_warmup_memo_misses_on_any_field_it_reads(variants, monkeypatch, change):
+    second = replace(FL_HC, hc_threshold=1e9, **change)
+    shared, alone = _after(variants, monkeypatch, FL_HC, second)
+    assert shared == alone > 0
+
+
+@pytest.mark.parametrize("change", [{"patience": 3}, {"flhc_rounds_cap": 5}])
+def test_fl_hc_base_memo_misses_on_phase_3_fields(variants, monkeypatch, change):
+    # the warm-up may still hit; the clusters must train again
+    second = replace(FL_HC, kind="fl_hc_lft", **change)
+    shared, _ = _after(variants, monkeypatch, FL_HC, second)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("first,second", [
+    (FL, FL),
+    (FL, replace(FL, kind="fl_lft")),
+    (FL_HC, FL_HC),
+    (FL_HC, replace(FL_HC, kind="fl_hc_lft")),
+    (FL_HC, replace(FL_HC, hc_threshold=1e9)),
+])
+def test_memo_hits_are_private_copies(tiny_datasets, first, second):
+    fresh_report, fresh_models = run_scenario(tiny_datasets, second)
+    memo = {}
+    for cfg in (first, second, second):
+        report, models = run_scenario(tiny_datasets, cfg, memo)
+        if cfg == second:
+            assert report == fresh_report
+            assert models.keys() == fresh_models.keys()
+            for name, vec in models.items():
+                assert np.array_equal(vec, fresh_models[name])
+        # vandalise everything the caller got back
+        report["rounds"][0]["samples"] = -1
+        report["rounds"].clear()
+        report.get("base", {}).clear()
+        for vec in models.values():
+            vec[:] = np.nan
+
+
+def test_memo_hit_still_charges_its_base(tiny_datasets):
+    memo = {}
+    fl_report, _ = run_scenario(tiny_datasets, FL, memo)
+    lft_cfg = replace(FL, kind="fl_lft")
+    shared, _ = run_scenario(tiny_datasets, lft_cfg, memo)
+    alone, _ = run_scenario(tiny_datasets, lft_cfg)
+    assert shared == alone
+    assert shared["base_samples"] == fl_report["total_samples"] > 0
+    assert recount_samples(shared) == shared["total_samples"]
+    assert shared["total_samples"] == shared["base_samples"] + sum(
+        rec["samples"] for rec in shared["rounds"])
