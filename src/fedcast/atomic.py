@@ -1,0 +1,30 @@
+"""Crash-safe output files: write beside the target, then rename onto it.
+
+A reader of an output path sees either its previous content or the complete
+new content, never a half-written file, whether the writer raises or the
+process dies mid-write.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a file that replaces `path` only when the block completes.
+
+    The data goes to a temporary file in the same directory, which
+    `os.replace` renames onto `path` after it is closed; if the block
+    raises, the temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

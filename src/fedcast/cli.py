@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .data import (
     dataset_digest,
     generate_synthetic_households,
@@ -191,14 +192,16 @@ def _write_entry_outputs(out: Path, entry_id: str, report: dict,
     log_rel = f"logs/{entry_id}.json"
     log_path = out / log_rel
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    with log_path.open("w") as fh:
+    with atomic_write(log_path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     files.append(log_rel)
     for name in sorted(models):
         rel = f"models/{entry_id}/{name}.npy"
         (out / rel).parent.mkdir(parents=True, exist_ok=True)
-        np.save(out / rel, np.asarray(models[name], dtype=np.float64))
+        # a file handle, so np.save adds no ".npy" to the temporary name
+        with atomic_write(out / rel, "wb") as fh:
+            np.save(fh, np.asarray(models[name], dtype=np.float64))
         files.append(rel)
     return files
 
@@ -269,6 +272,9 @@ def cmd_run(args) -> int:
         data_dir = (config_path.parent / data_dir).resolve()
     prep, cache_manifest = load_cache(data_dir)
     digest = dataset_digest(cache_manifest)
+    # Serial groups and forked workers reuse this load instead of reading
+    # and verifying the cache again.
+    _PREP_CACHE[str(data_dir)] = prep
 
     run_id = run_identity(seed, entries, digest)
     out = Path(args.out) / run_id
@@ -306,7 +312,7 @@ def cmd_run(args) -> int:
     if failures:
         err = failures[0][1]
         # Flush what we have for post-mortem before reporting failure.
-        with (out / "failure.json").open("w") as fh:
+        with atomic_write(out / "failure.json") as fh:
             json.dump({"error": str(err), "param_index": err.param_index,
                        "completed": [r["entry_id"] for r in reports]},
                       fh, indent=2, sort_keys=True)
@@ -327,7 +333,7 @@ def cmd_run(args) -> int:
         "files": sorted(files) + ["manifest.json"],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    with (out / "manifest.json").open("w") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"run {run_id}: {len(entries)} entries -> {out}")

@@ -66,16 +66,17 @@ def split_chronological(n_rows: int, k: int) -> tuple[int, int]:
 
 def make_sequences(values: np.ndarray, hours: np.ndarray, k: int) -> SequenceSet:
     """All K-row windows of a split; exactly len(values) - k of them."""
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)  # owned: windows view into it
     hours = np.asarray(hours, dtype=np.int64)
     if values.ndim != 2 or len(values) != len(hours):
         raise ValidationError("values must be (N, D) aligned with hours")
     n = len(values)
     if n <= k:
         raise ValidationError(f"split of {n} rows yields no window of length {k}")
-    # Stride trick view, copied so sequence sets own their memory.
+    # A read-only view of the set's own copy of the rows: consecutive
+    # windows share K-1 rows, so the windows cost no more than the rows.
     windows = np.lib.stride_tricks.sliding_window_view(values, (k, values.shape[1]))
-    windows = windows[:-1, 0].copy()
+    windows = windows[:-1, 0]
     labels = values[k:, 0].copy()
     return SequenceSet(windows, labels, hours[k:].copy())
 

@@ -14,8 +14,14 @@ class DataError(FedcastError):
 
 
 class NumericalError(FedcastError):
-    """Training or evaluation produced a non-finite value."""
+    """Training or evaluation produced a non-finite value.
 
-    def __init__(self, message: str, param_index: int | None = None):
+    `param_index` is the first bad coordinate of a parameter vector, and
+    `session` the row of the model it belongs to when several train at once.
+    """
+
+    def __init__(self, message: str, param_index: int | None = None,
+                 session: int | None = None):
         super().__init__(message)
         self.param_index = param_index
+        self.session = session

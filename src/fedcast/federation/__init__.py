@@ -9,7 +9,14 @@ from .config import (
     SCENARIO_KINDS,
     ScenarioConfig,
 )
-from .training import EarlyStopper, evaluate_rmse, fit_epochs, predict, train_session
+from .training import (
+    EarlyStopper,
+    Session,
+    evaluate_rmse,
+    fit_epochs,
+    predict,
+    train_session,
+)
 from .scenarios import (
     fedavg_aggregate,
     fedavg_round,
@@ -33,6 +40,7 @@ __all__ = [
     "LOCAL_EPOCHS_GRID",
     "SCENARIO_KINDS",
     "ScenarioConfig",
+    "Session",
     "evaluate_rmse",
     "fedavg_aggregate",
     "fedavg_round",

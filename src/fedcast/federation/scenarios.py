@@ -15,6 +15,11 @@ Regimes:
     fl_lft       fl followed by per-client fine-tuning of the global model
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
 
+All training goes through `training.fit_epochs`, which steps a list of
+independent sessions in lockstep: the households of a localised run, the
+clients of one federated round, the clustering burst, and the clients
+being fine-tuned each form one list; centralised training is one session.
+
 Entries of one sweep that train the same thing share a memo (a plain dict,
 one per group from `group_entries`): an fl or fl_hc run is trained once and
 reused as the base of the fine-tuning entries, and the fl_hc warm-up is
@@ -30,12 +35,19 @@ from dataclasses import replace
 import numpy as np
 
 from ..clustering import agglomerate, pairwise_euclidean
+from ..data.sequences import SequenceSet
 from ..errors import NumericalError, ValidationError
 from ..nn import init_model
-from ..nn.lstm import flatten, unflatten
 from ..seeding import CLUSTERING, FINE_TUNE, INIT, ROUND, SELECT, TRAIN, key_int, stream
 from .config import ScenarioConfig
-from .training import EarlyStopper, evaluate_rmse, fit_epochs, predict, train_session
+from .training import (
+    EarlyStopper,
+    Session,
+    evaluate_rmse,
+    fit_epochs,
+    predict,
+    train_session,
+)
 
 __all__ = [
     "fedavg_aggregate",
@@ -126,15 +138,15 @@ def _session_stream(cfg: ScenarioConfig, client_ids, *extra):
 
 
 def _init_flat(cfg: ScenarioConfig, feature_dim: int) -> np.ndarray:
-    return flatten(init_model(feature_dim, stream(cfg.seed, INIT)))
+    return init_model(feature_dim, stream(cfg.seed, INIT))
 
 
 def _mean(values) -> float:
     return float(np.mean(np.asarray(list(values), dtype=np.float64)))
 
 
-def _client_rmse(model, datasets) -> dict:
-    return {ds.household_id: evaluate_rmse(model, ds.test) for ds in datasets}
+def _client_rmse(params, datasets) -> dict:
+    return {ds.household_id: evaluate_rmse(params, ds.test) for ds in datasets}
 
 
 def _base_report(cfg: ScenarioConfig, datasets, excluded) -> dict:
@@ -176,21 +188,14 @@ def train_centralised(datasets, cfg: ScenarioConfig):
     ids = [ds.household_id for ds in datasets]
     windows = np.concatenate([ds.train.windows for ds in datasets])
     labels = np.concatenate([ds.train.labels for ds in datasets])
-    val_windows = np.concatenate([ds.val.windows for ds in datasets])
-    val_labels = np.concatenate([ds.val.labels for ds in datasets])
+    val = SequenceSet(*(np.concatenate([getattr(ds.val, name) for ds in datasets])
+                        for name in ("windows", "labels", "time_index")))
     test_windows = np.concatenate([ds.test.windows for ds in datasets])
     test_labels = np.concatenate([ds.test.labels for ds in datasets])
 
-    model = unflatten(_init_flat(cfg, datasets[0].feature_dim),
-                      datasets[0].feature_dim)
-    gen = _session_stream(cfg, ids)
-
-    def pooled_val(m):
-        diff = predict(m, val_windows) - val_labels
-        return float(np.sqrt(np.mean(diff * diff)))
-
-    result = train_session(model, windows, labels, pooled_val,
-                           cfg.epochs_cap, cfg, gen)
+    result = train_session(_init_flat(cfg, datasets[0].feature_dim), windows,
+                           labels, val, cfg.epochs_cap, cfg,
+                           _session_stream(cfg, ids))
     report = _base_report(cfg, datasets, excluded)
     report["initial_val_rmse"] = result.initial_metric
     report["rounds"] = [
@@ -201,35 +206,36 @@ def train_centralised(datasets, cfg: ScenarioConfig):
     report["best_val_rmse"] = result.best_metric
     report["best_epoch"] = result.best_epoch
     report["epochs_run"] = result.epochs_run
-    diff = predict(result.model, test_windows) - test_labels
+    diff = predict(result.params, test_windows) - test_labels
     report["pooled_rmse"] = float(np.sqrt(np.mean(diff * diff)))
-    report = _finish(report, _client_rmse(result.model, datasets),
+    report = _finish(report, _client_rmse(result.params, datasets),
                      datasets[0].energy_range)
-    return report, {"global": flatten(result.model)}
+    return report, {"global": result.params}
 
 
 def train_localised(datasets, cfg: ScenarioConfig):
     """One independent model per household on its own data only."""
     datasets, excluded = _check_datasets(datasets, cfg)
     report = _base_report(cfg, datasets, excluded)
+    start = _init_flat(cfg, datasets[0].feature_dim)
+    results = fit_epochs(
+        [Session(start, ds.train.windows, ds.train.labels,
+                 _session_stream(cfg, [ds.household_id]), ds.val)
+         for ds in datasets],
+        cfg.epochs_cap, cfg.batch_size, cfg.learning_rate, cfg.patience)
     models = {}
     client_rmse = {}
     best_val = {}
-    for ds in datasets:  # ascending id order
+    for ds, result in zip(datasets, results):  # ascending id order
         hid = ds.household_id
-        model = unflatten(_init_flat(cfg, ds.feature_dim), ds.feature_dim)
-        gen = _session_stream(cfg, [hid])
-        result = train_session(model, ds.train.windows, ds.train.labels,
-                               lambda m: evaluate_rmse(m, ds.val),
-                               cfg.epochs_cap, cfg, gen)
         for r in result.records:
             report["rounds"].append({
                 "client": hid, "epoch": r["epoch"], "participants": [hid],
                 "train_loss": r["train_loss"], "val_rmse": r["val_rmse"],
                 "samples": r["samples"],
             })
-        models[hid] = flatten(result.model)
-        client_rmse[hid] = evaluate_rmse(result.model, ds.test)
+        models[hid] = result.params
+        client_rmse[hid] = evaluate_rmse(result.params, ds.test)
         best_val[hid] = result.best_metric
     report["best_val_rmse"] = best_val
     report["mean_best_val_rmse"] = _mean(best_val.values())
@@ -249,40 +255,40 @@ def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
     """
     if not clients:
         raise ValidationError("a round needs at least one participant")
+    sessions = [Session(global_params, ds.train.windows, ds.train.labels,
+                        stream(cfg.seed, TRAIN, key_int(hid), burst_tag, round_index))
+                for hid, ds in clients]
+    try:
+        results = fit_epochs(sessions, cfg.local_epochs, cfg.batch_size,
+                             cfg.learning_rate)
+    except NumericalError as err:
+        raise NumericalError(
+            f"round {round_index}: client {clients[err.session][0]} failed: {err}",
+            param_index=err.param_index) from err
     updates = []
     stats = {}
     samples = 0
-    feature_dim = clients[0][1].feature_dim
-    for hid, ds in clients:
-        model = unflatten(global_params, feature_dim)
-        gen = stream(cfg.seed, TRAIN, key_int(hid), burst_tag, round_index)
-        try:
-            model, _, losses, n = fit_epochs(
-                model, ds.train.windows, ds.train.labels, cfg.local_epochs,
-                gen, cfg.batch_size, cfg.learning_rate)
-        except NumericalError as err:
-            raise NumericalError(
-                f"round {round_index}: client {hid} failed: {err}",
-                param_index=err.param_index) from err
-        w = flatten(model)
+    for (hid, ds), result in zip(clients, results):
+        w = result.params
         if not np.all(np.isfinite(w)):
             index = int(np.flatnonzero(~np.isfinite(w))[0])
             raise NumericalError(
                 f"round {round_index}: client {hid} returned non-finite "
                 f"parameters (index {index})", param_index=index)
         updates.append((ds.n_train, w))
-        stats[hid] = losses[-1] if losses else None
-        samples += n
+        stats[hid] = result.records[-1]["train_loss"]
+        samples += result.samples
     return fedavg_aggregate(updates), stats, samples
 
 
-def _fl_loop(params, members, all_eval, cfg, first_round, last_round, records,
-             label, select_key):
-    """Shared federated loop: returns (stopper, rounds_run, samples)."""
+def _fl_loop(params, initial_metric, members, all_eval, cfg, first_round,
+             last_round, records, label, select_key):
+    """Shared federated loop from `params`, whose `all_eval` score is
+    `initial_metric`: returns (stopper, rounds_run, samples)."""
     ids = [hid for hid, _ in members]
     by_id = dict(members)
     stopper = EarlyStopper(cfg.patience)
-    stopper.update(all_eval(params), params)
+    stopper.update(initial_metric, params)
     samples_total = 0
     rounds_run = 0
     for r in range(first_round, last_round + 1):
@@ -304,9 +310,8 @@ def _fl_loop(params, members, all_eval, cfg, first_round, last_round, records,
 
 
 def _uniform_val_eval(datasets):
-    def metric(flat_params):
-        model = unflatten(flat_params, datasets[0].feature_dim)
-        return _mean(evaluate_rmse(model, ds.val) for ds in datasets)
+    def metric(params):
+        return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
     return metric
 
 
@@ -324,14 +329,13 @@ def run_fl(datasets, cfg: ScenarioConfig):
     evaluator = _uniform_val_eval(datasets)
     report["initial_val_rmse"] = evaluator(params)
     stopper, rounds_run, _ = _fl_loop(
-        params, members, evaluator, cfg, 1, cfg.fl_rounds_cap,
-        report["rounds"], {}, ())
+        params, report["initial_val_rmse"], members, evaluator, cfg, 1,
+        cfg.fl_rounds_cap, report["rounds"], {}, ())
     report["best_val_rmse"] = stopper.best_metric
     report["best_round"] = stopper.best_step
     report["rounds_run"] = rounds_run
     best = stopper.best_params
-    model = unflatten(best, datasets[0].feature_dim)
-    report = _finish(report, _client_rmse(model, datasets),
+    report = _finish(report, _client_rmse(best, datasets),
                      datasets[0].energy_range)
     return report, {"global": best}
 
@@ -345,8 +349,7 @@ def _flhc_warmup(members, cfg: ScenarioConfig, evaluator):
     """
     ids = [hid for hid, _ in members]
     by_id = dict(members)
-    feature_dim = members[0][1].feature_dim
-    params = _init_flat(cfg, feature_dim)
+    params = _init_flat(cfg, members[0][1].feature_dim)
     initial = evaluator(params)
     records = []
 
@@ -361,20 +364,19 @@ def _flhc_warmup(members, cfg: ScenarioConfig, evaluator):
             "avg_val_rmse": evaluator(params), "samples": samples})
 
     # Phase 2: full participation burst; deltas against the shared model.
+    results = fit_epochs(
+        [Session(params, ds.train.windows, ds.train.labels,
+                 stream(cfg.seed, TRAIN, key_int(hid), CLUSTERING))
+         for hid, ds in members],
+        cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
     updates = []
     burst_samples = 0
-    for hid, ds in members:
-        model = unflatten(params, feature_dim)
-        gen = stream(cfg.seed, TRAIN, key_int(hid), CLUSTERING)
-        model, _, _, n = fit_epochs(model, ds.train.windows, ds.train.labels,
-                                    cfg.local_epochs, gen, cfg.batch_size,
-                                    cfg.learning_rate)
-        w = flatten(model)
-        if not np.all(np.isfinite(w)):
+    for (hid, _), result in zip(members, results):
+        if not np.all(np.isfinite(result.params)):
             raise NumericalError(f"clustering burst: client {hid} returned "
                                  "non-finite parameters")
-        updates.append(w - params)
-        burst_samples += n
+        updates.append(result.params - params)
+        burst_samples += result.samples
     records.append({
         "phase": 2, "round": cfg.hc_rounds, "participants": ids,
         "train_loss": None, "avg_val_rmse": None, "samples": burst_samples})
@@ -396,7 +398,6 @@ def run_flhc(datasets, cfg: ScenarioConfig, memo: dict | None = None):
         raise ValidationError("clustering needs at least two clients")
     members = [(ds.household_id, ds) for ds in datasets]
     ids = [hid for hid, _ in members]
-    feature_dim = datasets[0].feature_dim
     report = _base_report(cfg, datasets, excluded)
     evaluator = _uniform_val_eval(datasets)
     initial, params, report["rounds"], distances = _memoised(
@@ -419,14 +420,13 @@ def run_flhc(datasets, cfg: ScenarioConfig, memo: dict | None = None):
         cluster_sets = [ds for _, ds in cluster_members]
         cluster_eval = _uniform_val_eval(cluster_sets)
         stopper, rounds_run, _ = _fl_loop(
-            params, cluster_members, cluster_eval, cfg,
+            params, cluster_eval(params), cluster_members, cluster_eval, cfg,
             cfg.hc_rounds + 1, cfg.flhc_rounds_cap, report["rounds"],
             {"phase": 3, "cluster": cluster_id}, (cluster_id,))
         best = stopper.best_params
         models[f"cluster{cluster_id}"] = best
-        model = unflatten(best, feature_dim)
         for _, ds in cluster_members:
-            client_rmse[ds.household_id] = evaluate_rmse(model, ds.test)
+            client_rmse[ds.household_id] = evaluate_rmse(best, ds.test)
         cluster_infos.append({
             "cluster": cluster_id,
             "members": [hid for hid, _ in cluster_members],
@@ -453,29 +453,31 @@ def fine_tune(base_params_by_client: dict, datasets, cfg: ScenarioConfig):
     ties, so fine-tuning can never worsen a client's validation RMSE.
     """
     datasets, excluded = _check_datasets(datasets, cfg)
+    for ds in datasets:
+        if ds.household_id not in base_params_by_client:
+            raise ValidationError(f"no base parameters for client {ds.household_id!r}")
+    results = fit_epochs(
+        [Session(base_params_by_client[ds.household_id], ds.train.windows,
+                 ds.train.labels,
+                 stream(cfg.seed, TRAIN, key_int(ds.household_id), FINE_TUNE),
+                 ds.val)
+         for ds in datasets],
+        cfg.lft_epochs_cap, cfg.batch_size, cfg.learning_rate, cfg.patience)
     records = []
     models = {}
     client_rmse = {}
     val_before = {}
     val_after = {}
-    for ds in datasets:
+    for ds, result in zip(datasets, results):
         hid = ds.household_id
-        if hid not in base_params_by_client:
-            raise ValidationError(f"no base parameters for client {hid!r}")
-        model = unflatten(np.asarray(base_params_by_client[hid], dtype=np.float64),
-                          ds.feature_dim)
-        gen = stream(cfg.seed, TRAIN, key_int(hid), FINE_TUNE)
-        result = train_session(model, ds.train.windows, ds.train.labels,
-                               lambda m: evaluate_rmse(m, ds.val),
-                               cfg.lft_epochs_cap, cfg, gen)
         val_before[hid] = result.initial_metric
         for r in result.records:
             records.append({
                 "phase": "fine_tune", "client": hid, "epoch": r["epoch"],
                 "participants": [hid], "train_loss": r["train_loss"],
                 "val_rmse": r["val_rmse"], "samples": r["samples"]})
-        models[hid] = flatten(result.model)
-        client_rmse[hid] = evaluate_rmse(result.model, ds.test)
+        models[hid] = result.params
+        client_rmse[hid] = evaluate_rmse(result.params, ds.test)
         val_after[hid] = result.best_metric
     return records, models, client_rmse, val_before, val_after, excluded
 

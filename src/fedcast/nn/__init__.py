@@ -1,41 +1,22 @@
 """From-scratch neural core: two-layer LSTM forecaster, BPTT, Adam."""
 
-from .adam import AdamState, adam_step, adam_update
+from .adam import AdamState, adam_step
 from .lstm import (
     GATE_ORDER,
     HIDDEN_SIZE,
-    ForecastModel,
-    LSTMLayerParams,
-    LSTMState,
     compute_gradients,
-    flatten,
     forward_batch,
     init_model,
-    lstm_cell_forward,
-    model_forward,
-    mse_loss,
     param_count,
-    sigmoid,
-    unflatten,
 )
 
 __all__ = [
     "AdamState",
-    "ForecastModel",
     "GATE_ORDER",
     "HIDDEN_SIZE",
-    "LSTMLayerParams",
-    "LSTMState",
     "adam_step",
-    "adam_update",
     "compute_gradients",
-    "flatten",
     "forward_batch",
     "init_model",
-    "lstm_cell_forward",
-    "model_forward",
-    "mse_loss",
     "param_count",
-    "sigmoid",
-    "unflatten",
 ]

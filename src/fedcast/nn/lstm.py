@@ -5,9 +5,9 @@ normalised consumption from the second layer's final hidden state.  Forward,
 loss, and backpropagation through time are written out directly so that the
 gradient can be checked against finite differences.
 
-Gate blocks are stacked in a fixed order (forget, input, output, cell
-candidate), giving a fixed flat parameter layout that the rest of the
-package treats as the unit of averaging and clustering:
+A model is one flat float64 vector.  Gate blocks are stacked in a fixed
+order (forget, input, output, cell candidate), giving a fixed layout that
+the rest of the package treats as the unit of averaging and clustering:
 
     layer 1: input weights (4*hidden, d) row-major,
              recurrent weights (4*hidden, hidden) row-major,
@@ -15,11 +15,25 @@ package treats as the unit of averaging and clustering:
     layer 2: same three blocks with input size = hidden
     head weight (hidden,)
     head bias (1,)
+
+The hidden width is implied by the vector's length and the input width.
+
+Training works on C independent models at once: a (C, P) matrix whose rows
+are models, with a (C*B, K, d) batch holding B windows per model in row
+order.  Every block is a view into that matrix, and every product is a
+stacked `np.matmul` whose per-model operands have the same shapes and
+strides a single model's would, so each model gets the BLAS call it would
+get alone and its gradient is bitwise the same whatever C is.  The
+lockstep engine, `federation.training.fit_epochs`, builds such stacks from
+independent training sessions whose batches are equally long, at most
+max(1, STACK_ROWS // batch_size) models per call: small batches stack,
+and at batch size 256 each model still gets a call of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 
@@ -32,137 +46,11 @@ HIDDEN_SIZE = 20
 GATE_ORDER = ("forget", "input", "output", "cell")
 
 
-def sigmoid(x):
-    # Large |x| saturates to exactly 0.0 or 1.0; the overflow inside exp is benign.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
-
-
-@dataclass(frozen=True)
-class LSTMLayerParams:
-    """Weights of one LSTM layer.
-
-    The four gates are stacked along the first axis in GATE_ORDER, so
-    w_x[:hidden] is the forget gate's input weight, w_x[hidden:2*hidden]
-    the input gate's, and so on.
-    """
-
-    w_x: np.ndarray  # (4*hidden, input_size)
-    w_h: np.ndarray  # (4*hidden, hidden)
-    b: np.ndarray    # (4*hidden,)
-
-    def __post_init__(self):
-        if self.w_x.ndim != 2 or self.w_x.shape[0] % 4 != 0:
-            raise ValidationError("w_x must be (4*hidden, input_size)")
-        hidden = self.w_x.shape[0] // 4
-        if self.w_h.shape != (4 * hidden, hidden):
-            raise ValidationError("w_h must be (4*hidden, hidden)")
-        if self.b.shape != (4 * hidden,):
-            raise ValidationError("b must be (4*hidden,)")
-        for arr in (self.w_x, self.w_h, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("layer parameters must be finite")
-
-    @property
-    def hidden(self) -> int:
-        return self.w_x.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.w_x.shape[1]
-
-    def _blocks(self, arr: np.ndarray) -> dict:
-        h = self.hidden
-        return {name: arr[i * h:(i + 1) * h] for i, name in enumerate(GATE_ORDER)}
-
-    @property
-    def input_weights(self) -> dict:
-        """Per-gate views of w_x keyed by GATE_ORDER names."""
-        return self._blocks(self.w_x)
-
-    @property
-    def recurrent_weights(self) -> dict:
-        return self._blocks(self.w_h)
-
-    @property
-    def biases(self) -> dict:
-        return self._blocks(self.b)
-
-
-@dataclass(frozen=True)
-class LSTMState:
-    """Hidden and cell activations of one layer after some time step."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-    def __post_init__(self):
-        if self.hidden.shape != self.cell.shape or self.hidden.ndim != 1:
-            raise ValidationError("state vectors must be 1-d and equally sized")
-        if not (np.all(np.isfinite(self.hidden)) and np.all(np.isfinite(self.cell))):
-            raise ValidationError("state vectors must be finite")
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LSTMState":
-        return cls(np.zeros(hidden, dtype=np.float64), np.zeros(hidden, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class ForecastModel:
-    """Stacked two-layer LSTM plus a scalar linear head on the final hidden state."""
-
-    layer1: LSTMLayerParams
-    layer2: LSTMLayerParams
-    head_w: np.ndarray  # (hidden,)
-    head_b: float
-
-    def __post_init__(self):
-        h = self.layer1.hidden
-        if self.layer2.hidden != h or self.layer2.input_size != h:
-            raise ValidationError("layer 2 must consume layer 1's hidden state")
-        if self.head_w.shape != (h,):
-            raise ValidationError("head weight must match the hidden size")
-        if not (np.all(np.isfinite(self.head_w)) and np.isfinite(self.head_b)):
-            raise ValidationError("head parameters must be finite")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.layer1.input_size
-
-    @property
-    def hidden(self) -> int:
-        return self.layer1.hidden
-
-
-def lstm_cell_forward(x_t, prev: LSTMState, params: LSTMLayerParams) -> LSTMState:
-    """One LSTM step: gate the previous cell, write the candidate, emit hidden.
-
-    c_t = f_t * c_{t-1} + i_t * g_t and h_t = o_t * tanh(c_t), with f, i, o
-    sigmoid gates and g the tanh candidate, each an affine map of (x_t, h_{t-1}).
-    """
-    x = _as_float_array(x_t, "x_t")
-    if x.shape != (params.input_size,):
-        raise ValidationError(
-            f"x_t has shape {x.shape}, expected ({params.input_size},)"
-        )
-    if prev.hidden.shape != (params.hidden,):
-        raise ValidationError("previous state does not match the layer width")
-    h = params.hidden
-    z = params.w_x @ x + params.w_h @ prev.hidden + params.b
-    f = sigmoid(z[:h])
-    i = sigmoid(z[h:2 * h])
-    o = sigmoid(z[2 * h:3 * h])
-    g = np.tanh(z[3 * h:])
-    c_t = prev.cell * f + i * g
-    h_t = o * np.tanh(c_t)
-    return LSTMState(h_t, c_t)
 
 
 def param_count(feature_dim: int, hidden: int = HIDDEN_SIZE) -> int:
@@ -172,222 +60,202 @@ def param_count(feature_dim: int, hidden: int = HIDDEN_SIZE) -> int:
     return layer1 + layer2 + hidden + 1
 
 
-def flatten(model: ForecastModel) -> np.ndarray:
-    """Serialise a model to the fixed flat layout (see module docstring)."""
-    return np.concatenate([
-        model.layer1.w_x.ravel(),
-        model.layer1.w_h.ravel(),
-        model.layer1.b,
-        model.layer2.w_x.ravel(),
-        model.layer2.w_h.ravel(),
-        model.layer2.b,
-        model.head_w,
-        np.array([model.head_b], dtype=np.float64),
-    ])
-
-
-def unflatten(vec, feature_dim: int, hidden: int = HIDDEN_SIZE) -> ForecastModel:
-    """Rebuild a model from a flat vector; inverse of flatten."""
-    vec = np.asarray(vec, dtype=np.float64)
-    expected = param_count(feature_dim, hidden)
-    if vec.shape != (expected,):
+@functools.lru_cache(maxsize=None)
+def _layout(n_params: int, feature_dim: int) -> tuple:
+    """(hidden, blocks): the width and each block's (start, stop, shape)."""
+    # param_count is 12h^2 + (4d + 9)h + 1, increasing in h.
+    b = 4 * feature_dim + 9
+    hidden = round((math.sqrt(b * b + 48 * (n_params - 1)) - b) / 24)
+    if hidden < 1 or param_count(feature_dim, hidden) != n_params:
         raise ValidationError(
-            f"parameter vector has length {vec.shape}, expected ({expected},)"
-        )
-
-    def take(n, shape):
-        nonlocal offset
-        block = vec[offset:offset + n].reshape(shape).copy()
-        offset += n
-        return block
-
-    offset = 0
-    layers = []
+            f"{n_params} parameters fit no model with {feature_dim} input features")
+    shapes = []
     for d in (feature_dim, hidden):
-        w_x = take(4 * hidden * d, (4 * hidden, d))
-        w_h = take(4 * hidden * hidden, (4 * hidden, hidden))
-        b = take(4 * hidden, (4 * hidden,))
-        layers.append(LSTMLayerParams(w_x, w_h, b))
-    head_w = take(hidden, (hidden,))
-    head_b = float(vec[offset])
-    return ForecastModel(layers[0], layers[1], head_w, head_b)
+        shapes += [(4 * hidden, d), (4 * hidden, hidden), (4 * hidden,)]
+    shapes += [(hidden,), ()]
+    blocks, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        blocks.append((start, stop, shape))
+        start = stop
+    return hidden, tuple(blocks)
+
+
+def _blocks(matrix: np.ndarray, feature_dim: int) -> list:
+    """Views of every parameter block of a (C, P) matrix, each (C, *shape)."""
+    c = matrix.shape[0]
+    _, blocks = _layout(matrix.shape[1], feature_dim)
+    return [matrix[:, start:stop].reshape((c,) + shape)
+            for start, stop, shape in blocks]
 
 
 def init_model(feature_dim: int, rng: np.random.Generator,
-               hidden: int = HIDDEN_SIZE) -> ForecastModel:
-    """Fresh model with every coordinate uniform in [-1/sqrt(hidden), 1/sqrt(hidden)].
+               hidden: int = HIDDEN_SIZE) -> np.ndarray:
+    """Fresh parameter vector, every coordinate uniform in ±1/sqrt(hidden).
 
-    The whole flat vector is drawn in one call so the initialisation is a
+    The whole vector is drawn in one call so the initialisation is a
     deterministic function of the generator state alone.
     """
     if feature_dim < 1 or hidden < 1:
         raise ValidationError("feature_dim and hidden must be positive")
     bound = 1.0 / np.sqrt(hidden)
-    vec = rng.uniform(-bound, bound, size=param_count(feature_dim, hidden))
-    return unflatten(vec, feature_dim, hidden)
+    return rng.uniform(-bound, bound, size=param_count(feature_dim, hidden))
 
 
-class _LayerCache:
-    """Per-step activations kept for backpropagation through time."""
+def _layer_forward(x, w_x, w_h, b, acts=None, cells=None):
+    """Run one layer of C models over (C, B, K, d) inputs from a zero state.
 
-    __slots__ = ("c", "f", "i", "o", "g")
-
-    def __init__(self, b, k, h):
-        self.c = np.empty((b, k, h))
-        self.f = np.empty((b, k, h))
-        self.i = np.empty((b, k, h))
-        self.o = np.empty((b, k, h))
-        self.g = np.empty((b, k, h))
-
-
-def _layer_forward(x_seq: np.ndarray, params: LSTMLayerParams, want_cache: bool):
-    """Run one layer over (B, K, d) inputs from a zero initial state."""
-    b, k, _ = x_seq.shape
-    h = params.hidden
-    out = np.empty((b, k, h))
-    cache = _LayerCache(b, k, h) if want_cache else None
-    h_t = np.zeros((b, h))
-    c_t = np.zeros((b, h))
-    wx_t = params.w_x.T
-    wh_t = params.w_h.T
+    Returns the (C, B, K, h) hidden outputs.  When `acts` and `cells` are
+    given, the gate activations (C, B, K, 4h) and cell states (C, B, K, h)
+    are written into them for backpropagation.
+    """
+    c, n, k, _ = x.shape
+    h = w_h.shape[2]
+    out = np.empty((c, n, k, h))
+    h_t = np.zeros((c, n, h))
+    c_t = np.zeros((c, n, h))
+    wx_t = w_x.transpose(0, 2, 1)
+    wh_t = w_h.transpose(0, 2, 1)
+    bias = b[:, None, :]
     for t in range(k):
-        z = x_seq[:, t] @ wx_t + h_t @ wh_t + params.b
-        f = sigmoid(z[:, :h])
-        i = sigmoid(z[:, h:2 * h])
-        o = sigmoid(z[:, 2 * h:3 * h])
-        g = np.tanh(z[:, 3 * h:])
+        z = x[:, :, t] @ wx_t
+        z += h_t @ wh_t
+        z += bias
+        # forget, input and output gates: one sigmoid over the [:3h] block;
+        # large |z| saturates to exactly 0.0 or 1.0.
+        gates = np.negative(z[:, :, :3 * h])
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+        f = gates[:, :, :h]
+        i = gates[:, :, h:2 * h]
+        o = gates[:, :, 2 * h:]
+        g = np.tanh(z[:, :, 3 * h:])
         c_t = c_t * f + i * g
         h_t = o * np.tanh(c_t)
-        out[:, t] = h_t
-        if want_cache:
-            cache.c[:, t] = c_t
-            cache.f[:, t] = f
-            cache.i[:, t] = i
-            cache.o[:, t] = o
-            cache.g[:, t] = g
-    return out, cache
+        out[:, :, t] = h_t
+        if acts is not None:
+            acts[:, :, t, :3 * h] = gates
+            acts[:, :, t, 3 * h:] = g
+            cells[:, :, t] = c_t
+    return out
 
 
-def _layer_backward(x_seq, hidden_seq, cache, d_hidden, params, need_dx):
-    """Backpropagate through one layer; returns flat block grads and dX."""
-    b, k, d = x_seq.shape
-    h = params.hidden
-    d_wx = np.zeros_like(params.w_x)
-    d_wh = np.zeros_like(params.w_h)
-    d_b = np.zeros_like(params.b)
-    d_x = np.zeros_like(x_seq) if need_dx else None
-    dh_carry = np.zeros((b, h))
-    dc = np.zeros((b, h))
-    zeros = np.zeros((b, h))
+def _layer_backward(x, hidden_seq, acts, cells, d_hidden, w_x, w_h,
+                    g_wx, g_wh, g_b, need_dx):
+    """Backpropagate through one layer of C models.
+
+    Adds the weight gradients into the views g_wx, g_wh and g_b; returns
+    the gradient with respect to the inputs when `need_dx`.
+    """
+    c, n, k, _ = x.shape
+    h = w_h.shape[2]
+    d_x = np.zeros_like(x) if need_dx else None
+    dh_carry = np.zeros((c, n, h))
+    dc = np.zeros((c, n, h))
+    zeros = np.zeros((c, n, h))
+    dz = np.empty((c, n, 4 * h))
+    dz_t = dz.transpose(0, 2, 1)
     for t in range(k - 1, -1, -1):
-        dh = d_hidden[:, t] + dh_carry
-        c_prev = cache.c[:, t - 1] if t > 0 else zeros
-        h_prev = hidden_seq[:, t - 1] if t > 0 else zeros
-        f = cache.f[:, t]
-        i = cache.i[:, t]
-        o = cache.o[:, t]
-        g = cache.g[:, t]
-        tc = np.tanh(cache.c[:, t])
-        do = dh * tc
+        dh = d_hidden[:, :, t] + dh_carry
+        c_prev = cells[:, :, t - 1] if t > 0 else zeros
+        h_prev = hidden_seq[:, :, t - 1] if t > 0 else zeros
+        sig = acts[:, :, t, :3 * h]
+        i = acts[:, :, t, h:2 * h]
+        o = acts[:, :, t, 2 * h:3 * h]
+        g = acts[:, :, t, 3 * h:]
+        tc = np.tanh(cells[:, :, t])
         dc = dc + dh * o * (1.0 - tc * tc)
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dz = np.concatenate(
-            [df * f * (1.0 - f), di * i * (1.0 - i), do * o * (1.0 - o),
-             dg * (1.0 - g * g)],
-            axis=1,
-        )
-        d_wx += dz.T @ x_seq[:, t]
-        d_wh += dz.T @ h_prev
-        d_b += dz.sum(axis=0)
+        np.multiply(dc, c_prev, out=dz[:, :, :h])
+        np.multiply(dc, g, out=dz[:, :, h:2 * h])
+        np.multiply(dh, tc, out=dz[:, :, 2 * h:3 * h])
+        np.multiply(dc, i, out=dz[:, :, 3 * h:])
+        dz[:, :, :3 * h] *= sig
+        dz[:, :, :3 * h] *= 1.0 - sig
+        dz[:, :, 3 * h:] *= 1.0 - g * g
+        g_wx += dz_t @ x[:, :, t]
+        g_wh += dz_t @ h_prev
+        g_b += dz.sum(axis=1)
         if need_dx:
-            d_x[:, t] = dz @ params.w_x
-        dh_carry = dz @ params.w_h
-        dc = dc * f
-    return d_wx, d_wh, d_b, d_x
+            d_x[:, :, t] = dz @ w_x
+        dh_carry = dz @ w_h
+        dc = dc * acts[:, :, t, :h]
+    return d_x
 
 
-def forward_batch(windows, model: ForecastModel) -> np.ndarray:
-    """Predictions for a (B, K, feature_dim) batch of windows."""
+def _check_windows(windows) -> np.ndarray:
     x = _as_float_array(windows, "windows")
     if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValidationError("windows must be a nonempty (B, K, d) array")
-    if x.shape[2] != model.feature_dim:
-        raise ValidationError(
-            f"windows carry {x.shape[2]} features, model expects {model.feature_dim}"
-        )
-    h1, _ = _layer_forward(x, model.layer1, want_cache=False)
-    h2, _ = _layer_forward(h1, model.layer2, want_cache=False)
-    return h2[:, -1] @ model.head_w + model.head_b
+    return x
 
 
-def model_forward(window, model: ForecastModel) -> float:
-    """Scalar forecast for one (K, feature_dim) window."""
-    w = np.asarray(getattr(window, "window", window), dtype=np.float64)
-    if w.ndim != 2:
-        raise ValidationError("window must be a (K, feature_dim) array")
-    return float(forward_batch(w[None, :, :], model)[0])
-
-
-def mse_loss(predictions, targets) -> float:
-    """Mean squared error between two equally sized nonempty vectors."""
-    p = _as_float_array(predictions, "predictions").ravel()
-    t = _as_float_array(targets, "targets").ravel()
-    if p.size == 0 or p.size != t.size:
-        raise ValidationError("predictions and targets must have equal nonzero length")
-    diff = p - t
-    return float(np.mean(diff * diff))
-
-
-def compute_gradients(windows, targets, model: ForecastModel):
-    """Gradient of the batch mean squared error, flattened; also the loss.
-
-    `windows` may be a (B, K, d) array or a sequence of objects with
-    .window/.label attributes (in which case `targets` may be None).
-    """
-    if not isinstance(windows, np.ndarray):
-        samples = list(windows)
-        if not samples:
-            raise ValidationError("empty batch")
-        if targets is None:
-            targets = [s.label for s in samples]
-        windows = np.stack([np.asarray(s.window, dtype=np.float64) for s in samples])
-    x = _as_float_array(windows, "windows")
-    y = _as_float_array(targets, "targets").ravel()
-    if x.ndim != 3 or x.shape[0] != y.size or y.size == 0:
-        raise ValidationError("batch windows and targets must align and be nonempty")
-    if x.shape[2] != model.feature_dim:
-        raise ValidationError("feature width does not match the model")
-
-    b = x.shape[0]
-    h1, cache1 = _layer_forward(x, model.layer1, want_cache=True)
-    h2, cache2 = _layer_forward(h1, model.layer2, want_cache=True)
-    pred = h2[:, -1] @ model.head_w + model.head_b
-    resid = pred - y
-    # overflow here is caught by the finiteness check, not worth a warning
+def forward_batch(windows, params) -> np.ndarray:
+    """Predictions of one model, a (P,) vector, for a (B, K, d) batch."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 1:
+        raise ValidationError("params must be one flat parameter vector")
+    x = _check_windows(windows)
+    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params[None], x.shape[2])
     with np.errstate(over="ignore"):
-        loss = float(np.mean(resid * resid))
-    if not np.isfinite(loss):
-        raise NumericalError("loss is not finite")
+        h1 = _layer_forward(x[None], wx1, wh1, b1)
+        h2 = _layer_forward(h1, wx2, wh2, b2)
+    return h2[0, :, -1] @ head_w[0] + head_b[0]
 
-    dpred = (2.0 / b) * resid
-    g_head_w = h2[:, -1].T @ dpred
-    g_head_b = dpred.sum()
-    d_h2 = np.zeros_like(h2)
-    d_h2[:, -1] = np.outer(dpred, model.head_w)
-    d2_wx, d2_wh, d2_b, d_h1 = _layer_backward(
-        h1, h2, cache2, d_h2, model.layer2, need_dx=True)
-    d1_wx, d1_wh, d1_b, _ = _layer_backward(
-        x, h1, cache1, d_h1, model.layer1, need_dx=False)
 
-    grad = np.concatenate([
-        d1_wx.ravel(), d1_wh.ravel(), d1_b,
-        d2_wx.ravel(), d2_wh.ravel(), d2_b,
-        g_head_w, np.array([g_head_b]),
-    ])
-    if not np.all(np.isfinite(grad)):
-        index = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NumericalError(
-            f"non-finite gradient at parameter index {index}", param_index=index)
-    return grad, loss
+def compute_gradients(windows, targets, params):
+    """Gradients and losses of C models, each on its own batch.
+
+    `params` is (C, P); `windows` is (C*B, K, d) and `targets` (C*B,), the
+    first B rows belonging to model 0, the next B to model 1, and so on.
+    Returns the (C, P) gradients of each model's batch mean squared error
+    and the (C,) losses.  A non-finite loss or gradient raises
+    NumericalError naming the model (`session`), with the flat index of the
+    first bad coordinate in that model's vector (`param_index`).
+    """
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or params.shape[0] < 1:
+        raise ValidationError("params must be a (C, P) matrix")
+    x = _check_windows(windows)
+    y = _as_float_array(targets, "targets").ravel()
+    c = params.shape[0]
+    rows, k, d = x.shape
+    if rows != y.size or rows % c:
+        raise ValidationError(
+            "batch windows and targets must align and split evenly across models")
+    n = rows // c
+    x = x.reshape(c, n, k, d)
+    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params, d)
+    h = wh1.shape[2]
+    acts1, cells1 = np.empty((c, n, k, 4 * h)), np.empty((c, n, k, h))
+    acts2, cells2 = np.empty((c, n, k, 4 * h)), np.empty((c, n, k, h))
+    # Overflow shows up as a non-finite loss or gradient, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1 = _layer_forward(x, wx1, wh1, b1, acts1, cells1)
+        h2 = _layer_forward(h1, wx2, wh2, b2, acts2, cells2)
+        last = h2[:, :, -1]
+        pred = (last @ head_w[:, :, None])[:, :, 0] + head_b[:, None]
+        resid = pred - y.reshape(c, n)
+        losses = np.mean(resid * resid, axis=1)
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if bad.size:
+            raise NumericalError("loss is not finite", session=int(bad[0]))
+
+        grads = np.zeros_like(params)
+        g_wx1, g_wh1, g_b1, g_wx2, g_wh2, g_b2, g_head_w, g_head_b = _blocks(grads, d)
+        dpred = (2.0 / n) * resid
+        g_head_w[:] = (last.transpose(0, 2, 1) @ dpred[:, :, None])[:, :, 0]
+        g_head_b[:] = dpred.sum(axis=1)
+        d_h2 = np.zeros_like(h2)
+        d_h2[:, :, -1] = dpred[:, :, None] * head_w[:, None, :]
+        d_h1 = _layer_backward(h1, h2, acts2, cells2, d_h2, wx2, wh2,
+                               g_wx2, g_wh2, g_b2, need_dx=True)
+        _layer_backward(x, h1, acts1, cells1, d_h1, wx1, wh1,
+                        g_wx1, g_wh1, g_b1, need_dx=False)
+    finite = np.isfinite(grads)
+    if not finite.all():
+        session = int(np.flatnonzero(~finite.all(axis=1))[0])
+        index = int(np.flatnonzero(~finite[session])[0])
+        raise NumericalError(f"non-finite gradient at parameter index {index}",
+                             param_index=index, session=session)
+    return grads, losses

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ValidationError
 
 SCENARIO_ORDER = ("centralised", "localised", "fl", "fl_hc", "fl_lft", "fl_hc_lft")
@@ -247,12 +248,13 @@ def emit_report(reports, out_dir, run_meta: dict | None = None) -> dict:
     payload = {"entries": reports}
     if run_meta:
         payload.update(run_meta)
-    with (out / "results.json").open("w") as fh:
+    with atomic_write(out / "results.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    (out / "results.csv").write_text(
-        "\n".join(results_csv_lines(reports)) + "\n")
+    with atomic_write(out / "results.csv") as fh:
+        fh.write("\n".join(results_csv_lines(reports)) + "\n")
     table = build_comparison(reports)
     verify_comparison(table)
-    (out / "tables.txt").write_text(render_tables(table))
+    with atomic_write(out / "tables.txt") as fh:
+        fh.write(render_tables(table))
     return payload

@@ -23,8 +23,7 @@ from fedcast.clustering import (
 )
 from fedcast.data import generate_synthetic_households, household_datasets, prepare_datasets
 from fedcast.federation import ScenarioConfig, fedavg_aggregate, recount_samples, run_scenario
-from fedcast.nn import compute_gradients, init_model
-from fedcast.nn.lstm import flatten, forward_batch, unflatten
+from fedcast.nn import compute_gradients, forward_batch, init_model
 from fedcast.reporting import pct_difference, savings_factor
 
 DESK_SEED = 11
@@ -51,18 +50,18 @@ def test_criterion_1_gradients_match_finite_differences():
     worst = 0.0
     for dim in (5, 7):
         for _ in range(10):
-            model = init_model(dim, rng)
+            vec = init_model(dim, rng)
             batch = int(rng.integers(2, 5))
             windows = rng.normal(0.0, 1.0, size=(batch, 6, dim))
             targets = rng.normal(0.0, 1.0, size=batch)
-            grad, _ = compute_gradients(windows, targets, model)
+            grads, _ = compute_gradients(windows, targets, vec[None])
+            grad = grads[0]
 
             def loss_at(vec):
-                preds = forward_batch(windows, unflatten(vec, dim))
+                preds = forward_batch(windows, vec)
                 diff = preds - targets
                 return float(np.mean(diff * diff))
 
-            vec = flatten(model)
             for i in range(len(vec)):
                 keep = vec[i]
                 vec[i] = keep + h

@@ -9,9 +9,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fedcast.cli import main, resolve_config, run_identity
+from fedcast.atomic import atomic_write
+from fedcast.cli import _write_entry_outputs, main, resolve_config, run_identity
 from fedcast.errors import NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
 
@@ -315,6 +317,40 @@ def test_failure_inside_a_group_keeps_completed_outputs(pipeline, tmp_path,
     assert sorted(p.name for p in (run_dir / "models").iterdir()) == \
         failure["completed"]
     assert not (run_dir / "results.json").exists()
+
+
+# --------------------------------------------------------- crash-safe outputs
+
+def test_a_write_that_raises_leaves_no_file(tmp_path):
+    target = tmp_path / "out.json"
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as fh:
+            fh.write('{"half": ')
+            raise RuntimeError("killed mid-write")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as fh:
+            fh.write("new")
+            raise RuntimeError("killed mid-write")
+    assert target.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_an_entry_log_that_fails_midway_is_not_written(tmp_path):
+    # json.dump writes the keys before "z" and then refuses the NaN
+    report = {"entry_id": "x", "a": 1.0, "z": float("nan")}
+    with pytest.raises(ValueError):
+        _write_entry_outputs(tmp_path, "x", report, {"global": np.zeros(3)})
+    assert list((tmp_path / "logs").iterdir()) == []
+
+
+def test_run_outputs_leave_no_temporary_files(pipeline):
+    _, run_dir = pipeline
+    names = [p.name for p in run_dir.rglob("*")]
+    assert names and not [n for n in names if n.startswith(".")]
+    assert all(n.endswith(".npy") for n in
+               (p.name for p in (run_dir / "models").rglob("*") if p.is_file()))
 
 
 # ----------------------------------------------------------------- exit codes

@@ -12,6 +12,7 @@ from fedcast.data import household_datasets, prepare_datasets
 from fedcast.errors import ValidationError
 from fedcast.federation import (
     EarlyStopper,
+    Session,
     fedavg_aggregate,
     fedavg_round,
     fine_tune,
@@ -20,11 +21,11 @@ from fedcast.federation import (
     run_scenario,
     sample_clients,
 )
-from fedcast.federation import scenarios
+from fedcast.federation import scenarios, training
 from fedcast.federation.scenarios import _init_flat
 from fedcast.nn import init_model
-from fedcast.nn.lstm import flatten, unflatten
 from fedcast.seeding import ROUND, TRAIN, key_int, stream
+from nn_oracle import train_serially
 
 
 # ---------------------------------------------------------------- aggregation
@@ -130,13 +131,13 @@ def test_stopper_improvement_resets_patience():
 def test_zero_epochs_is_a_no_op(tiny_datasets):
     ds = tiny_datasets[0]
     cfg = small_config("localised")
-    model = init_model(ds.feature_dim, np.random.default_rng(3))
-    before = flatten(model)
-    after, _, losses, samples = fit_epochs(
-        model, ds.train.windows, ds.train.labels, 0,
-        np.random.default_rng(0), cfg.batch_size, cfg.learning_rate)
-    assert np.array_equal(flatten(after), before)
-    assert losses == [] and samples == 0
+    before = init_model(ds.feature_dim, np.random.default_rng(3))
+    [after] = fit_epochs(
+        [Session(before, ds.train.windows, ds.train.labels,
+                 np.random.default_rng(0))],
+        0, cfg.batch_size, cfg.learning_rate)
+    assert np.array_equal(after.params, before)
+    assert after.records == [] and after.samples == 0
 
 
 # --------------------------------------------------------- regime consistency
@@ -173,14 +174,31 @@ def test_single_client_round_is_plain_local_training(tiny_datasets):
     new_params, stats, samples = fedavg_round(
         start, [(ds.household_id, ds)], cfg, round_index=2)
     # replay the client's session by hand
-    model = unflatten(start, ds.feature_dim)
     gen = stream(cfg.seed, TRAIN, key_int(ds.household_id), ROUND, 2)
-    model, _, losses, n = fit_epochs(model, ds.train.windows, ds.train.labels,
-                                     cfg.local_epochs, gen, cfg.batch_size,
-                                     cfg.learning_rate)
-    assert np.array_equal(new_params, flatten(model))
-    assert stats[ds.household_id] == losses[-1]
-    assert samples == n == ds.n_train * cfg.local_epochs
+    params, records = train_serially(
+        Session(start, ds.train.windows, ds.train.labels, gen),
+        cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
+    assert np.array_equal(new_params, params)
+    assert stats[ds.household_id] == records[-1]["train_loss"]
+    assert samples == sum(r["samples"] for r in records) \
+        == ds.n_train * cfg.local_epochs
+
+
+def test_fl_validates_each_global_model_once(tiny_datasets, monkeypatch):
+    # every client's validation set once per global model (the initial one
+    # and one per round), then every client's test set once
+    calls = []
+    for module in (scenarios, training):
+        real = module.evaluate_rmse
+        monkeypatch.setattr(module, "evaluate_rmse",
+                            lambda p, s, real=real: calls.append(s) or real(p, s))
+    cfg = small_config("fl", client_fraction=0.5, fl_rounds_cap=3)
+    report, _ = run_scenario(tiny_datasets, cfg)
+    n = len(tiny_datasets)
+    assert sum(any(s is ds.val for ds in tiny_datasets) for s in calls) \
+        == n * (report["rounds_run"] + 1)
+    assert sum(any(s is ds.test for ds in tiny_datasets) for s in calls) == n
+    assert len(calls) == n * (report["rounds_run"] + 2)
 
 
 def test_full_participation_when_fraction_is_one(tiny_datasets):
@@ -327,13 +345,17 @@ def variants(tiny_population, tiny_prepared):
 
 
 def _federated_fits(variants, monkeypatch, cfg, memo):
-    """Client trainings (federated rounds and the burst) run for cfg."""
+    """Client trainings (federated rounds and the burst) run for cfg.
+
+    Each is a session without a validation set; fine-tuning's sessions
+    validate and are not counted.
+    """
     calls = []
     real = scenarios.fit_epochs
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(sessions, *args, **kwargs):
+        calls.extend(1 for s in sessions if s.val is None)
+        return real(sessions, *args, **kwargs)
     monkeypatch.setattr(scenarios, "fit_epochs", counted)
     run_scenario(variants[cfg.k, cfg.with_weather], cfg, memo)
     monkeypatch.setattr(scenarios, "fit_epochs", real)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedcast.errors import NumericalError, ValidationError
-from fedcast.nn import compute_gradients, forward_batch, init_model, mse_loss
-from fedcast.nn.lstm import flatten, param_count, unflatten
+from fedcast.nn import compute_gradients, forward_batch, init_model, param_count
+from nn_oracle import gradient, mse_loss, stack_samples
 
 STEP = 1e-5
 REL_TOL = 1e-4
@@ -15,8 +15,7 @@ ABS_FLOOR = 1e-8
 
 
 def loss_at(vec, windows, targets, feature_dim, hidden):
-    model = unflatten(vec, feature_dim, hidden)
-    return mse_loss(forward_batch(windows, model), targets)
+    return mse_loss(forward_batch(windows, vec), targets)
 
 
 def finite_difference(vec, windows, targets, feature_dim, hidden):
@@ -47,33 +46,31 @@ def assert_grad_close(analytic, numeric):
 ])
 def test_gradient_matches_finite_differences(feature_dim, hidden, k, batch):
     gen = np.random.default_rng(100 + feature_dim + hidden)
-    model = init_model(feature_dim, gen, hidden=hidden)
+    vec = init_model(feature_dim, gen, hidden=hidden)
     windows = gen.uniform(0.0, 1.0, size=(batch, k, feature_dim))
     targets = gen.uniform(0.0, 1.0, size=batch)
-    grad, loss = compute_gradients(windows, targets, model)
+    grad, loss = gradient(windows, targets, vec)
     assert loss == pytest.approx(
-        loss_at(flatten(model), windows, targets, feature_dim, hidden))
-    numeric = finite_difference(flatten(model), windows, targets,
-                                feature_dim, hidden)
+        loss_at(vec, windows, targets, feature_dim, hidden))
+    numeric = finite_difference(vec, windows, targets, feature_dim, hidden)
     assert_grad_close(grad, numeric)
 
 
 def test_zero_model_on_zero_targets_has_zero_gradient():
     vec = np.zeros(param_count(2, 3))
-    model = unflatten(vec, 2, 3)
     windows = np.random.default_rng(7).uniform(size=(4, 5, 2))
-    grad, loss = compute_gradients(windows, np.zeros(4), model)
+    grad, loss = gradient(windows, np.zeros(4), vec)
     # the prediction is exactly head_b = 0, so loss and gradient vanish
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
 def test_head_bias_gradient_is_analytic(rng):
-    model = init_model(2, rng, hidden=3)
+    vec = init_model(2, rng, hidden=3)
     windows = rng.uniform(size=(8, 4, 2))
     targets = rng.uniform(size=8)
-    grad, _ = compute_gradients(windows, targets, model)
-    preds = forward_batch(windows, model)
+    grad, _ = gradient(windows, targets, vec)
+    preds = forward_batch(windows, vec)
     # d/db of mean (pred - target)^2 is 2 * mean(pred - target); the head
     # bias is the last flat coordinate
     assert grad[-1] == pytest.approx(2.0 * np.mean(preds - targets), rel=1e-12)
@@ -82,30 +79,47 @@ def test_head_bias_gradient_is_analytic(rng):
 def test_gradient_of_sample_list_matches_array_form(tiny_datasets):
     ds = tiny_datasets[0]
     gen = np.random.default_rng(3)
-    model = init_model(ds.feature_dim, gen, hidden=4)
+    vec = init_model(ds.feature_dim, gen, hidden=4)
     samples = [ds.train[i] for i in range(6)]
-    g_list, l_list = compute_gradients(samples, ds.train.labels[:6], model)
-    g_arr, l_arr = compute_gradients(ds.train.windows[:6], ds.train.labels[:6],
-                                     model)
+    g_list, l_list = gradient(*stack_samples(samples), vec)
+    g_arr, l_arr = gradient(ds.train.windows[:6], ds.train.labels[:6], vec)
     assert l_list == l_arr
     assert np.array_equal(g_list, g_arr)
 
 
 def test_non_finite_input_is_rejected(rng):
-    model = init_model(2, rng, hidden=3)
+    vec = init_model(2, rng, hidden=3)
     windows = rng.uniform(size=(2, 3, 2))
     windows[1, 1, 0] = np.nan
     with pytest.raises(ValidationError):
-        compute_gradients(windows, np.zeros(2), model)
+        gradient(windows, np.zeros(2), vec)
 
 
 def test_overflowing_loss_is_a_numerical_error(rng):
     # A huge head weight sends the squared residual past float64 range;
     # that must surface as a numerical failure, not silent inf.
-    model = init_model(2, rng, hidden=3)
-    vec = flatten(model)
+    vec = init_model(2, rng, hidden=3)
     vec[-4:-1] = 1e200  # head weights
-    model = unflatten(vec, 2, 3)
     windows = rng.uniform(0.5, 1.0, size=(2, 3, 2))
     with pytest.raises(NumericalError):
-        compute_gradients(windows, np.zeros(2), model)
+        gradient(windows, np.zeros(2), vec)
+
+
+def test_stacked_models_get_their_lone_gradients(rng):
+    # C models in one call, each with its own batch, return bitwise what
+    # each model gets alone; a bad model is named by its row
+    vecs = np.stack([init_model(3, rng, hidden=4) for _ in range(5)])
+    windows = rng.normal(size=(5 * 7, 6, 3))
+    targets = rng.normal(size=5 * 7)
+    grads, losses = compute_gradients(windows, targets, vecs)
+    assert grads.shape == vecs.shape and losses.shape == (5,)
+    for c in range(5):
+        grad, loss = gradient(windows[7 * c:7 * (c + 1)],
+                              targets[7 * c:7 * (c + 1)], vecs[c])
+        assert np.array_equal(grads[c], grad) and losses[c] == loss
+    vecs[3, -4:-1] = 1e200  # head weights of model 3
+    with pytest.raises(NumericalError) as err:
+        compute_gradients(windows, targets, vecs)
+    assert err.value.session == 3
+    with pytest.raises(ValidationError):
+        compute_gradients(windows[:-1], targets[:-1], vecs)

@@ -11,20 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcast.errors import ValidationError
-from fedcast.nn import (
-    HIDDEN_SIZE,
+from fedcast.nn import HIDDEN_SIZE, forward_batch, init_model, param_count
+from fedcast.seeding import INIT, stream
+from nn_oracle import (
     ForecastModel,
     LSTMLayerParams,
     LSTMState,
-    forward_batch,
-    init_model,
+    flatten,
     lstm_cell_forward,
     model_forward,
     mse_loss,
-    param_count,
+    unflatten,
 )
-from fedcast.nn.lstm import flatten, unflatten
-from fedcast.seeding import INIT, stream
 
 
 def scalar_layer(wx, wh, b):
@@ -64,12 +62,12 @@ def test_two_layer_prediction_matches_scalar_oracle():
     assert model_forward(window, model) == pytest.approx(
         -0.11057654652717348, abs=1e-15)
     # and the batched path agrees with the single-window path bitwise
-    batched = forward_batch(window[None, :, :], model)
+    batched = forward_batch(window[None, :, :], flatten(model))
     assert batched[0] == model_forward(window, model)
 
 
 def test_hidden_state_is_bounded(rng):
-    model = init_model(3, rng, hidden=8)
+    model = unflatten(init_model(3, rng, hidden=8), 3, 8)
     windows = rng.uniform(-5.0, 5.0, size=(16, 7, 3))
     state = LSTMState.zeros(8)
     for t in range(7):
@@ -88,45 +86,51 @@ def test_param_count_at_production_widths():
 @given(feature_dim=st.integers(1, 6), hidden=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1))
 def test_flatten_unflatten_round_trip(feature_dim, hidden, seed):
+    # the oracle's block-by-block layout is the one the package computes in
     gen = np.random.default_rng(seed)
-    model = init_model(feature_dim, gen, hidden=hidden)
-    vec = flatten(model)
+    vec = init_model(feature_dim, gen, hidden=hidden)
     assert vec.shape == (param_count(feature_dim, hidden),)
-    again = unflatten(vec, feature_dim, hidden)
-    assert np.array_equal(flatten(again), vec)
-    for attr in ("w_x", "w_h", "b"):
-        assert np.array_equal(getattr(again.layer1, attr),
-                              getattr(model.layer1, attr))
+    model = unflatten(vec, feature_dim, hidden)
+    assert np.array_equal(flatten(model), vec)
+    windows = gen.uniform(-1.0, 1.0, size=(2, 3, feature_dim))
+    state1 = state2 = LSTMState.zeros(hidden)
+    for t in range(3):
+        state1 = lstm_cell_forward(windows[1, t], state1, model.layer1)
+        state2 = lstm_cell_forward(state1.hidden, state2, model.layer2)
+    expected = state2.hidden @ model.head_w + model.head_b
+    assert forward_batch(windows, vec)[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValidationError):
         unflatten(np.zeros(7), 5, 20)
+    # a vector no model of that input width has
+    with pytest.raises(ValidationError):
+        forward_batch(np.zeros((1, 2, 5)), np.zeros(param_count(5, 20) + 1))
 
 
 def test_init_is_a_pure_function_of_the_stream():
     a = init_model(5, stream(42, INIT), hidden=4)
     b = init_model(5, stream(42, INIT), hidden=4)
-    assert np.array_equal(flatten(a), flatten(b))
+    assert np.array_equal(a, b)
     c = init_model(5, stream(43, INIT), hidden=4)
-    assert not np.array_equal(flatten(a), flatten(c))
+    assert not np.array_equal(a, c)
 
 
 def test_init_respects_the_uniform_bound(rng):
-    model = init_model(4, rng, hidden=16)
+    vec = init_model(4, rng, hidden=16)
     bound = 1.0 / np.sqrt(16)
-    vec = flatten(model)
     assert np.all(np.abs(vec) <= bound)
     # the draw should actually use the range, not collapse to zero
     assert np.std(vec) > bound / 10
 
 
 def test_forward_batch_validates_feature_width(rng):
-    model = init_model(3, rng, hidden=4)
+    vec = init_model(3, rng, hidden=4)
     with pytest.raises(ValidationError):
-        forward_batch(np.zeros((2, 5, 4)), model)
+        forward_batch(np.zeros((2, 5, 4)), vec)
     with pytest.raises(ValidationError):
-        forward_batch(np.zeros((2, 5)), model)
+        forward_batch(np.zeros((2, 5)), vec)
 
 
 def test_mse_loss_basics():

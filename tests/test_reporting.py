@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fedcast.errors import ValidationError
-from fedcast.nn import mse_loss
 from fedcast.reporting import (
     RESULTS_CSV_HEADER,
     build_comparison,
@@ -21,6 +20,7 @@ from fedcast.reporting import (
     variant_label,
     verify_comparison,
 )
+from nn_oracle import mse_loss
 
 
 def make_report(scenario, k=6, weather=False, mean_rmse=0.02, best_val=None,
