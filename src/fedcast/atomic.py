@@ -13,17 +13,18 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w"):
+def atomic_write(path, mode: str = "w", newline: str | None = None):
     """Yield a file that replaces `path` only when the block completes.
 
     The data goes to a temporary file in the same directory, which
     `os.replace` renames onto `path` after it is closed; if the block
     raises, the temporary file is removed and `path` is left as it was.
+    `newline` is passed to `open` (the csv module wants "").
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open(mode) as fh:
+        with tmp.open(mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

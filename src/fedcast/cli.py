@@ -249,7 +249,7 @@ def cmd_synthesize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_meter_csv(out / "meters.csv", pop.households)
     write_weather_csv(out / "weather.csv", pop.weather)
-    with (out / "archetypes.json").open("w") as fh:
+    with atomic_write(out / "archetypes.json") as fh:
         json.dump({"names": list(pop.archetype_names),
                    "assignment": pop.archetype_of}, fh, indent=2, sort_keys=True)
         fh.write("\n")

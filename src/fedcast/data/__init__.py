@@ -5,16 +5,14 @@ from .features import (
     BASE_COLUMNS,
     WEATHER_COLUMNS,
     DesignMatrix,
-    FeatureVector,
     WeatherRecord,
     WeatherTable,
     build_design_matrix,
     calendar_fields,
 )
-from .normalize import NormalizationParams, denormalize_column, fit_normalizer, normalize
+from .normalize import NormalizationParams, fit_normalizer, normalize
 from .sequences import (
     HouseholdDataset,
-    SequenceSample,
     SequenceSet,
     build_household_dataset,
     make_sequences,
@@ -46,14 +44,12 @@ __all__ = [
     "ARCHETYPES",
     "BASE_COLUMNS",
     "DesignMatrix",
-    "FeatureVector",
     "HourlySeries",
     "HouseholdDataset",
     "NormalizationParams",
     "PreparedData",
     "PreparedHousehold",
     "RawReading",
-    "SequenceSample",
     "SequenceSet",
     "SyntheticHousehold",
     "SyntheticPopulation",
@@ -65,7 +61,6 @@ __all__ = [
     "calendar_fields",
     "clean_readings",
     "dataset_digest",
-    "denormalize_column",
     "fit_normalizer",
     "generate_synthetic_households",
     "household_datasets",

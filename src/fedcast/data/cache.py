@@ -143,12 +143,14 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
         hdir = out / "households" / hid
         hdir.mkdir(parents=True, exist_ok=True)
         files = {"hours": f"households/{hid}/hours.npy"}
-        np.save(hdir / "hours.npy", house.hours)
+        arrays = {"hours": house.hours}
         for variant in prep.variants:
-            rel = f"households/{hid}/matrix_{variant}.npy"
-            np.save(out / rel, house.matrices[variant].values)
-            files[variant] = rel
-        for rel in files.values():
+            files[variant] = f"households/{hid}/matrix_{variant}.npy"
+            arrays[variant] = house.matrices[variant].values
+        for key, rel in files.items():
+            # a file handle, so np.save adds no ".npy" to the temporary name
+            with atomic_write(out / rel, "wb") as fh:
+                np.save(fh, arrays[key])
             digests[rel] = _sha256(out / rel)
         entries.append({
             "household_id": hid,

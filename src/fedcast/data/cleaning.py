@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..errors import DataError, ValidationError
+from ..errors import DataError
 
 _SUPPORTED_STEPS_MIN = (30, 60)
 
@@ -118,14 +118,3 @@ def clean_readings(readings, household_id: str | None = None,
         values=sums[complete],
         filled_fraction=filled / len(grid),
     )
-
-
-def series_to_readings(series: HourlySeries) -> list:
-    """View an hourly series as interval readings (used to re-clean or dump)."""
-    if len(series) == 0:
-        raise ValidationError("empty hourly series")
-    out = []
-    for hour, value in zip(series.hours, series.values):
-        ts = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-        out.append(RawReading(ts, float(value)))
-    return out

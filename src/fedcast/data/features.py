@@ -74,19 +74,6 @@ class WeatherTable:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One design-matrix row."""
-
-    energy_kwh: float
-    year: float
-    week_of_year: float
-    day_of_week: float
-    hour_of_day: float
-    air_temp_c: float | None = None
-    rel_humidity_pct: float | None = None
-
-
-@dataclass(frozen=True)
 class DesignMatrix:
     """Feature rows for one household in chronological order."""
 
@@ -106,14 +93,6 @@ class DesignMatrix:
     @property
     def feature_dim(self) -> int:
         return self.values.shape[1]
-
-    def row(self, i: int) -> FeatureVector:
-        vals = self.values[i]
-        extra = {}
-        if len(self.columns) == len(WEATHER_COLUMNS):
-            extra = {"air_temp_c": float(vals[5]), "rel_humidity_pct": float(vals[6])}
-        return FeatureVector(float(vals[0]), float(vals[1]), float(vals[2]),
-                             float(vals[3]), float(vals[4]), **extra)
 
 
 def calendar_fields(hour: int) -> tuple[int, int, int, int]:

@@ -15,6 +15,7 @@ import csv
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..atomic import atomic_write
 from ..errors import DataError
 from .cleaning import RawReading
 from .features import WeatherRecord
@@ -90,8 +91,7 @@ def _format_ts(ts: datetime) -> str:
 
 def write_meter_csv(path, households) -> None:
     """Dump {household_id: [RawReading]} or SyntheticHousehold rows to CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METER_HEADER)
         if isinstance(households, dict):
@@ -104,8 +104,8 @@ def write_meter_csv(path, households) -> None:
 
 
 def write_weather_csv(path, records) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """Dump WeatherRecord rows to CSV."""
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
         for r in records:

@@ -90,12 +90,3 @@ def normalize(matrix: DesignMatrix, params: NormalizationParams) -> DesignMatrix
         raise ValidationError("matrix columns do not match the normalizer")
     values = (matrix.values - params.mins) * params.scales
     return DesignMatrix(columns=matrix.columns, values=values, hours=matrix.hours)
-
-
-def denormalize_column(values, params: NormalizationParams, column: str):
-    """Inverse map for one column; constant columns return their min."""
-    if column not in params.columns:
-        raise ValidationError(f"unknown column {column!r}")
-    i = params.columns.index(column)
-    span = params.maxs[i] - params.mins[i]
-    return np.asarray(values, dtype=np.float64) * span + params.mins[i]

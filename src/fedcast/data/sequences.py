@@ -18,17 +18,8 @@ from .features import DesignMatrix
 SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 
 
-@dataclass(frozen=True)
-class SequenceSample:
-    """One training example: K feature rows and the next hour's energy."""
-
-    window: np.ndarray  # (K, D)
-    label: float
-    time_index: int     # unix hour of the labelled row
-
-
 class SequenceSet:
-    """Windows, labels, and label hours for one split, index-addressable."""
+    """Windows, labels, and label hours for one split."""
 
     def __init__(self, windows: np.ndarray, labels: np.ndarray, time_index: np.ndarray):
         if windows.ndim != 3 or not (len(windows) == len(labels) == len(time_index)):
@@ -39,10 +30,6 @@ class SequenceSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> SequenceSample:
-        return SequenceSample(self.windows[i], float(self.labels[i]),
-                              int(self.time_index[i]))
 
 
 def split_chronological(n_rows: int, k: int) -> tuple[int, int]:

@@ -37,7 +37,7 @@ import numpy as np
 from ..clustering import agglomerate, pairwise_euclidean
 from ..data.sequences import SequenceSet
 from ..errors import NumericalError, ValidationError
-from ..nn import init_model
+from ..nn import init_model, release_arena
 from ..seeding import CLUSTERING, FINE_TUNE, INIT, ROUND, SELECT, TRAIN, key_int, stream
 from .config import ScenarioConfig
 from .training import (
@@ -566,15 +566,20 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     docstring); pass one dict for a whole group from `group_entries`.
     """
     memo = {} if memo is None else memo
-    if cfg.kind == "centralised":
-        return train_centralised(datasets, cfg)
-    if cfg.kind == "localised":
-        return train_localised(datasets, cfg)
-    if cfg.kind in ("fl", "fl_hc"):
-        return _base_run(datasets, cfg, memo)
-    if cfg.kind in _BASE_KIND:
-        return _run_lft(datasets, cfg, memo)
-    raise ValidationError(f"unknown scenario {cfg.kind!r}")
+    # The LSTM scratch arena is sized by this entry's largest call; free it
+    # so it does not stay mapped through the next entry's data phase.
+    try:
+        if cfg.kind == "centralised":
+            return train_centralised(datasets, cfg)
+        if cfg.kind == "localised":
+            return train_localised(datasets, cfg)
+        if cfg.kind in ("fl", "fl_hc"):
+            return _base_run(datasets, cfg, memo)
+        if cfg.kind in _BASE_KIND:
+            return _run_lft(datasets, cfg, memo)
+        raise ValidationError(f"unknown scenario {cfg.kind!r}")
+    finally:
+        release_arena()
 
 
 def recount_samples(report: dict) -> int:

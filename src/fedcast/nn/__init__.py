@@ -8,6 +8,7 @@ from .lstm import (
     forward_batch,
     init_model,
     param_count,
+    release_arena,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "forward_batch",
     "init_model",
     "param_count",
+    "release_arena",
 ]

@@ -28,6 +28,22 @@ lockstep engine, `federation.training.fit_epochs`, builds such stacks from
 independent training sessions whose batches are equally long, at most
 max(1, STACK_ROWS // batch_size) models per call: small batches stack,
 and at batch size 256 each model still gets a call of its own.
+
+Inside a call every sequence buffer is time-major: the input copy, gate
+activations, cell states, layer outputs and their gradients are
+(C, K, B, .), so what one time step reads or writes is one contiguous
+block per model.  `compute_gradients` copies its (C*B, K, d) windows into
+that layout once; `forward_batch` reads its (B, K, d) windows through a
+transposed view, which on the sliding-window views of `data.sequences` is
+contiguous rows at every step.  These buffers and the per-step scratch are
+carved (`_carve`) from one module-level float64 arena that grows to the
+largest call's total and is reused after that, so repeated calls map no
+fresh pages.  A carved view holds its data only until the next carve, by
+this call or any other, so nothing carved is returned: gradients, losses
+and predictions are fresh arrays, and the arena is not for concurrent use
+by threads.  `federation.run_scenario` frees it (`release_arena`) when an
+entry ends, so one entry's largest buffers do not stay mapped through the
+next entry's data phase.
 """
 
 from __future__ import annotations
@@ -102,85 +118,133 @@ def init_model(feature_dim: int, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=param_count(feature_dim, hidden))
 
 
-def _layer_forward(x, w_x, w_h, b, acts=None, cells=None):
-    """Run one layer of C models over (C, B, K, d) inputs from a zero state.
+# Scratch memory for the sequence buffers of one call, grown to the largest
+# call's total and reused after that (see the module docstring).
+_arena = np.empty(0)
+_ALIGN = 8  # doubles: carved views start at multiples of 64 bytes into the arena
 
-    Returns the (C, B, K, h) hidden outputs.  When `acts` and `cells` are
-    given, the gate activations (C, B, K, 4h) and cell states (C, B, K, h)
-    are written into them for backpropagation.
+
+def _carve(*shapes) -> list:
+    """Views into the scratch arena, one per shape, back to back.
+
+    Every view is overwritten by the next carve, by this or any other call.
     """
-    c, n, k, _ = x.shape
+    global _arena
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = np.cumsum([0] + [-(-size // _ALIGN) * _ALIGN for size in sizes])
+    if _arena.size < starts[-1]:
+        _arena = np.empty(starts[-1])
+    return [_arena[start:start + size].reshape(shape)
+            for start, size, shape in zip(starts, sizes, shapes)]
+
+
+def release_arena() -> None:
+    """Free the scratch arena; the next call allocates it afresh."""
+    global _arena
+    _arena = np.empty(0)
+
+
+def _step_shapes(c: int, n: int, h: int) -> list:
+    """Shapes of the per-step scratch both layer passes take as `step`.
+
+    Two (C, B, 4h) buffers, one (C, B, 3h) and seven (C, B, h); the last
+    is the zero state.
+    """
+    return [(c, n, 4 * h)] * 2 + [(c, n, 3 * h)] + [(c, n, h)] * 7
+
+
+def _layer_forward(x, w_x, w_h, b, out, step, acts=None, cells=None):
+    """Run one layer of C models over (C, K, B, d) inputs from a zero state.
+
+    Writes the (C, K, B, h) hidden outputs into `out`, using the buffers in
+    `step` (shapes from `_step_shapes`) as scratch.  When `acts` and `cells`
+    are given, the gate activations (C, K, B, 4h) and cell states
+    (C, K, B, h) are written into them for backpropagation.
+    """
+    k = x.shape[1]
     h = w_h.shape[2]
-    out = np.empty((c, n, k, h))
-    h_t = np.zeros((c, n, h))
-    c_t = np.zeros((c, n, h))
+    z, zh, gates, g, tmp, c_even, c_odd, *_, zeros = step
+    zeros.fill(0.0)
+    h_t = c_t = zeros
     wx_t = w_x.transpose(0, 2, 1)
     wh_t = w_h.transpose(0, 2, 1)
     bias = b[:, None, :]
+    f = gates[:, :, :h]
+    i = gates[:, :, h:2 * h]
+    o = gates[:, :, 2 * h:]
     for t in range(k):
-        z = x[:, :, t] @ wx_t
-        z += h_t @ wh_t
+        np.matmul(x[:, t], wx_t, out=z)
+        z += np.matmul(h_t, wh_t, out=zh)
         z += bias
-        # forget, input and output gates: one sigmoid over the [:3h] block;
-        # large |z| saturates to exactly 0.0 or 1.0.
-        gates = np.negative(z[:, :, :3 * h])
+        # forget, input and output gates: one sigmoid over the [:3h] block,
+        # kept contiguous; large |z| saturates to exactly 0.0 or 1.0.
+        np.negative(z[:, :, :3 * h], out=gates)
         np.exp(gates, out=gates)
         gates += 1.0
         np.divide(1.0, gates, out=gates)
-        f = gates[:, :, :h]
-        i = gates[:, :, h:2 * h]
-        o = gates[:, :, 2 * h:]
-        g = np.tanh(z[:, :, 3 * h:])
-        c_t = c_t * f + i * g
-        h_t = o * np.tanh(c_t)
-        out[:, :, t] = h_t
+        np.tanh(z[:, :, 3 * h:], out=g)
+        # c_t = c_t * f + i * g, then h_t = o * tanh(c_t)
+        if cells is not None:
+            c_next = cells[:, t]
+        else:
+            c_next = c_odd if t % 2 else c_even
+        np.multiply(c_t, f, out=c_next)
+        c_next += np.multiply(i, g, out=tmp)
+        c_t = c_next
+        h_t = np.multiply(o, np.tanh(c_t, out=tmp), out=out[:, t])
         if acts is not None:
-            acts[:, :, t, :3 * h] = gates
-            acts[:, :, t, 3 * h:] = g
-            cells[:, :, t] = c_t
-    return out
+            acts[:, t, :, :3 * h] = gates
+            acts[:, t, :, 3 * h:] = g
 
 
 def _layer_backward(x, hidden_seq, acts, cells, d_hidden, w_x, w_h,
-                    g_wx, g_wh, g_b, need_dx):
-    """Backpropagate through one layer of C models.
+                    g_wx, g_wh, g_b, step, d_x=None):
+    """Backpropagate through one layer of C models, all sequences (C, K, B, .).
 
-    Adds the weight gradients into the views g_wx, g_wh and g_b; returns
-    the gradient with respect to the inputs when `need_dx`.
+    `d_hidden` holds the gradients from above of the layer's last
+    d_hidden.shape[1] outputs; earlier outputs get none.  Adds the weight
+    gradients into the views g_wx, g_wh and g_b, using the buffers in
+    `step` as scratch; writes the gradient with respect to the inputs into
+    `d_x` when given.
     """
-    c, n, k, _ = x.shape
+    k = x.shape[1]
     h = w_h.shape[2]
-    d_x = np.zeros_like(x) if need_dx else None
-    dh_carry = np.zeros((c, n, h))
-    dc = np.zeros((c, n, h))
-    zeros = np.zeros((c, n, h))
-    dz = np.empty((c, n, 4 * h))
+    first_above = k - d_hidden.shape[1]
+    dz, _, d_sig, dh, dc, dh_carry, tc, tmp, tmp2, zeros = step
+    for buf in (dc, dh_carry, zeros):
+        buf.fill(0.0)
     dz_t = dz.transpose(0, 2, 1)
     for t in range(k - 1, -1, -1):
-        dh = d_hidden[:, :, t] + dh_carry
-        c_prev = cells[:, :, t - 1] if t > 0 else zeros
-        h_prev = hidden_seq[:, :, t - 1] if t > 0 else zeros
-        sig = acts[:, :, t, :3 * h]
-        i = acts[:, :, t, h:2 * h]
-        o = acts[:, :, t, 2 * h:3 * h]
-        g = acts[:, :, t, 3 * h:]
-        tc = np.tanh(cells[:, :, t])
-        dc = dc + dh * o * (1.0 - tc * tc)
+        above = d_hidden[:, t - first_above] if t >= first_above else zeros
+        np.add(above, dh_carry, out=dh)
+        c_prev = cells[:, t - 1] if t > 0 else zeros
+        h_prev = hidden_seq[:, t - 1] if t > 0 else zeros
+        sig = acts[:, t, :, :3 * h]
+        i = acts[:, t, :, h:2 * h]
+        o = acts[:, t, :, 2 * h:3 * h]
+        g = acts[:, t, :, 3 * h:]
+        np.tanh(cells[:, t], out=tc)
+        # dc += dh * o * (1 - tc^2)
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, o, out=tmp2)
+        tmp2 *= tmp
+        dc += tmp2
         np.multiply(dc, c_prev, out=dz[:, :, :h])
         np.multiply(dc, g, out=dz[:, :, h:2 * h])
         np.multiply(dh, tc, out=dz[:, :, 2 * h:3 * h])
         np.multiply(dc, i, out=dz[:, :, 3 * h:])
         dz[:, :, :3 * h] *= sig
-        dz[:, :, :3 * h] *= 1.0 - sig
-        dz[:, :, 3 * h:] *= 1.0 - g * g
-        g_wx += dz_t @ x[:, :, t]
+        dz[:, :, :3 * h] *= np.subtract(1.0, sig, out=d_sig)
+        np.multiply(g, g, out=tmp)
+        dz[:, :, 3 * h:] *= np.subtract(1.0, tmp, out=tmp)
+        g_wx += dz_t @ x[:, t]
         g_wh += dz_t @ h_prev
         g_b += dz.sum(axis=1)
-        if need_dx:
-            d_x[:, :, t] = dz @ w_x
-        dh_carry = dz @ w_h
-        dc = dc * acts[:, :, t, :h]
-    return d_x
+        if d_x is not None:
+            np.matmul(dz, w_x, out=d_x[:, t])
+        np.matmul(dz, w_h, out=dh_carry)
+        dc *= acts[:, t, :, :h]
 
 
 def _check_windows(windows) -> np.ndarray:
@@ -196,11 +260,14 @@ def forward_batch(windows, params) -> np.ndarray:
     if params.ndim != 1:
         raise ValidationError("params must be one flat parameter vector")
     x = _check_windows(windows)
-    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params[None], x.shape[2])
+    n, k, d = x.shape
+    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params[None], d)
+    h = wh1.shape[2]
+    h1, h2, *step = _carve((1, k, n, h), (1, k, n, h), *_step_shapes(1, n, h))
     with np.errstate(over="ignore"):
-        h1 = _layer_forward(x[None], wx1, wh1, b1)
-        h2 = _layer_forward(h1, wx2, wh2, b2)
-    return h2[0, :, -1] @ head_w[0] + head_b[0]
+        _layer_forward(x.transpose(1, 0, 2)[None], wx1, wh1, b1, h1, step)
+        _layer_forward(h1, wx2, wh2, b2, h2, step)
+    return h2[0, -1] @ head_w[0] + head_b[0]
 
 
 def compute_gradients(windows, targets, params):
@@ -224,16 +291,18 @@ def compute_gradients(windows, targets, params):
         raise ValidationError(
             "batch windows and targets must align and split evenly across models")
     n = rows // c
-    x = x.reshape(c, n, k, d)
     wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params, d)
     h = wh1.shape[2]
-    acts1, cells1 = np.empty((c, n, k, 4 * h)), np.empty((c, n, k, h))
-    acts2, cells2 = np.empty((c, n, k, 4 * h)), np.empty((c, n, k, h))
+    seq, gates = (c, k, n, h), (c, k, n, 4 * h)
+    xs, h1, acts1, cells1, h2, acts2, cells2, d_h2, d_h1, *step = _carve(
+        (c, k, n, d), seq, gates, seq, seq, gates, seq, (c, 1, n, h), seq,
+        *_step_shapes(c, n, h))
+    xs[:] = x.reshape(c, n, k, d).transpose(0, 2, 1, 3)
     # Overflow shows up as a non-finite loss or gradient, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        h1 = _layer_forward(x, wx1, wh1, b1, acts1, cells1)
-        h2 = _layer_forward(h1, wx2, wh2, b2, acts2, cells2)
-        last = h2[:, :, -1]
+        _layer_forward(xs, wx1, wh1, b1, h1, step, acts1, cells1)
+        _layer_forward(h1, wx2, wh2, b2, h2, step, acts2, cells2)
+        last = h2[:, -1]
         pred = (last @ head_w[:, :, None])[:, :, 0] + head_b[:, None]
         resid = pred - y.reshape(c, n)
         losses = np.mean(resid * resid, axis=1)
@@ -246,12 +315,12 @@ def compute_gradients(windows, targets, params):
         dpred = (2.0 / n) * resid
         g_head_w[:] = (last.transpose(0, 2, 1) @ dpred[:, :, None])[:, :, 0]
         g_head_b[:] = dpred.sum(axis=1)
-        d_h2 = np.zeros_like(h2)
-        d_h2[:, :, -1] = dpred[:, :, None] * head_w[:, None, :]
-        d_h1 = _layer_backward(h1, h2, acts2, cells2, d_h2, wx2, wh2,
-                               g_wx2, g_wh2, g_b2, need_dx=True)
-        _layer_backward(x, h1, acts1, cells1, d_h1, wx1, wh1,
-                        g_wx1, g_wh1, g_b1, need_dx=False)
+        # only the last step of layer 2 feeds the head
+        d_h2[:, 0] = dpred[:, :, None] * head_w[:, None, :]
+        _layer_backward(h1, h2, acts2, cells2, d_h2, wx2, wh2,
+                        g_wx2, g_wh2, g_b2, step, d_x=d_h1)
+        _layer_backward(xs, h1, acts1, cells1, d_h1, wx1, wh1,
+                        g_wx1, g_wh1, g_b1, step)
     finite = np.isfinite(grads)
     if not finite.all():
         session = int(np.flatnonzero(~finite.all(axis=1))[0])

@@ -1,0 +1,75 @@
+"""Record-at-a-time views of the data pipeline's arrays, for tests.
+
+The package keeps hourly series, design matrices and windows as arrays and
+never reads them one record at a time.  The tests do, to check a single
+row, window or reading by name; these helpers do that reading.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from datetime import datetime, timezone
+
+import numpy as np
+
+from fedcast.data import WEATHER_COLUMNS
+from fedcast.data.cleaning import RawReading
+from fedcast.errors import ValidationError
+
+
+@dataclass(frozen=True)
+class SequenceSample:
+    """One training example: K feature rows and the next hour's energy."""
+
+    window: np.ndarray  # (K, D)
+    label: float
+    time_index: int     # unix hour of the labelled row
+
+
+def sample_at(seq_set, i: int) -> SequenceSample:
+    """The i-th window of a SequenceSet with its label and label hour."""
+    return SequenceSample(seq_set.windows[i], float(seq_set.labels[i]),
+                          int(seq_set.time_index[i]))
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """One design-matrix row."""
+
+    energy_kwh: float
+    year: float
+    week_of_year: float
+    day_of_week: float
+    hour_of_day: float
+    air_temp_c: float | None = None
+    rel_humidity_pct: float | None = None
+
+
+def design_row(matrix, i: int) -> FeatureVector:
+    """Row i of a DesignMatrix by column name."""
+    vals = matrix.values[i]
+    extra = {}
+    if len(matrix.columns) == len(WEATHER_COLUMNS):
+        extra = {"air_temp_c": float(vals[5]), "rel_humidity_pct": float(vals[6])}
+    return FeatureVector(float(vals[0]), float(vals[1]), float(vals[2]),
+                         float(vals[3]), float(vals[4]), **extra)
+
+
+def series_to_readings(series) -> list:
+    """An hourly series as interval readings, to feed back into cleaning."""
+    if len(series) == 0:
+        raise ValidationError("empty hourly series")
+    out = []
+    for hour, value in zip(series.hours, series.values):
+        ts = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
+        out.append(RawReading(ts, float(value)))
+    return out
+
+
+def denormalize_column(values, params, column: str):
+    """Inverse min-max map for one column; constant columns return their min."""
+    if column not in params.columns:
+        raise ValidationError(f"unknown column {column!r}")
+    i = params.columns.index(column)
+    span = params.maxs[i] - params.mins[i]
+    return np.asarray(values, dtype=np.float64) * span + params.mins[i]

@@ -5,8 +5,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from data_helpers import series_to_readings
 from fedcast.data import RawReading, clean_readings
-from fedcast.data.cleaning import series_to_readings
 from fedcast.errors import DataError
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)

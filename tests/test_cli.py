@@ -14,6 +14,7 @@ import pytest
 
 from fedcast.atomic import atomic_write
 from fedcast.cli import _write_entry_outputs, main, resolve_config, run_identity
+from fedcast.data import write_cache
 from fedcast.errors import NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
 
@@ -343,6 +344,31 @@ def test_an_entry_log_that_fails_midway_is_not_written(tmp_path):
     with pytest.raises(ValueError):
         _write_entry_outputs(tmp_path, "x", report, {"global": np.zeros(3)})
     assert list((tmp_path / "logs").iterdir()) == []
+
+
+def test_a_cache_write_that_fails_midway_leaves_no_partial_file(
+        tiny_prepared, tmp_path, monkeypatch):
+    write_cache(tiny_prepared, tmp_path / "whole")
+    real_save = np.save
+    saved = []
+
+    def save_then_fail(fh, arr):
+        if len(saved) == 2:
+            fh.write(b"\x93NUMPY")  # part of a header, then the disk fills
+            raise OSError("disk full")
+        saved.append(fh.name)
+        real_save(fh, arr)
+
+    monkeypatch.setattr(np, "save", save_then_fail)
+    cut = tmp_path / "cut"
+    with pytest.raises(OSError):
+        write_cache(tiny_prepared, cut)
+    # the two files saved before the failure are whole; no partial matrix,
+    # temporary file or manifest is left
+    written = sorted(p.relative_to(cut) for p in cut.rglob("*") if p.is_file())
+    assert len(written) == 2
+    for rel in written:
+        assert (cut / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes()
 
 
 def test_run_outputs_leave_no_temporary_files(pipeline):

@@ -16,6 +16,7 @@ from fedcast.data import (
     calendar_fields,
     clean_readings,
 )
+from data_helpers import design_row
 from fedcast.data.cleaning import RawReading
 from fedcast.errors import DataError, ValidationError
 
@@ -76,7 +77,7 @@ def test_base_matrix_layout():
     assert np.array_equal(matrix.hours, series.hours)
     assert np.all(matrix.values[:, 0] == 0.5)
     assert matrix.values[0, 1] == 2013
-    row = matrix.row(0)
+    row = design_row(matrix, 0)
     assert row.air_temp_c is None
 
 
@@ -85,7 +86,7 @@ def test_weather_join_on_exact_hour():
     matrix = build_design_matrix(series, weather_covering(series))
     assert matrix.columns == WEATHER_COLUMNS
     assert matrix.values.shape == (10, 7)
-    assert matrix.row(3).rel_humidity_pct == 60.0
+    assert design_row(matrix, 3).rel_humidity_pct == 60.0
 
 
 def test_missing_weather_hour_names_the_timestamp():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from fedcast.errors import NumericalError, ValidationError
-from fedcast.nn import compute_gradients, forward_batch, init_model, param_count
+from fedcast.nn import (
+    compute_gradients,
+    forward_batch,
+    init_model,
+    lstm,
+    param_count,
+    release_arena,
+)
+from data_helpers import sample_at
 from nn_oracle import gradient, mse_loss, stack_samples
 
 STEP = 1e-5
@@ -80,7 +88,7 @@ def test_gradient_of_sample_list_matches_array_form(tiny_datasets):
     ds = tiny_datasets[0]
     gen = np.random.default_rng(3)
     vec = init_model(ds.feature_dim, gen, hidden=4)
-    samples = [ds.train[i] for i in range(6)]
+    samples = [sample_at(ds.train, i) for i in range(6)]
     g_list, l_list = gradient(*stack_samples(samples), vec)
     g_arr, l_arr = gradient(ds.train.windows[:6], ds.train.labels[:6], vec)
     assert l_list == l_arr
@@ -123,3 +131,66 @@ def test_stacked_models_get_their_lone_gradients(rng):
     assert err.value.session == 3
     with pytest.raises(ValidationError):
         compute_gradients(windows[:-1], targets[:-1], vecs)
+
+
+# ------------------------------------------------------------- scratch arena
+
+# (C, B, K, d, hidden) of a call sequence that grows and shrinks the arena
+ARENA_CALLS = [(1, 8, 6, 3, 4), (3, 16, 12, 5, 6), (2, 4, 3, 2, 2),
+               (5, 32, 24, 7, 5), (1, 1, 1, 1, 1), (4, 8, 6, 5, 3),
+               (1, 64, 12, 5, 20)]
+
+
+def arena_inputs(i):
+    c, n, k, d, hidden = ARENA_CALLS[i]
+    gen = np.random.default_rng(500 + i)
+    params = np.stack([init_model(d, gen, hidden=hidden) for _ in range(c)])
+    return gen.normal(size=(c * n, k, d)), gen.normal(size=c * n), params
+
+
+def fresh_arena_gradients(i):
+    release_arena()
+    return compute_gradients(*arena_inputs(i))
+
+
+def assert_same_result(a, b):
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_a_reused_arena_gives_fresh_arena_gradients():
+    fresh = [fresh_arena_gradients(i) for i in range(len(ARENA_CALLS))]
+    release_arena()
+    kept, copies = [], []
+    for i in [*range(len(ARENA_CALLS)), *reversed(range(len(ARENA_CALLS)))]:
+        windows, targets, params = arena_inputs(i)
+        forward_batch(windows[:3], params[-1])  # a carve of another shape
+        result = compute_gradients(windows, targets, params)
+        assert_same_result(result, fresh[i])
+        kept.append(result)
+        copies.append(tuple(x.copy() for x in result))
+    # nothing returned aliases the arena: later calls left it unchanged
+    for result, copy in zip(kept, copies):
+        assert_same_result(result, copy)
+
+
+def test_a_call_that_raises_mid_pass_leaves_the_next_call_exact():
+    expected = [fresh_arena_gradients(i) for i in (1, 3)]
+    release_arena()
+    windows, targets, params = arena_inputs(3)
+    params[1, 7] = np.nan  # poisons every forward buffer of model 1
+    with pytest.raises(NumericalError) as err:
+        compute_gradients(windows, targets, params)
+    assert err.value.session == 1
+    assert_same_result(compute_gradients(*arena_inputs(1)), expected[0])
+    assert_same_result(compute_gradients(*arena_inputs(3)), expected[1])
+
+
+def test_no_call_reads_what_an_earlier_call_left_in_the_arena():
+    # every carved buffer is written before it is read, so stale contents,
+    # NaN here, cannot reach a result
+    expected = fresh_arena_gradients(3)
+    lstm._arena.fill(np.nan)
+    assert_same_result(compute_gradients(*arena_inputs(3)), expected)
+    lstm._arena.fill(np.nan)
+    assert_same_result(compute_gradients(*arena_inputs(1)),
+                       fresh_arena_gradients(1))

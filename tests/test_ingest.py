@@ -1,6 +1,7 @@
 """CSV wire-format round trips and malformed-row handling."""
 
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,3 +90,26 @@ def test_write_accepts_plain_dicts(tmp_path):
     write_meter_csv(path, readings)
     back, _ = ingest_meter_csv(path)
     assert back["hx"][1].energy_kwh == 0.3
+
+
+def test_csv_writers_that_fail_midway_leave_no_partial_file(tmp_path):
+    # float() refuses one value after some rows went out: the new file
+    # must not appear, and an old file must survive unchanged
+    from fedcast.data import RawReading
+    pop = generate_synthetic_households(2, seed=4, days=1)
+    readings = {h.household_id: list(h.readings) for h in pop.households}
+    readings["h001"][3] = RawReading(readings["h001"][3].timestamp, "n/a")
+    weather = list(pop.weather)
+    weather[5] = SimpleNamespace(timestamp=weather[5].timestamp,
+                                 air_temp_c="n/a", rel_humidity_pct=50.0)
+    for name, write, rows in (("meters.csv", write_meter_csv, readings),
+                              ("weather.csv", write_weather_csv, weather)):
+        path = tmp_path / name
+        with pytest.raises(ValueError):
+            write(path, rows)
+        assert not path.exists()
+        path.write_text("old")
+        with pytest.raises(ValueError):
+            write(path, rows)
+        assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meters.csv", "weather.csv"]

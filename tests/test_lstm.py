@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcast.errors import ValidationError
-from fedcast.nn import HIDDEN_SIZE, forward_batch, init_model, param_count
+from fedcast.nn import (
+    HIDDEN_SIZE,
+    compute_gradients,
+    forward_batch,
+    init_model,
+    param_count,
+    release_arena,
+)
 from fedcast.seeding import INIT, stream
 from nn_oracle import (
     ForecastModel,
@@ -137,3 +144,29 @@ def test_mse_loss_basics():
     assert mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert mse_loss(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
     assert mse_loss(np.array([0.0, 2.0]), np.array([1.0, 1.0])) == 1.0
+
+
+def test_predictions_do_not_depend_on_what_the_arena_held(tiny_datasets):
+    # growing and shrinking calls, on arrays and on the sliding-window views
+    # training reads, with gradient calls between them: each prediction is
+    # the one a freshly released arena gives, and later calls leave it alone
+    gen = np.random.default_rng(9)
+    cases = [(gen.normal(size=(n, k, d)), init_model(d, gen, hidden=hidden))
+             for n, k, d, hidden in [(5, 6, 3, 4), (40, 12, 5, 20), (1, 1, 1, 1),
+                                     (17, 24, 7, 6), (3, 2, 2, 2)]]
+    train = tiny_datasets[0].train
+    vec = init_model(train.windows.shape[2], gen, hidden=5)
+    cases += [(train.windows, vec), (train.windows[2:9], vec)]
+    fresh = []
+    for windows, params in cases:
+        release_arena()
+        fresh.append(forward_batch(windows, params))
+    release_arena()
+    kept = []
+    for j in [*range(len(cases)), *reversed(range(len(cases)))]:
+        windows, params = cases[j]
+        compute_gradients(windows, np.zeros(len(windows)), params[None])
+        preds = forward_batch(windows, params)
+        assert preds.tobytes() == fresh[j].tobytes()
+        kept.append((preds, preds.copy()))
+    assert all(np.array_equal(p, c) for p, c in kept)

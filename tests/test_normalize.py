@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcast.data import DesignMatrix, NormalizationParams, denormalize_column, fit_normalizer, normalize
+from data_helpers import denormalize_column
+from fedcast.data import DesignMatrix, NormalizationParams, fit_normalizer, normalize
 from fedcast.errors import ValidationError
 
 COLS = ("energy_kwh", "a", "b")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from data_helpers import sample_at
 from fedcast.data import make_sequences, split_chronological
 from fedcast.errors import ValidationError
 
@@ -88,7 +89,7 @@ def test_per_split_window_counts(tiny_prepared, tiny_datasets):
 
 def test_sample_addressing(tiny_datasets):
     ds = tiny_datasets[0]
-    sample = ds.train[3]
+    sample = sample_at(ds.train, 3)
     assert sample.window.shape == (ds.k, ds.feature_dim)
     assert sample.label == ds.train.labels[3]
     assert sample.time_index == int(ds.train.time_index[3])
