@@ -22,7 +22,7 @@ from ..errors import DataError, ValidationError
 from .cleaning import clean_readings
 from .features import DesignMatrix, WeatherTable, build_design_matrix
 from .normalize import NormalizationParams, fit_normalizer, normalize
-from .sequences import HouseholdDataset, build_household_dataset, split_chronological
+from .sequences import build_household_dataset, split_chronological
 
 CACHE_FORMAT = 1
 HIGH_FILL_THRESHOLD = 0.10

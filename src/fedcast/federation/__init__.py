@@ -23,12 +23,8 @@ from .scenarios import (
     fine_tune,
     group_entries,
     recount_samples,
-    run_fl,
-    run_flhc,
     run_scenario,
     sample_clients,
-    train_centralised,
-    train_localised,
 )
 
 __all__ = [
@@ -49,11 +45,7 @@ __all__ = [
     "group_entries",
     "predict",
     "recount_samples",
-    "run_fl",
-    "run_flhc",
     "run_scenario",
     "sample_clients",
-    "train_centralised",
-    "train_localised",
     "train_session",
 ]

@@ -6,15 +6,34 @@ fine-tuning epoch) with its sample increment, and a dict of named flat
 parameter vectors (the trained models).  Sample totals are recomputable from
 the records alone; `recount_samples` does exactly that.
 
-Regimes:
+Regimes, and the phases each composes:
     centralised  one model on all households' pooled training data
-    localised    one independent model per household
-    fl           federated averaging over sampled clients
+                 (`train_session` on the pooled sets)
+    localised    one independent model per household (`_train_locally`)
+    fl           federated averaging over sampled clients (`_federate` with
+                 early stopping)
     fl_hc        federated averaging, then clustering of client updates,
                  then independent federated training per cluster
+                 (`_warm_up`, `agglomerate`, `_cluster_federation` per cluster)
     fl_lft       fl followed by per-client fine-tuning of the global model
+                 (`fine_tune`)
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
+                 (`fine_tune`)
 
+Phases:
+    _federate            the one federated loop: a `fedavg_round` per round,
+                         every global model scored on the clients' validation
+                         sets; it serves fl, the warm-up and each cluster
+    _train_clients       local_epochs of unvalidated training per client,
+                         checked finite (each round, and the burst)
+    _warm_up             fl_hc phases 1 and 2: `_federate` without early
+                         stopping, then the burst and its update distances
+    _cluster_federation  fl_hc phase 3 for one cluster
+    _train_locally       validated per-client training from given starts
+                         (localised, and `fine_tune`)
+
+`run_scenario` checks the datasets once per entry and hands every regime
+the usable ones in ascending id order, with the ids of excluded clients.
 All training goes through `training.fit_epochs`, which steps a list of
 independent sessions in lockstep: the households of a localised run, the
 clients of one federated round, the clustering burst, and the clients
@@ -45,7 +64,6 @@ from .training import (
     Session,
     evaluate_rmse,
     fit_epochs,
-    predict,
     train_session,
 )
 
@@ -55,12 +73,8 @@ __all__ = [
     "fine_tune",
     "group_entries",
     "recount_samples",
-    "run_fl",
-    "run_flhc",
     "run_scenario",
     "sample_clients",
-    "train_centralised",
-    "train_localised",
 ]
 
 
@@ -133,10 +147,6 @@ def _check_datasets(datasets, cfg: ScenarioConfig):
     return usable, excluded
 
 
-def _session_stream(cfg: ScenarioConfig, client_ids, *extra):
-    return stream(cfg.seed, TRAIN, *[key_int(c) for c in sorted(client_ids)], *extra)
-
-
 def _init_flat(cfg: ScenarioConfig, feature_dim: int) -> np.ndarray:
     return init_model(feature_dim, stream(cfg.seed, INIT))
 
@@ -145,8 +155,17 @@ def _mean(values) -> float:
     return float(np.mean(np.asarray(list(values), dtype=np.float64)))
 
 
-def _client_rmse(params, datasets) -> dict:
-    return {ds.household_id: evaluate_rmse(params, ds.test) for ds in datasets}
+def _pool(sets) -> SequenceSet:
+    return SequenceSet(*(np.concatenate([getattr(s, name) for s in sets])
+                         for name in ("windows", "labels", "time_index")))
+
+
+def _model_of(report: dict, models: dict) -> dict:
+    """Each client's model in a federated run: its cluster's, or the global."""
+    if "cluster_assignment" in report:
+        return {hid: models[f"cluster{c}"]
+                for hid, c in report["cluster_assignment"].items()}
+    return dict.fromkeys(report["clients"], models["global"])
 
 
 def _base_report(cfg: ScenarioConfig, datasets, excluded) -> dict:
@@ -164,12 +183,15 @@ def _base_report(cfg: ScenarioConfig, datasets, excluded) -> dict:
     }
 
 
-def _finish(report: dict, client_rmse: dict, energy_range: float) -> dict:
-    ordered = {hid: float(client_rmse[hid]) for hid in sorted(client_rmse)}
-    report["client_rmse"] = ordered
-    report["mean_rmse"] = report.get("pooled_rmse", _mean(ordered.values()))
-    report["best_client_rmse"] = min(ordered.values())
-    report["kwh_rmse"] = float(report["mean_rmse"] * energy_range)
+def _finish(report: dict, model_of: dict, datasets) -> dict:
+    """Score each client's own model (`model_of[id]`) on its test set and
+    fill in the RMSE and sample totals."""
+    rmse = {ds.household_id: evaluate_rmse(model_of[ds.household_id], ds.test)
+            for ds in datasets}
+    report["client_rmse"] = rmse
+    report["mean_rmse"] = report.get("pooled_rmse", _mean(rmse.values()))
+    report["best_client_rmse"] = min(rmse.values())
+    report["kwh_rmse"] = float(report["mean_rmse"] * datasets[0].energy_range)
     running = 0
     for rec in report["rounds"]:
         running += rec["samples"]
@@ -178,73 +200,95 @@ def _finish(report: dict, client_rmse: dict, energy_range: float) -> dict:
     return report
 
 
-def train_centralised(datasets, cfg: ScenarioConfig):
+def _epoch_records(result, participants, **label) -> list:
+    """A validated session's per-epoch records as report rounds."""
+    return [{**label, "participants": participants, **rec}
+            for rec in result.records]
+
+
+def _train_locally(starts: dict, datasets, cfg: ScenarioConfig, epochs: int,
+                   *stream_tag, **label):
+    """Every client trained from `starts[id]` on its own data, validated and
+    stopped early on its own validation RMSE.
+
+    Returns (round records, SessionResults by client id).
+    """
+    results = fit_epochs(
+        [Session(starts[ds.household_id], ds.train.windows, ds.train.labels,
+                 stream(cfg.seed, TRAIN, key_int(ds.household_id), *stream_tag),
+                 ds.val)
+         for ds in datasets],
+        epochs, cfg.batch_size, cfg.learning_rate, cfg.patience)
+    by_id = {ds.household_id: r for ds, r in zip(datasets, results)}
+    records = [rec for hid, r in by_id.items()
+               for rec in _epoch_records(r, [hid], **label, client=hid)]
+    return records, by_id
+
+
+def _centralised(datasets, excluded, cfg: ScenarioConfig):
     """One model over the pooled training data of every household.
 
     The reported RMSE is pooled over all test sequences rather than averaged
     per client, since there is only one model and one evaluation set.
     """
-    datasets, excluded = _check_datasets(datasets, cfg)
     ids = [ds.household_id for ds in datasets]
-    windows = np.concatenate([ds.train.windows for ds in datasets])
-    labels = np.concatenate([ds.train.labels for ds in datasets])
-    val = SequenceSet(*(np.concatenate([getattr(ds.val, name) for ds in datasets])
-                        for name in ("windows", "labels", "time_index")))
-    test_windows = np.concatenate([ds.test.windows for ds in datasets])
-    test_labels = np.concatenate([ds.test.labels for ds in datasets])
-
-    result = train_session(_init_flat(cfg, datasets[0].feature_dim), windows,
-                           labels, val, cfg.epochs_cap, cfg,
-                           _session_stream(cfg, ids))
+    train, val, test = (_pool([getattr(ds, split) for ds in datasets])
+                        for split in ("train", "val", "test"))
+    result = train_session(_init_flat(cfg, datasets[0].feature_dim),
+                           train.windows, train.labels, val, cfg.epochs_cap,
+                           cfg, stream(cfg.seed, TRAIN, *map(key_int, ids)))
     report = _base_report(cfg, datasets, excluded)
     report["initial_val_rmse"] = result.initial_metric
-    report["rounds"] = [
-        {"epoch": r["epoch"], "participants": ids, "train_loss": r["train_loss"],
-         "val_rmse": r["val_rmse"], "samples": r["samples"]}
-        for r in result.records
-    ]
+    report["rounds"] = _epoch_records(result, ids)
     report["best_val_rmse"] = result.best_metric
     report["best_epoch"] = result.best_epoch
     report["epochs_run"] = result.epochs_run
-    diff = predict(result.params, test_windows) - test_labels
-    report["pooled_rmse"] = float(np.sqrt(np.mean(diff * diff)))
-    report = _finish(report, _client_rmse(result.params, datasets),
-                     datasets[0].energy_range)
-    return report, {"global": result.params}
+    report["pooled_rmse"] = evaluate_rmse(result.params, test)
+    return (_finish(report, dict.fromkeys(ids, result.params), datasets),
+            {"global": result.params})
 
 
-def train_localised(datasets, cfg: ScenarioConfig):
+def _localised(datasets, excluded, cfg: ScenarioConfig):
     """One independent model per household on its own data only."""
-    datasets, excluded = _check_datasets(datasets, cfg)
-    report = _base_report(cfg, datasets, excluded)
     start = _init_flat(cfg, datasets[0].feature_dim)
-    results = fit_epochs(
-        [Session(start, ds.train.windows, ds.train.labels,
-                 _session_stream(cfg, [ds.household_id]), ds.val)
-         for ds in datasets],
-        cfg.epochs_cap, cfg.batch_size, cfg.learning_rate, cfg.patience)
-    models = {}
-    client_rmse = {}
-    best_val = {}
-    for ds, result in zip(datasets, results):  # ascending id order
-        hid = ds.household_id
-        for r in result.records:
-            report["rounds"].append({
-                "client": hid, "epoch": r["epoch"], "participants": [hid],
-                "train_loss": r["train_loss"], "val_rmse": r["val_rmse"],
-                "samples": r["samples"],
-            })
-        models[hid] = result.params
-        client_rmse[hid] = evaluate_rmse(result.params, ds.test)
-        best_val[hid] = result.best_metric
-    report["best_val_rmse"] = best_val
-    report["mean_best_val_rmse"] = _mean(best_val.values())
-    report = _finish(report, client_rmse, datasets[0].energy_range)
-    return report, models
+    report = _base_report(cfg, datasets, excluded)
+    report["rounds"], results = _train_locally(
+        {ds.household_id: start for ds in datasets}, datasets, cfg, cfg.epochs_cap)
+    report["best_val_rmse"] = {hid: r.best_metric for hid, r in results.items()}
+    report["mean_best_val_rmse"] = _mean(report["best_val_rmse"].values())
+    models = {hid: r.params for hid, r in results.items()}
+    return _finish(report, models, datasets), models
+
+
+def _train_clients(start: np.ndarray, clients, cfg: ScenarioConfig, where: str,
+                   *stream_tag) -> list:
+    """Train each (id, dataset) client for local_epochs from `start`.
+
+    Returns one SessionResult per client.  A numerical failure, or a client
+    ending with non-finite parameters, raises NumericalError naming `where`
+    and the client.
+    """
+    try:
+        results = fit_epochs(
+            [Session(start, ds.train.windows, ds.train.labels,
+                     stream(cfg.seed, TRAIN, key_int(hid), *stream_tag))
+             for hid, ds in clients],
+            cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
+    except NumericalError as err:
+        raise NumericalError(
+            f"{where}: client {clients[err.session][0]} failed: {err}",
+            param_index=err.param_index) from err
+    for (hid, _), result in zip(clients, results):
+        bad = np.flatnonzero(~np.isfinite(result.params))
+        if bad.size:
+            raise NumericalError(
+                f"{where}: client {hid} returned non-finite parameters "
+                f"(index {bad[0]})", param_index=int(bad[0]))
+    return results
 
 
 def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
-                 round_index: int, burst_tag: int = ROUND):
+                 round_index: int):
     """Train each participating client from the global model and aggregate.
 
     `clients` is the ascending-id list of (household_id, dataset) pairs that
@@ -255,135 +299,102 @@ def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
     """
     if not clients:
         raise ValidationError("a round needs at least one participant")
-    sessions = [Session(global_params, ds.train.windows, ds.train.labels,
-                        stream(cfg.seed, TRAIN, key_int(hid), burst_tag, round_index))
-                for hid, ds in clients]
-    try:
-        results = fit_epochs(sessions, cfg.local_epochs, cfg.batch_size,
-                             cfg.learning_rate)
-    except NumericalError as err:
-        raise NumericalError(
-            f"round {round_index}: client {clients[err.session][0]} failed: {err}",
-            param_index=err.param_index) from err
-    updates = []
-    stats = {}
-    samples = 0
-    for (hid, ds), result in zip(clients, results):
-        w = result.params
-        if not np.all(np.isfinite(w)):
-            index = int(np.flatnonzero(~np.isfinite(w))[0])
-            raise NumericalError(
-                f"round {round_index}: client {hid} returned non-finite "
-                f"parameters (index {index})", param_index=index)
-        updates.append((ds.n_train, w))
-        stats[hid] = result.records[-1]["train_loss"]
-        samples += result.samples
-    return fedavg_aggregate(updates), stats, samples
+    results = _train_clients(global_params, clients, cfg, f"round {round_index}",
+                             ROUND, round_index)
+    updates = [(ds.n_train, r.params) for (_, ds), r in zip(clients, results)]
+    stats = {hid: r.records[-1]["train_loss"] for (hid, _), r in zip(clients, results)}
+    return fedavg_aggregate(updates), stats, sum(r.samples for r in results)
 
 
-def _fl_loop(params, initial_metric, members, all_eval, cfg, first_round,
-             last_round, records, label, select_key):
-    """Shared federated loop from `params`, whose `all_eval` score is
-    `initial_metric`: returns (stopper, rounds_run, samples)."""
-    ids = [hid for hid, _ in members]
-    by_id = dict(members)
-    stopper = EarlyStopper(cfg.patience)
-    stopper.update(initial_metric, params)
-    samples_total = 0
-    rounds_run = 0
-    for r in range(first_round, last_round + 1):
-        chosen = sample_clients(ids, cfg.client_fraction,
+def _federate(start: np.ndarray, datasets, cfg: ScenarioConfig, rounds,
+              label: dict, select_key=(), patience: int | None = None):
+    """Federated averaging of `datasets` from `start` over the round numbers
+    `rounds`; returns (final params, stopper, round records).
+
+    Every global model, the start included, is scored by the uniform mean of
+    the clients' validation RMSEs and fed to the stopper, which keeps the
+    best snapshot.  Rounds stop early only when `patience` is given.
+    """
+    by_id = {ds.household_id: ds for ds in datasets}
+
+    def score(params):
+        return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
+
+    params = start
+    stopper = EarlyStopper(patience)
+    stopper.update(score(params), params)
+    records = []
+    for r in rounds:
+        chosen = sample_clients(by_id, cfg.client_fraction,
                                 stream(cfg.seed, SELECT, *select_key, r))
-        participants = [(hid, by_id[hid]) for hid in chosen]
-        params, stats, samples = fedavg_round(params, participants, cfg, r)
-        metric = all_eval(params)
-        rec = {"round": r, "participants": chosen, "train_loss": stats,
-               "avg_val_rmse": metric, "samples": samples}
-        rec.update(label)
-        records.append(rec)
-        samples_total += samples
-        rounds_run += 1
+        params, stats, samples = fedavg_round(
+            params, [(hid, by_id[hid]) for hid in chosen], cfg, r)
+        metric = score(params)
+        records.append({**label, "round": r, "participants": chosen,
+                        "train_loss": stats, "avg_val_rmse": metric,
+                        "samples": samples})
         stopper.update(metric, params)
         if stopper.should_stop:
             break
-    return stopper, rounds_run, samples_total
+    return params, stopper, records
 
 
-def _uniform_val_eval(datasets):
-    def metric(params):
-        return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
-    return metric
-
-
-def run_fl(datasets, cfg: ScenarioConfig):
+def _fl(datasets, excluded, cfg: ScenarioConfig):
     """Federated averaging with per-round uniform client sampling.
 
-    After every round the new global model is scored by the uniform mean of
-    all clients' validation RMSEs; early stopping and the returned snapshot
-    follow that metric.
+    Early stopping and the returned snapshot follow the mean validation
+    RMSE of all clients (see `_federate`).
     """
-    datasets, excluded = _check_datasets(datasets, cfg)
-    members = [(ds.household_id, ds) for ds in datasets]
     report = _base_report(cfg, datasets, excluded)
-    params = _init_flat(cfg, datasets[0].feature_dim)
-    evaluator = _uniform_val_eval(datasets)
-    report["initial_val_rmse"] = evaluator(params)
-    stopper, rounds_run, _ = _fl_loop(
-        params, report["initial_val_rmse"], members, evaluator, cfg, 1,
-        cfg.fl_rounds_cap, report["rounds"], {}, ())
+    _, stopper, report["rounds"] = _federate(
+        _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
+        range(1, cfg.fl_rounds_cap + 1), {}, patience=cfg.patience)
+    report["initial_val_rmse"] = stopper.initial_metric
     report["best_val_rmse"] = stopper.best_metric
     report["best_round"] = stopper.best_step
-    report["rounds_run"] = rounds_run
-    best = stopper.best_params
-    report = _finish(report, _client_rmse(best, datasets),
-                     datasets[0].energy_range)
-    return report, {"global": best}
+    report["rounds_run"] = len(report["rounds"])
+    models = {"global": stopper.best_params}
+    return _finish(report, _model_of(report, models), datasets), models
 
 
-def _flhc_warmup(members, cfg: ScenarioConfig, evaluator):
+def _warm_up(datasets, cfg: ScenarioConfig):
     """Phases 1 and 2 of fl_hc, which no threshold or linkage reads.
 
     Returns (initial_val_rmse, params, records, distances): the phase-1
     model, the round records of both phases, and the pairwise Euclidean
     distances between the burst's parameter deltas.
     """
-    ids = [hid for hid, _ in members]
-    by_id = dict(members)
-    params = _init_flat(cfg, members[0][1].feature_dim)
-    initial = evaluator(params)
-    records = []
-
     # Phase 1: fixed-length federated warm-up (no early stopping).
-    for r in range(1, cfg.hc_rounds + 1):
-        chosen = sample_clients(ids, cfg.client_fraction,
-                                stream(cfg.seed, SELECT, r))
-        participants = [(hid, by_id[hid]) for hid in chosen]
-        params, stats, samples = fedavg_round(params, participants, cfg, r)
-        records.append({
-            "phase": 1, "round": r, "participants": chosen, "train_loss": stats,
-            "avg_val_rmse": evaluator(params), "samples": samples})
-
+    params, stopper, records = _federate(
+        _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
+        range(1, cfg.hc_rounds + 1), {"phase": 1})
     # Phase 2: full participation burst; deltas against the shared model.
-    results = fit_epochs(
-        [Session(params, ds.train.windows, ds.train.labels,
-                 stream(cfg.seed, TRAIN, key_int(hid), CLUSTERING))
-         for hid, ds in members],
-        cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
-    updates = []
-    burst_samples = 0
-    for (hid, _), result in zip(members, results):
-        if not np.all(np.isfinite(result.params)):
-            raise NumericalError(f"clustering burst: client {hid} returned "
-                                 "non-finite parameters")
-        updates.append(result.params - params)
-        burst_samples += result.samples
+    clients = [(ds.household_id, ds) for ds in datasets]
+    results = _train_clients(params, clients, cfg, "clustering burst", CLUSTERING)
     records.append({
-        "phase": 2, "round": cfg.hc_rounds, "participants": ids,
-        "train_loss": None, "avg_val_rmse": None, "samples": burst_samples})
-    return initial, params, records, pairwise_euclidean(updates)
+        "phase": 2, "round": cfg.hc_rounds,
+        "participants": [hid for hid, _ in clients], "train_loss": None,
+        "avg_val_rmse": None, "samples": sum(r.samples for r in results)})
+    distances = pairwise_euclidean([r.params - params for r in results])
+    return stopper.initial_metric, params, records, distances
 
 
-def run_flhc(datasets, cfg: ScenarioConfig, memo: dict | None = None):
+def _cluster_federation(start: np.ndarray, datasets, cluster_id: int,
+                        cfg: ScenarioConfig):
+    """Phase 3 of fl_hc for one cluster: (best model, summary, records)."""
+    _, stopper, records = _federate(
+        start, datasets, cfg, range(cfg.hc_rounds + 1, cfg.flhc_rounds_cap + 1),
+        {"phase": 3, "cluster": cluster_id}, (cluster_id,), cfg.patience)
+    return stopper.best_params, {
+        "cluster": cluster_id,
+        "members": [ds.household_id for ds in datasets],
+        "best_val_rmse": stopper.best_metric,
+        "best_round": stopper.best_step,
+        "rounds_run": len(records),
+    }, records
+
+
+def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     """Federated averaging, update clustering, then per-cluster federation.
 
     Phase 1 runs hc_rounds plain federated rounds.  Phase 2 has every client
@@ -393,93 +404,47 @@ def run_flhc(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     round cap, with early stopping per cluster.  Phases 1 and 2 are taken
     from `memo` when an entry with the same warm-up already ran them.
     """
-    datasets, excluded = _check_datasets(datasets, cfg)
     if len(datasets) < 2:
         raise ValidationError("clustering needs at least two clients")
-    members = [(ds.household_id, ds) for ds in datasets]
-    ids = [hid for hid, _ in members]
     report = _base_report(cfg, datasets, excluded)
-    evaluator = _uniform_val_eval(datasets)
-    initial, params, report["rounds"], distances = _memoised(
-        {} if memo is None else memo, _warmup_key(cfg),
-        lambda: _flhc_warmup(members, cfg, evaluator))
-    report["initial_val_rmse"] = initial
+    report["initial_val_rmse"], params, report["rounds"], distances = _memoised(
+        memo, _warmup_key(cfg), lambda: _warm_up(datasets, cfg))
 
     assignment = agglomerate(distances, cfg.hc_linkage, cfg.hc_threshold)
     report["cluster_assignment"] = {
-        hid: int(assignment.labels[i]) for i, hid in enumerate(ids)}
+        ds.household_id: int(label) for ds, label in zip(datasets, assignment.labels)}
     report["merge_distances"] = [float(m.distance) for m in assignment.merges]
 
-    # Phase 3: independent federated training inside each cluster.
-    clusters = assignment.clusters()
-    cluster_infos = []
-    models = {}
-    client_rmse = {}
-    for cluster_id, member_idx in enumerate(clusters):
-        cluster_members = [members[i] for i in member_idx]
-        cluster_sets = [ds for _, ds in cluster_members]
-        cluster_eval = _uniform_val_eval(cluster_sets)
-        stopper, rounds_run, _ = _fl_loop(
-            params, cluster_eval(params), cluster_members, cluster_eval, cfg,
-            cfg.hc_rounds + 1, cfg.flhc_rounds_cap, report["rounds"],
-            {"phase": 3, "cluster": cluster_id}, (cluster_id,))
-        best = stopper.best_params
-        models[f"cluster{cluster_id}"] = best
-        for _, ds in cluster_members:
-            client_rmse[ds.household_id] = evaluate_rmse(best, ds.test)
-        cluster_infos.append({
-            "cluster": cluster_id,
-            "members": [hid for hid, _ in cluster_members],
-            "best_val_rmse": stopper.best_metric,
-            "best_round": stopper.best_step,
-            "rounds_run": rounds_run,
-        })
-    report["clusters"] = cluster_infos
+    models, clusters = {}, []
+    for cluster_id, member_idx in enumerate(assignment.clusters()):
+        models[f"cluster{cluster_id}"], info, records = _cluster_federation(
+            params, [datasets[i] for i in member_idx], cluster_id, cfg)
+        clusters.append(info)
+        report["rounds"] += records
+    report["clusters"] = clusters
     report["n_clusters"] = len(clusters)
     # Overall validation score: per-cluster bests weighted by cluster size,
     # which equals the uniform mean over clients of their own model's score.
     report["best_val_rmse"] = float(
-        sum(len(c["members"]) * c["best_val_rmse"] for c in cluster_infos)
-        / sum(len(c["members"]) for c in cluster_infos))
-    report = _finish(report, client_rmse, datasets[0].energy_range)
-    return report, models
+        sum(len(c["members"]) * c["best_val_rmse"] for c in clusters)
+        / sum(len(c["members"]) for c in clusters))
+    return _finish(report, _model_of(report, models), datasets), models
 
 
 def fine_tune(base_params_by_client: dict, datasets, cfg: ScenarioConfig):
     """Per-client fine-tuning of a supplied base model on local data.
 
-    Each client trains up to lft_epochs_cap epochs with early stopping on its
-    own validation RMSE.  The base parameters are evaluated first and win
-    ties, so fine-tuning can never worsen a client's validation RMSE.
+    `datasets` are checked and in ascending id order.  Each client trains up
+    to lft_epochs_cap epochs with early stopping on its own validation RMSE.
+    The base parameters are evaluated first and win ties, so fine-tuning can
+    never worsen a client's validation RMSE.  Returns (round records,
+    SessionResults by client id).
     """
-    datasets, excluded = _check_datasets(datasets, cfg)
     for ds in datasets:
         if ds.household_id not in base_params_by_client:
             raise ValidationError(f"no base parameters for client {ds.household_id!r}")
-    results = fit_epochs(
-        [Session(base_params_by_client[ds.household_id], ds.train.windows,
-                 ds.train.labels,
-                 stream(cfg.seed, TRAIN, key_int(ds.household_id), FINE_TUNE),
-                 ds.val)
-         for ds in datasets],
-        cfg.lft_epochs_cap, cfg.batch_size, cfg.learning_rate, cfg.patience)
-    records = []
-    models = {}
-    client_rmse = {}
-    val_before = {}
-    val_after = {}
-    for ds, result in zip(datasets, results):
-        hid = ds.household_id
-        val_before[hid] = result.initial_metric
-        for r in result.records:
-            records.append({
-                "phase": "fine_tune", "client": hid, "epoch": r["epoch"],
-                "participants": [hid], "train_loss": r["train_loss"],
-                "val_rmse": r["val_rmse"], "samples": r["samples"]})
-        models[hid] = result.params
-        client_rmse[hid] = evaluate_rmse(result.params, ds.test)
-        val_after[hid] = result.best_metric
-    return records, models, client_rmse, val_before, val_after, excluded
+    return _train_locally(base_params_by_client, datasets, cfg,
+                          cfg.lft_epochs_cap, FINE_TUNE, phase="fine_tune")
 
 
 def _memoised(memo: dict, key, compute):
@@ -508,11 +473,11 @@ def _base_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, kind=_BASE_KIND[cfg.kind])
 
 
-def _base_run(datasets, cfg: ScenarioConfig, memo: dict):
+def _base_run(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     """An fl or fl_hc entry's (report, models), trained once per memo."""
     if cfg.kind == "fl":
-        return _memoised(memo, cfg, lambda: run_fl(datasets, cfg))
-    return _memoised(memo, cfg, lambda: run_flhc(datasets, cfg, memo))
+        return _memoised(memo, cfg, lambda: _fl(datasets, excluded, cfg))
+    return _memoised(memo, cfg, lambda: _fl_hc(datasets, excluded, cfg, memo))
 
 
 def group_entries(cfgs) -> list:
@@ -534,33 +499,24 @@ def group_entries(cfgs) -> list:
     return list(groups.values())
 
 
-def _run_lft(datasets, cfg: ScenarioConfig, memo: dict):
-    base_cfg = _base_config(cfg)
-    base_report, base_models = _base_run(datasets, base_cfg, memo)
-    if base_cfg.kind == "fl":
-        sorted_sets, _ = _check_datasets(datasets, base_cfg)
-        base_for = {ds.household_id: base_models["global"] for ds in sorted_sets}
-    else:
-        assignment = base_report["cluster_assignment"]
-        base_for = {hid: base_models[f"cluster{assignment[hid]}"]
-                    for hid in assignment}
-
-    records, models, client_rmse, val_before, val_after, excluded = fine_tune(
-        base_for, datasets, cfg)
-    sorted_sets, _ = _check_datasets(datasets, cfg)
-    report = _base_report(cfg, sorted_sets, excluded)
+def _run_lft(datasets, excluded, cfg: ScenarioConfig, memo: dict):
+    base_report, base_models = _base_run(datasets, excluded, _base_config(cfg),
+                                         memo)
+    records, results = fine_tune(_model_of(base_report, base_models), datasets,
+                                 cfg)
+    report = _base_report(cfg, datasets, excluded)
     report["base"] = base_report
     report["base_samples"] = base_report["total_samples"]
     report["rounds"] = records
-    report["val_rmse_base"] = {h: float(v) for h, v in sorted(val_before.items())}
-    report["val_rmse_fine_tuned"] = {h: float(v) for h, v in sorted(val_after.items())}
+    report["val_rmse_base"] = {h: r.initial_metric for h, r in results.items()}
+    report["val_rmse_fine_tuned"] = {h: r.best_metric for h, r in results.items()}
     report["best_val_rmse"] = report["val_rmse_fine_tuned"]
-    report = _finish(report, client_rmse, sorted_sets[0].energy_range)
-    return report, models
+    models = {hid: r.params for hid, r in results.items()}
+    return _finish(report, models, datasets), models
 
 
 def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
-    """Dispatch a scenario config to its regime; returns (report, models).
+    """Check the datasets, run the config's regime; returns (report, models).
 
     `memo` lets entries run on the same datasets share work (see the module
     docstring); pass one dict for a whole group from `group_entries`.
@@ -569,14 +525,15 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     # The LSTM scratch arena is sized by this entry's largest call; free it
     # so it does not stay mapped through the next entry's data phase.
     try:
+        datasets, excluded = _check_datasets(datasets, cfg)
         if cfg.kind == "centralised":
-            return train_centralised(datasets, cfg)
+            return _centralised(datasets, excluded, cfg)
         if cfg.kind == "localised":
-            return train_localised(datasets, cfg)
+            return _localised(datasets, excluded, cfg)
         if cfg.kind in ("fl", "fl_hc"):
-            return _base_run(datasets, cfg, memo)
+            return _base_run(datasets, excluded, cfg, memo)
         if cfg.kind in _BASE_KIND:
-            return _run_lft(datasets, cfg, memo)
+            return _run_lft(datasets, excluded, cfg, memo)
         raise ValidationError(f"unknown scenario {cfg.kind!r}")
     finally:
         release_arena()

@@ -36,9 +36,13 @@ STACK_ROWS = 256
 
 @dataclass
 class EarlyStopper:
-    """Patience-based stopping with a bitwise best-parameter snapshot."""
+    """Patience-based stopping with a bitwise best-parameter snapshot.
 
-    patience: int
+    Without a patience it never stops and only tracks the best snapshot.
+    """
+
+    patience: int | None
+    initial_metric: float | None = None
     best_metric: float = float("inf")
     best_params: np.ndarray | None = None
     best_step: int = -1
@@ -50,6 +54,8 @@ class EarlyStopper:
         if not np.isfinite(metric):
             raise ValidationError("early-stopping metric must be finite")
         self._step += 1
+        if self._step == 0:
+            self.initial_metric = float(metric)
         if metric < self.best_metric:
             self.best_metric = float(metric)
             self.best_params = np.array(params, dtype=np.float64, copy=True)
@@ -61,7 +67,7 @@ class EarlyStopper:
 
     @property
     def should_stop(self) -> bool:
-        return self.stale >= self.patience
+        return self.patience is not None and self.stale >= self.patience
 
 
 def predict(params: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -141,11 +147,9 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
     _, k, d = sessions[0].windows.shape
     stoppers = [None if s.val is None else EarlyStopper(patience)
                 for s in sessions]
-    initial = [None] * len(sessions)
     for i, (s, stopper) in enumerate(zip(sessions, stoppers)):
         if stopper is not None:
-            initial[i] = evaluate_rmse(params[i], s.val)
-            stopper.update(initial[i], params[i])
+            stopper.update(evaluate_rmse(params[i], s.val), params[i])
     records = [[] for _ in sessions]
     # The first failing session and its error; later sessions are dropped.
     failure = None
@@ -223,7 +227,7 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
         else:
             results.append(SessionResult(
                 stopper.best_params, stopper.best_metric, stopper.best_step,
-                initial[i], len(records[i]), records[i], samples))
+                stopper.initial_metric, len(records[i]), records[i], samples))
     return results
 
 

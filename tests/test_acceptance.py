@@ -15,16 +15,12 @@ import numpy as np
 import pytest
 
 from fedcast.cli import main
-from fedcast.clustering import (
-    agglomerate,
-    agglomerate_bruteforce,
-    cluster_quality,
-    pairwise_euclidean,
-)
+from fedcast.clustering import agglomerate, cluster_quality, pairwise_euclidean
 from fedcast.data import generate_synthetic_households, household_datasets, prepare_datasets
 from fedcast.federation import ScenarioConfig, fedavg_aggregate, recount_samples, run_scenario
 from fedcast.nn import compute_gradients, forward_batch, init_model
 from fedcast.reporting import pct_difference, savings_factor
+from clustering_oracle import agglomerate_bruteforce
 
 DESK_SEED = 11
 

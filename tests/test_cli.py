@@ -8,6 +8,7 @@ in a couple of seconds.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +424,15 @@ def test_console_script_is_wired_up():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_every_benchmark_trace_target_resolves():
+    # perfbench/layertrace.py wraps package functions by module attribute;
+    # a refactor that drops or renames one makes the traced benchmark fail.
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import layertrace; "
+            "layertrace.instrument(layertrace.Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

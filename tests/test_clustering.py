@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from fedcast.clustering import (
     LINKAGES,
     agglomerate,
-    agglomerate_bruteforce,
     cluster_quality,
     pairwise_euclidean,
 )
 from fedcast.errors import ValidationError
+from clustering_oracle import agglomerate_bruteforce
 
 TWO_GROUPS = [
     [0.0, 0.0], [0.1, 0.0], [0.0, 0.1],   # around the origin

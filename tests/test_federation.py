@@ -255,6 +255,57 @@ def test_cluster_assignment_covers_every_client(tiny_datasets):
     assert sorted(members) == sorted(report["cluster_assignment"])
 
 
+def test_the_fl_hc_warm_up_is_plain_federated_averaging(tiny_datasets):
+    # fl and the warm-up draw the same INIT, SELECT and TRAIN streams, so fl's
+    # first hc_rounds rounds are phase 1 as long as fl does not stop early
+    hc_rounds = 2
+    shared = {"client_fraction": 0.1, "local_epochs": 3}
+    fl, _ = run_scenario(tiny_datasets, small_config(
+        "fl", fl_rounds_cap=hc_rounds, patience=hc_rounds, **shared))
+    hc, _ = run_scenario(tiny_datasets, small_config(
+        "fl_hc", hc_threshold=2.0, hc_linkage="ward", hc_rounds=hc_rounds,
+        **shared))
+    phase_1 = [{key: v for key, v in rec.items() if key != "phase"}
+               for rec in hc["rounds"] if rec["phase"] == 1]
+    assert len(phase_1) == hc_rounds
+    assert fl["rounds"] == phase_1
+    assert fl["initial_val_rmse"] == hc["initial_val_rmse"]
+
+
+@pytest.mark.parametrize("failure", ["raises", "non-finite"])
+def test_a_clustering_burst_failure_names_its_client(tiny_datasets, monkeypatch,
+                                                     failure):
+    # phase 1 trains one of the four clients per round, the burst all four;
+    # the third client fails in the burst
+    cfg = small_config("fl_hc", hc_threshold=2.0, hc_linkage="ward",
+                       hc_rounds=1)
+    hid = sorted(ds.household_id for ds in tiny_datasets)[2]
+    real = scenarios.fit_epochs
+
+    def burst_fails(sessions, *args, **kwargs):
+        if len(sessions) < len(tiny_datasets):
+            return real(sessions, *args, **kwargs)
+        if failure == "raises":
+            raise NumericalError("non-finite gradient at parameter index 7",
+                                 param_index=7, session=2)
+        results = real(sessions, *args, **kwargs)
+        params = results[2].params.copy()
+        params[7] = np.inf
+        results[2] = replace(results[2], params=params)
+        return results
+
+    monkeypatch.setattr(scenarios, "fit_epochs", burst_fails)
+    with pytest.raises(NumericalError) as err:
+        run_scenario(tiny_datasets, cfg)
+    assert str(err.value) == {
+        "raises": f"clustering burst: client {hid} failed: "
+                  "non-finite gradient at parameter index 7",
+        "non-finite": f"clustering burst: client {hid} returned non-finite "
+                      "parameters (index 7)",
+    }[failure]
+    assert err.value.param_index == 7
+
+
 def test_fine_tuning_never_worsens_validation(tiny_datasets):
     cfg = small_config("fl_lft", client_fraction=0.5)
     report, models = run_scenario(tiny_datasets, cfg)
