@@ -52,7 +52,7 @@ from .data import (
     write_meter_csv,
     write_weather_csv,
 )
-from .errors import DataError, NumericalError, ValidationError
+from .errors import DataError, FedcastError, NumericalError, ValidationError
 from .federation import ScenarioConfig, group_entries, run_scenario
 from .reporting import emit_report, render_tables, build_comparison
 
@@ -171,7 +171,7 @@ def _run_group(cache_dir: str, group: list):
     """Run one group of related entries in order, sharing one memo.
 
     Returns (done, failure): (entry_id, report, models) for each entry that
-    finished, and (entry_id, error) for the entry whose NumericalError ended
+    finished, and (entry_id, error) for the entry whose FedcastError ended
     the group, or None.
     """
     memo = {}
@@ -180,7 +180,7 @@ def _run_group(cache_dir: str, group: list):
         datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
         try:
             report, models = run_scenario(datasets, cfg, memo)
-        except NumericalError as err:
+        except FedcastError as err:
             return done, (cfg.entry_id, err)
         done.append((cfg.entry_id, report, models))
     return done, None
@@ -313,7 +313,8 @@ def cmd_run(args) -> int:
         err = failures[0][1]
         # Flush what we have for post-mortem before reporting failure.
         with atomic_write(out / "failure.json") as fh:
-            json.dump({"error": str(err), "param_index": err.param_index,
+            json.dump({"error": str(err), "error_class": type(err).__name__,
+                       "param_index": getattr(err, "param_index", None),
                        "completed": [r["entry_id"] for r in reports]},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")

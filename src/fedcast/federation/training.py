@@ -26,11 +26,11 @@ from .config import ScenarioConfig
 EVAL_BATCH = 1024
 
 # Most rows (sessions x batch size) one gradient call stacks.  Time per
-# session-step against one session per call, measured on a 2-vCPU Xeon with
-# single-threaded OpenBLAS at K=6 and 12: 20 sessions at B=8 ran 3.2-3.4x
-# faster and 8-12 at B=32 1.5-2.0x, but 2 at B=256 ran at 0.85-0.95x and 4
-# at B=128 (K=12) at 0.86x.  Small stacks save per-call overhead; large
-# ones only add arithmetic on bigger operands.
+# session-step against one session per call, measured with the wavefront
+# kernel on a 2-vCPU Xeon with single-threaded OpenBLAS at K=6 and 12 (two
+# runs each): 20 sessions at B=8 ran 2.4-4.4x faster and 8-12 at B=32
+# 1.5-2.1x, while 2 at B=256 ran at 0.94-1.13x and 4 at B=128 (K=12) at
+# 0.99-1.09x.  Small stacks save per-call overhead; large ones gain nothing.
 STACK_ROWS = 256
 
 

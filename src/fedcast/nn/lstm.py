@@ -20,30 +20,39 @@ The hidden width is implied by the vector's length and the input width.
 
 Training works on C independent models at once: a (C, P) matrix whose rows
 are models, with a (C*B, K, d) batch holding B windows per model in row
-order.  Every block is a view into that matrix, and every product is a
-stacked `np.matmul` whose per-model operands have the same shapes and
-strides a single model's would, so each model gets the BLAS call it would
-get alone and its gradient is bitwise the same whatever C is.  The
-lockstep engine, `federation.training.fit_epochs`, builds such stacks from
-independent training sessions whose batches are equally long, at most
-max(1, STACK_ROWS // batch_size) models per call: small batches stack,
-and at batch size 256 each model still gets a call of its own.
+order.  The lockstep engine, `federation.training.fit_epochs`, stacks
+independent sessions whose batches are equally long, at most
+max(1, STACK_ROWS // batch_size) models per call.
 
-Inside a call every sequence buffer is time-major: the input copy, gate
-activations, cell states, layer outputs and their gradients are
-(C, K, B, .), so what one time step reads or writes is one contiguous
-block per model.  `compute_gradients` copies its (C*B, K, d) windows into
-that layout once; `forward_batch` reads its (B, K, d) windows through a
-transposed view, which on the sliding-window views of `data.sequences` is
-contiguous rows at every step.  These buffers and the per-step scratch are
+Inside a call the two layers advance as a wavefront: tick s runs layer 1's
+step s beside layer 2's step s-1 (tick 0 runs layer 1 alone, tick K layer
+2 alone), so each gate and cell operation is one numpy call over a
+(2, C, B, .) pair of layers, and both recurrent products are one product
+against a (2, C, 4h, h) view of both layers' weights; only the input
+products, of widths d and h, stay apart.  The backward pass runs the same
+pairs from tick K down.  Outputs and cells are (K+2, 2, C, B, h) slots:
+tick s reads slot s and writes slot s+1; slot 0 and layer 2's half of slot
+1 hold the zero state.  Tick s's gates are slot s of (K+1, 2, C, B, 3h)
+sigmoid and (K+1, 2, C, B, h) candidate buffers; `forward_batch` rolls.
+
+No result depends on C or on the pairing, bit for bit.  Elementwise
+operations give the same bits wherever an element sits; every product gives
+each layer of each model a slice with a lone model's shapes and strides, so
+BLAS gets the call it would get alone; step 0's recurrent product is still
+one against zeros, so signed zeros agree; and each weight gradient sums its
+steps in descending order from zero.  Tests compare the kernel byte for
+byte with the layer-at-a-time one in tests/nn_oracle.py.
+
+`compute_gradients` copies its windows into a time-major (K, C, B, d)
+buffer; `forward_batch` reads its (B, K, d) windows through a transposed
+view, contiguous rows at every step on `data.sequences`' sliding windows.
+These buffers and the per-tick scratch, which the backward pass reuses, are
 carved (`_carve`) from one module-level float64 arena that grows to the
-largest call's total and is reused after that, so repeated calls map no
-fresh pages.  A carved view holds its data only until the next carve, by
-this call or any other, so nothing carved is returned: gradients, losses
-and predictions are fresh arrays, and the arena is not for concurrent use
-by threads.  `federation.run_scenario` frees it (`release_arena`) when an
-entry ends, so one entry's largest buffers do not stay mapped through the
-next entry's data phase.
+largest call's total and is reused, so repeated calls map no fresh pages.
+A carved view holds its data only until the next carve, by any call, so
+nothing carved is returned, and the arena is not for use by threads.
+`federation.run_scenario` frees it (`release_arena`) when an entry ends, so
+its buffers do not stay mapped through the next entry's data phase.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import NumericalError, ValidationError
 
@@ -105,6 +115,14 @@ def _blocks(matrix: np.ndarray, feature_dim: int) -> list:
             for start, stop, shape in blocks]
 
 
+def _pairs(blocks: list) -> list:
+    """Both layers' recurrent weights (2, C, 4h, h) and biases (2, C, 4h)."""
+    # views of one C-contiguous matrix's `_blocks`: in every row, layer 2's
+    # blocks sit past layer 1's by the sizes of wh1, b1 and wx2
+    gap = sum(block[0].nbytes for block in blocks[1:4])
+    return [as_strided(b, (2,) + b.shape, (gap,) + b.strides) for b in blocks[1:3]]
+
+
 def init_model(feature_dim: int, rng: np.random.Generator,
                hidden: int = HIDDEN_SIZE) -> np.ndarray:
     """Fresh parameter vector, every coordinate uniform in ±1/sqrt(hidden).
@@ -144,107 +162,89 @@ def release_arena() -> None:
     _arena = np.empty(0)
 
 
-def _step_shapes(c: int, n: int, h: int) -> list:
-    """Shapes of the per-step scratch both layer passes take as `step`.
+def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, step):
+    """Run both layers of C models over (K, C, B, d) inputs from a zero state.
 
-    Two (C, B, 4h) buffers, one (C, B, 3h) and seven (C, B, h); the last
-    is the zero state.
+    Slots of the outputs `hs`, cells `cs` and gates `sig` and `g` are taken
+    modulo their count, so two output slots and one gate slot can roll.
     """
-    return [(c, n, 4 * h)] * 2 + [(c, n, 3 * h)] + [(c, n, h)] * 7
-
-
-def _layer_forward(x, w_x, w_h, b, out, step, acts=None, cells=None):
-    """Run one layer of C models over (C, K, B, d) inputs from a zero state.
-
-    Writes the (C, K, B, h) hidden outputs into `out`, using the buffers in
-    `step` (shapes from `_step_shapes`) as scratch.  When `acts` and `cells`
-    are given, the gate activations (C, K, B, 4h) and cell states
-    (C, K, B, h) are written into them for backpropagation.
-    """
-    k = x.shape[1]
-    h = w_h.shape[2]
-    z, zh, gates, g, tmp, c_even, c_odd, *_, zeros = step
-    zeros.fill(0.0)
-    h_t = c_t = zeros
-    wx_t = w_x.transpose(0, 2, 1)
-    wh_t = w_h.transpose(0, 2, 1)
-    bias = b[:, None, :]
-    f = gates[:, :, :h]
-    i = gates[:, :, h:2 * h]
-    o = gates[:, :, 2 * h:]
-    for t in range(k):
-        np.matmul(x[:, t], wx_t, out=z)
-        z += np.matmul(h_t, wh_t, out=zh)
-        z += bias
-        # forget, input and output gates: one sigmoid over the [:3h] block,
-        # kept contiguous; large |z| saturates to exactly 0.0 or 1.0.
-        np.negative(z[:, :, :3 * h], out=gates)
+    k, h = len(xs), hs.shape[-1]
+    z, zh, tmp = step[:3]
+    wx1_t, wx2_t = w_x1.transpose(0, 2, 1), w_x2.transpose(0, 2, 1)
+    wh_t, bias = pairs[0].transpose(0, 1, 3, 2), pairs[1][:, :, None]
+    hs[0] = cs[0] = hs[1, 1] = cs[1, 1] = 0.0  # the zero state
+    for s in range(k + 1):
+        pair = slice(int(s == k), 1 + (s > 0))  # the layers running at tick s
+        now, nxt = s % len(hs), (s + 1) % len(hs)
+        h_prev, c_prev, h_next, c_next = hs[now], cs[now], hs[nxt, pair], cs[nxt, pair]
+        if s < k:
+            np.matmul(xs[s], wx1_t, out=z[0])
+        if s > 0:
+            np.matmul(h_prev[0], wx2_t, out=z[1])
+        zs = z[pair]
+        zs += np.matmul(h_prev[pair], wh_t[pair], out=zh[pair])
+        zs += bias[pair]
+        # forget, input and output gates: one sigmoid over the [:3h] block;
+        # large |z| saturates to exactly 0.0 or 1.0.
+        gates, cand, t = sig[s % len(sig), pair], g[s % len(g), pair], tmp[pair]
+        np.negative(zs[..., :3 * h], out=gates)
         np.exp(gates, out=gates)
         gates += 1.0
         np.divide(1.0, gates, out=gates)
-        np.tanh(z[:, :, 3 * h:], out=g)
-        # c_t = c_t * f + i * g, then h_t = o * tanh(c_t)
-        if cells is not None:
-            c_next = cells[:, t]
-        else:
-            c_next = c_odd if t % 2 else c_even
-        np.multiply(c_t, f, out=c_next)
-        c_next += np.multiply(i, g, out=tmp)
-        c_t = c_next
-        h_t = np.multiply(o, np.tanh(c_t, out=tmp), out=out[:, t])
-        if acts is not None:
-            acts[:, t, :, :3 * h] = gates
-            acts[:, t, :, 3 * h:] = g
+        np.tanh(zs[..., 3 * h:], out=cand)
+        # c = c_prev * f + i * g, then h = o * tanh(c)
+        np.multiply(c_prev[pair], gates[..., :h], out=c_next)
+        c_next += np.multiply(gates[..., h:2 * h], cand, out=t)
+        np.multiply(gates[..., 2 * h:], np.tanh(c_next, out=t), out=h_next)
 
 
-def _layer_backward(x, hidden_seq, acts, cells, d_hidden, w_x, w_h,
-                    g_wx, g_wh, g_b, step, d_x=None):
-    """Backpropagate through one layer of C models, all sequences (C, K, B, .).
+def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, d_last, step):
+    """Backpropagate through `_forward`'s ticks, from tick K down to 0.
 
-    `d_hidden` holds the gradients from above of the layer's last
-    d_hidden.shape[1] outputs; earlier outputs get none.  Adds the weight
-    gradients into the views g_wx, g_wh and g_b, using the buffers in
-    `step` as scratch; writes the gradient with respect to the inputs into
-    `d_x` when given.
+    `d_last` is the gradient of layer 2's last output.  Weight gradients go
+    into `grads`, the gradient matrix's `_blocks`; the recurrent pairs sum
+    in the contiguous `sums` first, where adds run faster than on views.
+    Layer 2's input gradient reaches layer 1 one tick later via `above`.
     """
-    k = x.shape[1]
-    h = w_h.shape[2]
-    first_above = k - d_hidden.shape[1]
-    dz, _, d_sig, dh, dc, dh_carry, tc, tmp, tmp2, zeros = step
-    for buf in (dc, dh_carry, zeros):
+    k, h = len(xs), hs.shape[-1]
+    g_wx1, g_wx2, (g_wh, g_b) = grads[0], grads[3], sums
+    dz, zh, dh, dc, tc, tmp, tmp2, above = step
+    for buf in (dh, dc, above, g_wh, g_b):
         buf.fill(0.0)
-    dz_t = dz.transpose(0, 2, 1)
-    for t in range(k - 1, -1, -1):
-        above = d_hidden[:, t - first_above] if t >= first_above else zeros
-        np.add(above, dh_carry, out=dh)
-        c_prev = cells[:, t - 1] if t > 0 else zeros
-        h_prev = hidden_seq[:, t - 1] if t > 0 else zeros
-        sig = acts[:, t, :, :3 * h]
-        i = acts[:, t, :, h:2 * h]
-        o = acts[:, t, :, 2 * h:3 * h]
-        g = acts[:, t, :, 3 * h:]
-        np.tanh(cells[:, t], out=tc)
-        # dc += dh * o * (1 - tc^2)
-        np.multiply(tc, tc, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dh, o, out=tmp2)
-        tmp2 *= tmp
-        dc += tmp2
-        np.multiply(dc, c_prev, out=dz[:, :, :h])
-        np.multiply(dc, g, out=dz[:, :, h:2 * h])
-        np.multiply(dh, tc, out=dz[:, :, 2 * h:3 * h])
-        np.multiply(dc, i, out=dz[:, :, 3 * h:])
-        dz[:, :, :3 * h] *= sig
-        dz[:, :, :3 * h] *= np.subtract(1.0, sig, out=d_sig)
-        np.multiply(g, g, out=tmp)
-        dz[:, :, 3 * h:] *= np.subtract(1.0, tmp, out=tmp)
-        g_wx += dz_t @ x[:, t]
-        g_wh += dz_t @ h_prev
-        g_b += dz.sum(axis=1)
-        if d_x is not None:
-            np.matmul(dz, w_x, out=d_x[:, t])
-        np.matmul(dz, w_h, out=dh_carry)
-        dc *= acts[:, t, :, :h]
+    dh[1] += d_last  # a zero carry plus the gradient from the head
+    dz_t = dz.transpose(0, 1, 3, 2)
+    for s in range(k, -1, -1):
+        pair = slice(int(s == k), 1 + (s > 0))
+        d, d_h, d_c, t, t2 = dz[pair], dh[pair], dc[pair], tmp[pair], tmp2[pair]
+        gates, cand = sig[s, pair], g[s, pair]
+        # dh holds the carry from the tick after; add the gradient from above
+        np.add(above[pair], d_h, out=d_h)
+        t_c = np.tanh(cs[s + 1, pair], out=tc[pair])
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(t_c, t_c, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(d_h, gates[..., 2 * h:], out=t2)
+        t2 *= t
+        d_c += t2
+        np.multiply(d_c, cs[s, pair], out=d[..., :h])
+        np.multiply(d_c, cand, out=d[..., h:2 * h])
+        np.multiply(d_h, t_c, out=d[..., 2 * h:3 * h])
+        np.multiply(d_c, gates[..., h:2 * h], out=d[..., 3 * h:])
+        d[..., :3 * h] *= gates
+        d[..., :3 * h] *= np.subtract(1.0, gates, out=zh[pair, ..., :3 * h])
+        np.multiply(cand, cand, out=t)
+        d[..., 3 * h:] *= np.subtract(1.0, t, out=t)
+        if s < k:
+            g_wx1 += dz_t[0] @ xs[s]
+        if s > 0:
+            g_wx2 += dz_t[1] @ hs[s, 0]
+            np.matmul(dz[1], w_x2, out=above[0])
+        g_wh[pair] += dz_t[pair] @ hs[s, pair]
+        g_b[pair] += d.sum(axis=2)
+        np.matmul(d, w_h[pair], out=d_h)
+        d_c *= gates[..., :h]
+    for view, total in zip(_pairs(grads), sums):
+        view[...] = total
 
 
 def _check_windows(windows) -> np.ndarray:
@@ -256,18 +256,20 @@ def _check_windows(windows) -> np.ndarray:
 
 def forward_batch(windows, params) -> np.ndarray:
     """Predictions of one model, a (P,) vector, for a (B, K, d) batch."""
-    params = np.asarray(params, dtype=np.float64)
+    params = np.ascontiguousarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ValidationError("params must be one flat parameter vector")
     x = _check_windows(windows)
     n, k, d = x.shape
-    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params[None], d)
-    h = wh1.shape[2]
-    h1, h2, *step = _carve((1, k, n, h), (1, k, n, h), *_step_shapes(1, n, h))
+    wx1, _, _, wx2, _, _, head_w, head_b = blocks = _blocks(params[None], d)
+    h = head_w.shape[1]
+    hs, cs, sig, g, *step = _carve(
+        (2, 2, 1, n, h), (2, 2, 1, n, h), (1, 2, 1, n, 3 * h), (1, 2, 1, n, h),
+        (2, 1, n, 4 * h), (2, 1, n, 4 * h), (2, 1, n, h))
     with np.errstate(over="ignore"):
-        _layer_forward(x.transpose(1, 0, 2)[None], wx1, wh1, b1, h1, step)
-        _layer_forward(h1, wx2, wh2, b2, h2, step)
-    return h2[0, -1] @ head_w[0] + head_b[0]
+        _forward(x.transpose(1, 0, 2)[:, None], wx1, wx2, _pairs(blocks),
+                 hs, cs, sig, g, step)
+    return hs[(k + 1) % 2, 1, 0] @ head_w[0] + head_b[0]
 
 
 def compute_gradients(windows, targets, params):
@@ -280,7 +282,7 @@ def compute_gradients(windows, targets, params):
     NumericalError naming the model (`session`), with the flat index of the
     first bad coordinate in that model's vector (`param_index`).
     """
-    params = np.asarray(params, dtype=np.float64)
+    params = np.ascontiguousarray(params, dtype=np.float64)
     if params.ndim != 2 or params.shape[0] < 1:
         raise ValidationError("params must be a (C, P) matrix")
     x = _check_windows(windows)
@@ -291,18 +293,18 @@ def compute_gradients(windows, targets, params):
         raise ValidationError(
             "batch windows and targets must align and split evenly across models")
     n = rows // c
-    wx1, wh1, b1, wx2, wh2, b2, head_w, head_b = _blocks(params, d)
-    h = wh1.shape[2]
-    seq, gates = (c, k, n, h), (c, k, n, 4 * h)
-    xs, h1, acts1, cells1, h2, acts2, cells2, d_h2, d_h1, *step = _carve(
-        (c, k, n, d), seq, gates, seq, seq, gates, seq, (c, 1, n, h), seq,
-        *_step_shapes(c, n, h))
-    xs[:] = x.reshape(c, n, k, d).transpose(0, 2, 1, 3)
+    wx1, _, _, wx2, _, _, head_w, head_b = blocks = _blocks(params, d)
+    pairs, h = _pairs(blocks), head_w.shape[1]
+    slots, ticks, pair = (k + 2, 2, c, n, h), (k + 1, 2, c, n), (2, c, n)
+    xs, hs, cs, sig, g, g_wh, g_b, *step = _carve(
+        (k, c, n, d), slots, slots, ticks + (3 * h,), ticks + (h,),
+        (2, c, 4 * h, h), (2, c, 4 * h),
+        *[pair + (4 * h,)] * 2, *[pair + (h,)] * 6)
+    xs[:] = x.reshape(c, n, k, d).transpose(2, 0, 1, 3)
     # Overflow shows up as a non-finite loss or gradient, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _layer_forward(xs, wx1, wh1, b1, h1, step, acts1, cells1)
-        _layer_forward(h1, wx2, wh2, b2, h2, step, acts2, cells2)
-        last = h2[:, -1]
+        _forward(xs, wx1, wx2, pairs, hs, cs, sig, g, step)
+        last = hs[k + 1, 1]
         pred = (last @ head_w[:, :, None])[:, :, 0] + head_b[:, None]
         resid = pred - y.reshape(c, n)
         losses = np.mean(resid * resid, axis=1)
@@ -311,16 +313,14 @@ def compute_gradients(windows, targets, params):
             raise NumericalError("loss is not finite", session=int(bad[0]))
 
         grads = np.zeros_like(params)
-        g_wx1, g_wh1, g_b1, g_wx2, g_wh2, g_b2, g_head_w, g_head_b = _blocks(grads, d)
+        g_blocks = _blocks(grads, d)
+        g_head_w, g_head_b = g_blocks[6:]
         dpred = (2.0 / n) * resid
         g_head_w[:] = (last.transpose(0, 2, 1) @ dpred[:, :, None])[:, :, 0]
         g_head_b[:] = dpred.sum(axis=1)
         # only the last step of layer 2 feeds the head
-        d_h2[:, 0] = dpred[:, :, None] * head_w[:, None, :]
-        _layer_backward(h1, h2, acts2, cells2, d_h2, wx2, wh2,
-                        g_wx2, g_wh2, g_b2, step, d_x=d_h1)
-        _layer_backward(xs, h1, acts1, cells1, d_h1, wx1, wh1,
-                        g_wx1, g_wh1, g_b1, step)
+        _backward(xs, wx2, pairs[0], g_blocks, (g_wh, g_b), hs, cs, sig, g,
+                  dpred[:, :, None] * head_w[:, None, :], step)
     finite = np.isfinite(grads)
     if not finite.all():
         session = int(np.flatnonzero(~finite.all(axis=1))[0])

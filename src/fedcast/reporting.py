@@ -39,18 +39,6 @@ VARIANT_ORDER = ((6, True), (12, True), (24, True), (6, False), (12, False), (24
 RESULTS_CSV_HEADER = "scenario,variant,k,weather,mean_rmse,best_rmse,total_samples,seed"
 
 
-def rmse(predictions, targets) -> float:
-    """Root mean squared error between two equally sized nonempty vectors."""
-    p = np.asarray(predictions, dtype=np.float64).ravel()
-    t = np.asarray(targets, dtype=np.float64).ravel()
-    if p.size == 0 or p.size != t.size:
-        raise ValidationError("predictions and targets must have equal nonzero length")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
-        raise ValidationError("rmse inputs must be finite")
-    diff = p - t
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
 def pct_difference(scenario_metric: float, baseline_metric: float) -> float:
     """Signed improvement of `scenario_metric` over the baseline, in percent."""
     if not baseline_metric > 0:

