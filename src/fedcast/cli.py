@@ -12,7 +12,7 @@ dataset identity, so reruns of the same config land in the same directory
 and reproduce results.json byte for byte.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure while
-training.
+training, 4 a worker process of `run --jobs N` died.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime
 from pathlib import Path
 
@@ -286,9 +287,15 @@ def cmd_run(args) -> int:
     outcomes = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_group, str(data_dir), group)
-                       for group in sorted(groups, key=len, reverse=True)]
-            outcomes = [future.result() for future in futures]
+            submitted = [(group, pool.submit(_run_group, str(data_dir), group))
+                         for group in sorted(groups, key=len, reverse=True)]
+            for group, future in submitted:
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as err:
+                    # A worker died: no entry of an unfinished group counts
+                    # as done, so the failure is the group's first entry.
+                    outcomes.append(([], (group[0].entry_id, err)))
     else:
         for group in groups:
             # Outputs stop at the first failed entry in entry_id order, so a
@@ -425,6 +432,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as err:
+        print(f"error: a worker process died: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Data pipeline: readings -> hourly series -> feature windows -> datasets."""
 
-from .cleaning import HourlySeries, RawReading, clean_readings
+from .cleaning import HourlySeries, MeterReadings, RawReading, clean_readings
 from .features import (
     BASE_COLUMNS,
     WEATHER_COLUMNS,
@@ -8,7 +8,6 @@ from .features import (
     WeatherRecord,
     WeatherTable,
     build_design_matrix,
-    calendar_fields,
 )
 from .normalize import NormalizationParams, fit_normalizer, normalize
 from .sequences import (
@@ -46,6 +45,7 @@ __all__ = [
     "DesignMatrix",
     "HourlySeries",
     "HouseholdDataset",
+    "MeterReadings",
     "NormalizationParams",
     "PreparedData",
     "PreparedHousehold",
@@ -58,7 +58,6 @@ __all__ = [
     "WeatherTable",
     "build_design_matrix",
     "build_household_dataset",
-    "calendar_fields",
     "clean_readings",
     "dataset_digest",
     "fit_normalizer",

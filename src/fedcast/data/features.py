@@ -4,6 +4,10 @@ Each design-matrix row describes one hour: the energy total, the calendar
 decomposition of the hour's timestamp, and, when requested, air temperature
 and relative humidity joined on the exact hour.  Column 0 is always the
 energy value, which doubles as the forecasting target.
+
+The matrix is built a column at a time: the calendar fields come from
+`datetime64` arithmetic on the whole hour array, and weather is joined by
+a binary search of the hours into the table's sorted hour column.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class WeatherTable:
             raise ValidationError("weather columns must have equal length")
         if len(self.hours) and np.any(np.diff(self.hours) <= 0):
             raise ValidationError("weather hours must be strictly increasing")
-        self._pos = {int(h): i for i, h in enumerate(self.hours)}
 
     @classmethod
     def from_records(cls, records) -> "WeatherTable":
@@ -65,12 +68,6 @@ class WeatherTable:
 
     def __len__(self) -> int:
         return len(self.hours)
-
-    def lookup(self, hour: int):
-        i = self._pos.get(int(hour))
-        if i is None:
-            return None
-        return float(self.air_temp_c[i]), float(self.rel_humidity_pct[i])
 
 
 @dataclass(frozen=True)
@@ -95,39 +92,37 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def calendar_fields(hour: int) -> tuple[int, int, int, int]:
-    """(year, week_of_year, day_of_week, hour_of_day) for a unix hour index.
-
-    Weeks count in whole 7-day blocks from January 1st, clamped to 51 so the
-    trailing 1-2 days of a year fold into the last week.  Monday is day 0.
-    """
-    dt = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-    day_of_year = dt.timetuple().tm_yday
-    week = min((day_of_year - 1) // 7, 51)
-    return dt.year, week, dt.weekday(), dt.hour
-
-
 def build_design_matrix(hourly: HourlySeries,
                         weather: WeatherTable | None = None) -> DesignMatrix:
-    """Assemble the per-hour feature rows, joining weather on the exact hour."""
+    """Assemble the per-hour feature rows, joining weather on the exact hour.
+
+    Calendar columns: year, week of year (whole 7-day blocks from January
+    1st, clamped to 51 so a year's trailing 1-2 days fold into the last
+    week), day of week (Monday is 0) and hour of day, all in UTC.
+    """
     if len(hourly) == 0:
         raise DataError("empty hourly series")
-    with_weather = weather is not None
-    columns = WEATHER_COLUMNS if with_weather else BASE_COLUMNS
+    columns = WEATHER_COLUMNS if weather is not None else BASE_COLUMNS
+    hours = hourly.hours
+    days = hours.astype("datetime64[h]").astype("datetime64[D]")
+    years = days.astype("datetime64[Y]")
+    day_of_year = (days - years.astype("datetime64[D]")).astype(np.int64)
     out = np.empty((len(hourly), len(columns)), dtype=np.float64)
-    for i, hour in enumerate(hourly.hours):
-        year, week, dow, hod = calendar_fields(int(hour))
-        out[i, 0] = hourly.values[i]
-        out[i, 1] = year
-        out[i, 2] = week
-        out[i, 3] = dow
-        out[i, 4] = hod
-        if with_weather:
-            obs = weather.lookup(int(hour))
-            if obs is None:
-                stamp = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-                raise DataError(
-                    f"weather has no observation for {stamp.isoformat()} "
-                    f"(household {hourly.household_id})")
-            out[i, 5], out[i, 6] = obs
-    return DesignMatrix(columns=columns, values=out, hours=hourly.hours.copy())
+    out[:, 0] = hourly.values
+    out[:, 1] = years.astype(np.int64) + 1970
+    out[:, 2] = np.minimum(day_of_year // 7, 51)
+    out[:, 3] = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
+    out[:, 4] = hours % 24
+    if weather is not None:
+        pos = np.searchsorted(weather.hours, hours)
+        found = pos < len(weather.hours)
+        found[found] = weather.hours[pos[found]] == hours[found]
+        if not found.all():
+            missing = int(hours[np.argmin(found)])
+            stamp = datetime.fromtimestamp(missing * 3600, tz=timezone.utc)
+            raise DataError(
+                f"weather has no observation for {stamp.isoformat()} "
+                f"(household {hourly.household_id})")
+        out[:, 5] = weather.air_temp_c[pos]
+        out[:, 6] = weather.rel_humidity_pct[pos]
+    return DesignMatrix(columns=columns, values=out, hours=hours.copy())

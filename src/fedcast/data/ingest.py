@@ -7,17 +7,26 @@ Wire formats:
 Timestamps are ISO-8601; naive values are taken as UTC.  Malformed data rows
 are skipped and counted rather than aborting the ingest, but a wrong header
 is a hard error because it means the file is not the expected format at all.
+
+Meter files are read into columns: each household's readings come back as
+one `MeterReadings` (epoch minutes and kWh arrays), not one object per row,
+and the row checks run as array masks.  Weather files are small (one row
+per hour) and stay a list of `WeatherRecord`.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from ..atomic import atomic_write
 from ..errors import DataError
-from .cleaning import RawReading
+from .cleaning import MeterReadings, epoch_minutes
 from .features import WeatherRecord
 
 METER_HEADER = ["household_id", "timestamp", "kwh"]
@@ -34,30 +43,81 @@ def _check_header(row, expected, path):
         raise DataError(f"{path}: expected header {','.join(expected)!r}")
 
 
+_UNPARSED = np.iinfo(np.int64).min  # stands in for a timestamp that fails to parse
+_BLOCK_ROWS = 1 << 14                # meter rows held as Python strings at once
+
+
+def _epoch_minutes_or_unparsed(text: str) -> int:
+    try:
+        return epoch_minutes(_parse_ts(text))
+    except (ValueError, OverflowError):
+        return _UNPARSED
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan  # fails the kWh >= 0 check like a NaN in the file
+
+
+def _meter_columns(rows: list, code_of: dict, minute_of: dict) -> tuple:
+    """(household codes, epoch minutes, kWh) of the rows that pass the checks.
+
+    `code_of` numbers households in order of first appearance and
+    `minute_of` caches parsed timestamps; both carry over between calls.
+    """
+    fields = [row for row in rows if len(row) == 3]
+    ids = [row[0].strip() for row in fields]
+    for hid in dict.fromkeys(ids):
+        code_of.setdefault(hid, len(code_of))
+    for text in {row[1] for row in fields} - minute_of.keys():
+        minute_of[text] = _epoch_minutes_or_unparsed(text)
+    n = len(fields)
+    codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=n)
+    minutes = np.fromiter((minute_of[row[1]] for row in fields), dtype=np.int64,
+                          count=n)
+    kwh = np.fromiter((_float_or_nan(row[2]) for row in fields), dtype=np.float64,
+                      count=n)
+    keep = (kwh >= 0.0) & (minutes != _UNPARSED) & (codes != code_of.get("", -1))
+    return codes[keep], minutes[keep], kwh[keep]
+
+
 def ingest_meter_csv(path) -> tuple[dict, int]:
-    """Readings grouped by household plus the count of skipped rows."""
+    """{household_id: MeterReadings} plus the count of skipped rows.
+
+    A row is skipped when it has other than three fields, an empty id, an
+    unparseable timestamp, or a kWh value that is not a number >= 0 (NaN
+    included).  Households appear in the order their ids first appear, and
+    each keeps its readings in file order.  Each distinct timestamp string
+    is parsed once: households share timestamps.  Rows are read in blocks,
+    so only one block is ever held as Python strings.
+    """
     path = Path(path)
-    by_household: dict[str, list] = {}
-    skipped = 0
+    code_of, minute_of = {}, {}
+    blocks = []
+    n_rows = 0
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return {}, 0
         _check_header(header, METER_HEADER, path)
-        for row in reader:
-            try:
-                if len(row) != 3 or not row[0].strip():
-                    raise ValueError
-                ts = _parse_ts(row[1])
-                kwh = float(row[2])
-                if not kwh >= 0.0:  # also rejects NaN
-                    raise ValueError
-            except (ValueError, OverflowError):
-                skipped += 1
-                continue
-            by_household.setdefault(row[0].strip(), []).append(RawReading(ts, kwh))
-    return by_household, skipped
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            n_rows += len(rows)
+            blocks.append(_meter_columns(rows, code_of, minute_of))
+    if not blocks:
+        return {}, 0
+    codes, minutes, kwh = (np.concatenate(column) for column in zip(*blocks))
+
+    # a stable sort by household keeps each household's rows in file order
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(code_of))
+    bounds = np.cumsum(counts)[:-1]
+    parts = zip(code_of, counts, np.split(minutes[order], bounds),
+                np.split(kwh[order], bounds))
+    by_household = {hid: MeterReadings(m, k) for hid, n, m, k in parts if n}
+    return by_household, n_rows - len(codes)
 
 
 def ingest_weather_csv(path) -> tuple[list, int]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from data_helpers import series_to_readings
-from fedcast.data import RawReading, clean_readings
+from fedcast.data import MeterReadings, RawReading, clean_readings
 from fedcast.errors import DataError
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)
@@ -70,6 +70,27 @@ def test_window_extends_the_tail_by_filling():
     assert series.filled_fraction > 0.0
 
 
+def test_window_starting_on_a_missing_slot_fills_from_the_reading_before():
+    readings = half_hourly([0.2, 0.3, 0.1, 0.4, 0.5, 0.6, 0.7, 0.8])
+    del readings[2]  # 01:00 is missing and the window starts there
+    series = clean_readings(readings, "h0", window=(
+        T0 + timedelta(hours=1), T0 + timedelta(hours=3, minutes=30)))
+    assert series.hours[0] == int(T0.timestamp() // 3600) + 1
+    assert series.values == pytest.approx([0.3 + 0.4, 0.5 + 0.6, 0.7 + 0.8])
+    assert series.filled_fraction == pytest.approx(1 / 6)
+
+
+def test_columnar_and_record_inputs_clean_alike():
+    readings = half_hourly([0.2, 0.3, 0.1, 0.4, 0.6, 0.5])
+    del readings[3]
+    columns = MeterReadings.from_records(readings)
+    assert len(columns) == 5
+    a, b = clean_readings(readings, "h0"), clean_readings(columns, "h0")
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.hours.tobytes() == b.hours.tobytes()
+    assert a.filled_fraction == b.filled_fraction
+
+
 def test_negative_reading_is_rejected():
     readings = half_hourly([0.2, -0.1, 0.1, 0.4])
     with pytest.raises(DataError, match="negative or non-finite"):
@@ -77,11 +98,14 @@ def test_negative_reading_is_rejected():
 
 
 def test_off_grid_reading_is_rejected():
-    # one stray mid-slot reading among enough regular ones that the grid
-    # step is still inferred as 30 minutes
-    readings = half_hourly([0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.1, 0.4])
-    readings.append(RawReading(T0 + timedelta(minutes=45), 0.2))
-    with pytest.raises(DataError, match="off the 30-minute grid"):
+    # stray mid-slot readings among enough regular ones that the grid
+    # step is still inferred as 30 minutes; named in input order
+    readings = half_hourly([0.2, 0.3, 0.1, 0.4] * 5)
+    minute = int(T0.timestamp() // 60)
+    for offset in (165, 45, 105, 15):
+        readings.append(RawReading(T0 + timedelta(minutes=offset), 0.2))
+    off = ", ".join(str(minute + offset) for offset in (165, 45, 105))
+    with pytest.raises(DataError, match=rf"off the 30-minute grid: \[{off}\]"):
         clean_readings(readings, "h0")
 
 

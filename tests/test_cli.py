@@ -6,15 +6,26 @@ in a couple of seconds.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedcast
+from fedcast import cli
 from fedcast.atomic import atomic_write
-from fedcast.cli import _write_entry_outputs, main, resolve_config, run_identity
+from fedcast.cli import (
+    _run_group,
+    _write_entry_outputs,
+    main,
+    resolve_config,
+    run_identity,
+)
 from fedcast.data import write_cache
 from fedcast.errors import DataError, NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
@@ -349,6 +360,55 @@ def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
     assert not (run_dir / "results.json").exists()
 
 
+def _die_in_the_clustered_group(cache_dir, group):
+    """`_run_group` whose worker dies once the parent holds the other result.
+
+    Module-level, so the pool can pickle it by name; forked workers inherit
+    the patched `fedcast.cli._run_group` and the marker path.
+    """
+    if group[0].kind != "fl_hc":
+        return _run_group(cache_dir, group)
+    marker = Path(os.environ["FEDCAST_TEST_MARKER"])
+    deadline = time.monotonic() + 60
+    while not marker.exists() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    os._exit(1)
+
+
+class _MarkingPool(ProcessPoolExecutor):
+    """Touches the marker once the unclustered group's result is in."""
+
+    def submit(self, fn, cache_dir, group):
+        future = super().submit(fn, cache_dir, group)
+        if group[0].kind != "fl_hc":
+            marker = Path(os.environ["FEDCAST_TEST_MARKER"])
+            future.add_done_callback(lambda _: marker.touch())
+        return future
+
+
+def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
+                                           capsys):
+    # a worker killed outright breaks the pool: the finished group's entries
+    # sorted before the lost group are written, then failure.json, exit 4
+    root, _ = pipeline
+    monkeypatch.setenv("FEDCAST_TEST_MARKER", str(tmp_path / "fl-group-done"))
+    monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _MarkingPool)
+    code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
+    assert code == 4
+    assert "error: a worker process died" in capsys.readouterr().err
+    failure = json.loads((run_dir / "failure.json").read_text())
+    assert failure["error_class"] == "BrokenProcessPool"
+    assert failure["param_index"] is None
+    assert failure["completed"] == ["fl__k6-w__f0.5_e1"]
+    assert sorted(p.stem for p in (run_dir / "logs").iterdir()) == \
+        failure["completed"]
+    assert sorted(p.name for p in (run_dir / "models").iterdir()) == \
+        failure["completed"]
+    assert not (run_dir / "results.json").exists()
+    assert not (run_dir / "manifest.json").exists()
+
+
 # --------------------------------------------------------- crash-safe outputs
 
 def test_a_write_that_raises_leaves_no_file(tmp_path):
@@ -448,8 +508,12 @@ def test_report_refuses_non_run_directories(tmp_path, capsys):
 
 
 def test_console_script_is_wired_up():
+    # the subprocess imports the same fedcast as the tests, installed or not
+    src = str(Path(fedcast.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fedcast.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip()
 

@@ -13,10 +13,10 @@ from fedcast.data import (
     WeatherRecord,
     WeatherTable,
     build_design_matrix,
-    calendar_fields,
     clean_readings,
 )
 from data_helpers import design_row
+from data_oracle import calendar_fields, lookup
 from fedcast.data.cleaning import RawReading
 from fedcast.errors import DataError, ValidationError
 
@@ -105,7 +105,7 @@ def test_weather_duplicate_hours_keep_the_first():
         WeatherRecord(ts, 99.0, 10.0),
     ])
     assert len(table) == 1
-    assert table.lookup(int(ts.timestamp() // 3600)) == (5.0, 50.0)
+    assert lookup(table, int(ts.timestamp() // 3600)) == (5.0, 50.0)
 
 
 def test_weather_record_validation():

@@ -3,8 +3,10 @@
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import fedcast.data.ingest as ingest
 from fedcast.data import (
     generate_synthetic_households,
     ingest_meter_csv,
@@ -25,9 +27,10 @@ def test_meter_round_trip(tmp_path):
     original = pop.households[0].readings
     parsed = readings["h000"]
     assert len(parsed) == len(original)
-    for a, b in zip(original, parsed):
-        assert b.energy_kwh == a.energy_kwh  # repr() keeps float64 exactly
-        assert b.timestamp.replace(tzinfo=timezone.utc) == a.timestamp
+    assert parsed.minutes.dtype == np.int64 and parsed.kwh.dtype == np.float64
+    # whole-minute stamps, equal to the second; repr() keeps float64 exactly
+    assert (parsed.minutes * 60).tolist() == [r.timestamp.timestamp() for r in original]
+    assert parsed.kwh.tobytes() == np.array([r.energy_kwh for r in original]).tobytes()
 
 
 def test_weather_round_trip(tmp_path):
@@ -54,6 +57,52 @@ def test_malformed_meter_rows_are_skipped_and_counted(tmp_path):
     readings, skipped = ingest_meter_csv(path)
     assert skipped == 5
     assert len(readings["h0"]) == 2
+
+
+@pytest.mark.parametrize("block_rows", [2, 5, 1 << 14])
+def test_every_malformed_meter_row_kind(tmp_path, monkeypatch, block_rows):
+    # every way a row can be skipped, beside rows that look odd but are
+    # kept; the counts and rows are those of the record-at-a-time ingest,
+    # however the file is cut into blocks
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "meters.csv"
+    path.write_text(
+        "household_id,timestamp,kwh\n"
+        "h1,2013-01-01T00:30:00,0.25\n"
+        " h0 ,2013-01-01T00:00:00,0.5\n"      # padded id: kept as h0
+        "h0,2013-01-01T00:30:00, 1e-3 \n"     # padded value: kept
+        "h0,not-a-date,0.5\n"                 # bad timestamp
+        "h0,2013-02-30T00:00:00,0.5\n"        # no such day
+        "h0,,0.5\n"                           # empty timestamp
+        "h0,2013-01-01T01:00:00,-2\n"         # negative
+        "h0,2013-01-01T01:00:00,nan\n"        # NaN
+        "h0,2013-01-01T01:00:00,0.5kWh\n"     # not a number
+        "h0,2013-01-01T01:00:00,\n"           # empty value
+        ",2013-01-01T02:00:00,0.5\n"          # empty id
+        "   ,2013-01-01T02:00:00,0.5\n"       # blank id
+        "h0,2013-01-01T02:30:00\n"            # short row
+        "h0,2013-01-01T02:30:00,0.5,extra\n"  # long row
+        "\n"                                  # blank line
+        "h2,2013-01-01T02:00:00,-0.0\n"       # negative zero: kept
+        "h0,2013-01-01T03:00:00+01:00,inf\n"  # offset stamp, inf: kept
+        "h0,2013-01-01T00:00:00,0.75\n"       # duplicate stamp: kept
+        "h1,2013-01-01T00:00:00,0.125\n")
+    readings, skipped = ingest_meter_csv(path)
+    assert skipped == 12
+    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+    assert list(readings) == ["h1", "h0", "h2"]
+    got = {hid: (r.minutes.tolist(), r.kwh.tolist()) for hid, r in readings.items()}
+    assert got == {
+        "h0": ([t0, t0 + 30, t0 + 120, t0], [0.5, 1e-3, float("inf"), 0.75]),
+        "h1": ([t0 + 30, t0], [0.25, 0.125]),
+        "h2": ([t0 + 120], [-0.0]),
+    }
+
+
+def test_a_file_of_only_malformed_rows_gives_no_households(tmp_path):
+    path = tmp_path / "meters.csv"
+    path.write_text("household_id,timestamp,kwh\nh0,never,1\n,2013-01-01,1\n")
+    assert ingest_meter_csv(path) == ({}, 2)
 
 
 def test_malformed_weather_rows_are_skipped(tmp_path):
@@ -89,7 +138,9 @@ def test_write_accepts_plain_dicts(tmp_path):
     path = tmp_path / "meters.csv"
     write_meter_csv(path, readings)
     back, _ = ingest_meter_csv(path)
-    assert back["hx"][1].energy_kwh == 0.3
+    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+    assert back["hx"].minutes.tolist() == [t0, t0 + 30]
+    assert back["hx"].kwh.tolist() == [0.25, 0.3]
 
 
 def test_csv_writers_that_fail_midway_leave_no_partial_file(tmp_path):
