@@ -169,7 +169,8 @@ def _entry_datasets(cache_dir: str, k: int, with_weather: bool) -> list:
 
 
 def _run_group(cache_dir: str, group: list):
-    """Run one group of related entries in order, sharing one memo.
+    """Run one group of related entries in order, sharing one memo (and
+    the group's configs, see `run_scenario`).
 
     Returns (done, failure): (entry_id, report, models) for each entry that
     finished, and (entry_id, error) for the entry whose FedcastError ended
@@ -180,7 +181,7 @@ def _run_group(cache_dir: str, group: list):
     for cfg in group:
         datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
         try:
-            report, models = run_scenario(datasets, cfg, memo)
+            report, models = run_scenario(datasets, cfg, memo, group)
         except FedcastError as err:
             return done, (cfg.entry_id, err)
         done.append((cfg.entry_id, report, models))

@@ -149,8 +149,20 @@ def _format_ts(ts: datetime) -> str:
     return ts.isoformat()
 
 
+def _meter_rows(household_id: str, readings):
+    """CSV rows of one household's MeterReadings or RawReading records."""
+    if isinstance(readings, MeterReadings):
+        stamps = np.datetime_as_string(readings.minutes.astype("datetime64[m]"),
+                                       unit="s")
+        return zip(itertools.repeat(household_id), stamps,
+                   map(repr, readings.kwh.tolist()))
+    return ([household_id, _format_ts(r.timestamp), repr(float(r.energy_kwh))]
+            for r in readings)
+
+
 def write_meter_csv(path, households) -> None:
-    """Dump {household_id: [RawReading]} or SyntheticHousehold rows to CSV."""
+    """Dump {household_id: MeterReadings or [RawReading]}, as `ingest_meter_csv`
+    returns or the record path builds, or SyntheticHousehold rows to CSV."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METER_HEADER)
@@ -159,8 +171,7 @@ def write_meter_csv(path, households) -> None:
         else:
             items = [(h.household_id, h.readings) for h in households]
         for household_id, readings in items:
-            for r in readings:
-                writer.writerow([household_id, _format_ts(r.timestamp), repr(float(r.energy_kwh))])
+            writer.writerows(_meter_rows(household_id, readings))
 
 
 def write_weather_csv(path, records) -> None:

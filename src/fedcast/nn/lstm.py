@@ -32,27 +32,40 @@ against a (2, C, 4h, h) view of both layers' weights; only the input
 products, of widths d and h, stay apart.  The backward pass runs the same
 pairs from tick K down.  Outputs and cells are (K+2, 2, C, B, h) slots:
 tick s reads slot s and writes slot s+1; slot 0 and layer 2's half of slot
-1 hold the zero state.  Tick s's gates are slot s of (K+1, 2, C, B, 3h)
-sigmoid and (K+1, 2, C, B, h) candidate buffers; `forward_batch` rolls.
+1 hold the zero state.
 
-No result depends on C or on the pairing, bit for bit.  Elementwise
-operations give the same bits wherever an element sits; every product gives
-each layer of each model a slice with a lone model's shapes and strides, so
-BLAS gets the call it would get alone; step 0's recurrent product is still
-one against zeros, so signed zeros agree; and each weight gradient sums its
-steps in descending order from zero.  Tests compare the kernel byte for
-byte with the layer-at-a-time one in tests/nn_oracle.py.
+The products stay row-major, (2, C, B, 4h) per tick; the activations are
+gate-major.  Tick s's forget, input and output gates are slot s of a
+(K+1, 3, 2, C, B, h) buffer, written by the negation that starts the
+sigmoid, which copies them out of the product anyway; its cell candidates
+and tanh(c) are slot s of (K+1, 2, C, B, h) buffers (`forward_batch` keeps
+one slot of each).  Every gate and cell operation thus reads contiguous
+(., C, B, h) blocks, not h-wide slices strided by 4h.  The backward pass
+reads tanh(c) from its slots instead of recomputing it, computes the four
+gate gradients in a contiguous gate-major scratch, and writes them into
+the row-major dz its products read with one strided copy per tick.
+
+No result depends on C, on the pairing or on the gate layout, bit for bit.
+Elementwise operations give the same bits wherever an element sits; every
+product gives each layer of each model a slice with a lone model's shapes
+and strides, so BLAS gets the call it would get alone; step 0's recurrent
+product is still one against zeros, so signed zeros agree; and each weight
+gradient sums its steps in descending order from zero, in a contiguous
+buffer copied into the gradient matrix at the end.  Tests compare the
+kernel byte for byte with the layer-at-a-time one in tests/nn_oracle.py.
 
 `compute_gradients` copies its windows into a time-major (K, C, B, d)
 buffer; `forward_batch` reads its (B, K, d) windows through a transposed
 view, contiguous rows at every step on `data.sequences`' sliding windows.
-These buffers and the per-tick scratch, which the backward pass reuses, are
-carved (`_carve`) from one module-level float64 arena that grows to the
-largest call's total and is reused, so repeated calls map no fresh pages.
-A carved view holds its data only until the next carve, by any call, so
-nothing carved is returned, and the arena is not for use by threads.
-`federation.run_scenario` frees it (`release_arena`) when an entry ends, so
-its buffers do not stay mapped through the next entry's data phase.
+These buffers, the per-tick scratch, which the backward pass reuses, and
+the weight-gradient sums and products (`np.matmul(..., out=)`, not a fresh
+array per tick) are carved (`_carve`) from one module-level float64 arena
+that grows to the largest call's total and is reused, so repeated calls
+map no fresh pages.  A carved view holds its data only until the next
+carve, by any call, so nothing carved is returned, and the arena is not
+for use by threads.  `federation.run_scenario` frees it (`release_arena`)
+when an entry ends, so its buffers do not stay mapped through the next
+entry's data phase.
 """
 
 from __future__ import annotations
@@ -162,14 +175,22 @@ def release_arena() -> None:
     _arena = np.empty(0)
 
 
-def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, step):
+def _gate_major(z: np.ndarray) -> np.ndarray:
+    """A (4, 2, C, B, h) gate-major view of a row-major (2, C, B, 4h) buffer."""
+    *lead, width = z.shape
+    return z.reshape(*lead, 4, width // 4).transpose(3, 0, 1, 2, 4)
+
+
+def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, tc, step):
     """Run both layers of C models over (K, C, B, d) inputs from a zero state.
 
-    Slots of the outputs `hs`, cells `cs` and gates `sig` and `g` are taken
-    modulo their count, so two output slots and one gate slot can roll.
+    Slots of the outputs `hs`, cells `cs`, gates `sig` and `g` and cell
+    activations `tc` (tanh(c)) are taken modulo their count, so two output
+    slots and one slot of the others can roll.
     """
-    k, h = len(xs), hs.shape[-1]
-    z, zh, tmp = step[:3]
+    k = len(xs)
+    z, zh = step[:2]
+    z_gates = _gate_major(z)
     wx1_t, wx2_t = w_x1.transpose(0, 2, 1), w_x2.transpose(0, 2, 1)
     wh_t, bias = pairs[0].transpose(0, 1, 3, 2), pairs[1][:, :, None]
     hs[0] = cs[0] = hs[1, 1] = cs[1, 1] = 0.0  # the zero state
@@ -184,66 +205,74 @@ def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, step):
         zs = z[pair]
         zs += np.matmul(h_prev[pair], wh_t[pair], out=zh[pair])
         zs += bias[pair]
-        # forget, input and output gates: one sigmoid over the [:3h] block;
-        # large |z| saturates to exactly 0.0 or 1.0.
-        gates, cand, t = sig[s % len(sig), pair], g[s % len(g), pair], tmp[pair]
-        np.negative(zs[..., :3 * h], out=gates)
+        # forget, input and output gates: one sigmoid over a gate-major
+        # (3, ., C, B, h) block, which the negation copies out of the
+        # row-major products; large |z| saturates to exactly 0.0 or 1.0.
+        gates = sig[s % len(sig)][:, pair]
+        cand, t_c = g[s % len(g), pair], tc[s % len(tc), pair]
+        np.negative(z_gates[:3, pair], out=gates)
         np.exp(gates, out=gates)
         gates += 1.0
         np.divide(1.0, gates, out=gates)
-        np.tanh(zs[..., 3 * h:], out=cand)
+        np.tanh(z_gates[3, pair], out=cand)
         # c = c_prev * f + i * g, then h = o * tanh(c)
-        np.multiply(c_prev[pair], gates[..., :h], out=c_next)
-        c_next += np.multiply(gates[..., h:2 * h], cand, out=t)
-        np.multiply(gates[..., 2 * h:], np.tanh(c_next, out=t), out=h_next)
+        np.multiply(c_prev[pair], gates[0], out=c_next)
+        c_next += np.multiply(gates[1], cand, out=t_c)
+        np.multiply(gates[2], np.tanh(c_next, out=t_c), out=h_next)
 
 
-def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, d_last, step):
+def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, tc, d_last, step):
     """Backpropagate through `_forward`'s ticks, from tick K down to 0.
 
-    `d_last` is the gradient of layer 2's last output.  Weight gradients go
-    into `grads`, the gradient matrix's `_blocks`; the recurrent pairs sum
-    in the contiguous `sums` first, where adds run faster than on views.
-    Layer 2's input gradient reaches layer 1 one tick later via `above`.
+    `d_last` is the gradient of layer 2's last output.  Each tick's weight
+    products land in the scratch `p_x` and `p_h` and are added to contiguous
+    sums, where adds run faster than on views; the sums are copied into
+    `grads`, the gradient matrix's `_blocks`, at the end.  Layer 2's input
+    gradient reaches layer 1 one tick later via `above`.
     """
-    k, h = len(xs), hs.shape[-1]
-    g_wx1, g_wx2, (g_wh, g_b) = grads[0], grads[3], sums
-    dz, zh, dh, dc, tc, tmp, tmp2, above = step
-    for buf in (dh, dc, above, g_wh, g_b):
+    k = len(xs)
+    s_wx1, s_wx2, s_wh, s_b, p_x, p_h = sums
+    dz, zh, dh, dc, tmp, tmp2, above = step
+    for buf in (dh, dc, above, s_wx1, s_wx2, s_wh, s_b):
         buf.fill(0.0)
     dh[1] += d_last  # a zero carry plus the gradient from the head
-    dz_t = dz.transpose(0, 1, 3, 2)
+    # The gate gradients are computed gate-major in zh's memory, then copied
+    # into the row-major dz that the products read.  Until that copy, dz's
+    # memory holds the 1 - gates scratch.
+    dz_gates, dz_t = _gate_major(dz), dz.transpose(0, 1, 3, 2)
+    dzg, comp = zh.reshape((4,) + dh.shape), dz.reshape((4,) + dh.shape)[:3]
     for s in range(k, -1, -1):
         pair = slice(int(s == k), 1 + (s > 0))
-        d, d_h, d_c, t, t2 = dz[pair], dh[pair], dc[pair], tmp[pair], tmp2[pair]
-        gates, cand = sig[s, pair], g[s, pair]
+        d, d_h, d_c, t, t2 = dzg[:, pair], dh[pair], dc[pair], tmp[pair], tmp2[pair]
+        gates, cand, t_c = sig[s][:, pair], g[s, pair], tc[s, pair]
         # dh holds the carry from the tick after; add the gradient from above
         np.add(above[pair], d_h, out=d_h)
-        t_c = np.tanh(cs[s + 1, pair], out=tc[pair])
         # dc += dh * o * (1 - tanh(c)^2)
         np.multiply(t_c, t_c, out=t)
         np.subtract(1.0, t, out=t)
-        np.multiply(d_h, gates[..., 2 * h:], out=t2)
+        np.multiply(d_h, gates[2], out=t2)
         t2 *= t
         d_c += t2
-        np.multiply(d_c, cs[s, pair], out=d[..., :h])
-        np.multiply(d_c, cand, out=d[..., h:2 * h])
-        np.multiply(d_h, t_c, out=d[..., 2 * h:3 * h])
-        np.multiply(d_c, gates[..., h:2 * h], out=d[..., 3 * h:])
-        d[..., :3 * h] *= gates
-        d[..., :3 * h] *= np.subtract(1.0, gates, out=zh[pair, ..., :3 * h])
+        np.multiply(d_c, cs[s, pair], out=d[0])
+        np.multiply(d_c, cand, out=d[1])
+        np.multiply(d_h, t_c, out=d[2])
+        np.multiply(d_c, gates[1], out=d[3])
+        d[:3] *= gates
+        d[:3] *= np.subtract(1.0, gates, out=comp[:, pair])
         np.multiply(cand, cand, out=t)
-        d[..., 3 * h:] *= np.subtract(1.0, t, out=t)
+        d[3] *= np.subtract(1.0, t, out=t)
+        dz_gates[:, pair] = d
         if s < k:
-            g_wx1 += dz_t[0] @ xs[s]
+            s_wx1 += np.matmul(dz_t[0], xs[s], out=p_x)
         if s > 0:
-            g_wx2 += dz_t[1] @ hs[s, 0]
+            s_wx2 += np.matmul(dz_t[1], hs[s, 0], out=p_h[0])
             np.matmul(dz[1], w_x2, out=above[0])
-        g_wh[pair] += dz_t[pair] @ hs[s, pair]
-        g_b[pair] += d.sum(axis=2)
-        np.matmul(d, w_h[pair], out=d_h)
-        d_c *= gates[..., :h]
-    for view, total in zip(_pairs(grads), sums):
+        s_wh[pair] += np.matmul(dz_t[pair], hs[s, pair], out=p_h[pair])
+        s_b[pair] += dz[pair].sum(axis=2)
+        np.matmul(dz[pair], w_h[pair], out=d_h)
+        d_c *= gates[0]
+    grads[0][...], grads[3][...] = s_wx1, s_wx2
+    for view, total in zip(_pairs(grads), (s_wh, s_b)):
         view[...] = total
 
 
@@ -263,12 +292,12 @@ def forward_batch(windows, params) -> np.ndarray:
     n, k, d = x.shape
     wx1, _, _, wx2, _, _, head_w, head_b = blocks = _blocks(params[None], d)
     h = head_w.shape[1]
-    hs, cs, sig, g, *step = _carve(
-        (2, 2, 1, n, h), (2, 2, 1, n, h), (1, 2, 1, n, 3 * h), (1, 2, 1, n, h),
-        (2, 1, n, 4 * h), (2, 1, n, 4 * h), (2, 1, n, h))
+    hs, cs, sig, g, tc, *step = _carve(
+        (2, 2, 1, n, h), (2, 2, 1, n, h), (1, 3, 2, 1, n, h), (1, 2, 1, n, h),
+        (1, 2, 1, n, h), (2, 1, n, 4 * h), (2, 1, n, 4 * h))
     with np.errstate(over="ignore"):
         _forward(x.transpose(1, 0, 2)[:, None], wx1, wx2, _pairs(blocks),
-                 hs, cs, sig, g, step)
+                 hs, cs, sig, g, tc, step)
     return hs[(k + 1) % 2, 1, 0] @ head_w[0] + head_b[0]
 
 
@@ -295,15 +324,19 @@ def compute_gradients(windows, targets, params):
     n = rows // c
     wx1, _, _, wx2, _, _, head_w, head_b = blocks = _blocks(params, d)
     pairs, h = _pairs(blocks), head_w.shape[1]
-    slots, ticks, pair = (k + 2, 2, c, n, h), (k + 1, 2, c, n), (2, c, n)
-    xs, hs, cs, sig, g, g_wh, g_b, *step = _carve(
-        (k, c, n, d), slots, slots, ticks + (3 * h,), ticks + (h,),
-        (2, c, 4 * h, h), (2, c, 4 * h),
-        *[pair + (4 * h,)] * 2, *[pair + (h,)] * 6)
+    slots, ticks, pair = (k + 2, 2, c, n, h), (k + 1, 2, c, n, h), (2, c, n)
+    xs, hs, cs, sig, g, tc, *rest = _carve(
+        (k, c, n, d), slots, slots, (k + 1, 3, 2, c, n, h), ticks, ticks,
+        # sums of the wx1, wx2, wh-pair and bias-pair gradients, then the
+        # scratch of the input-width and hidden-width weight products
+        (c, 4 * h, d), (c, 4 * h, h), (2, c, 4 * h, h), (2, c, 4 * h),
+        (c, 4 * h, d), (2, c, 4 * h, h),
+        *[pair + (4 * h,)] * 2, *[pair + (h,)] * 5)
+    sums, step = rest[:6], rest[6:]
     xs[:] = x.reshape(c, n, k, d).transpose(2, 0, 1, 3)
     # Overflow shows up as a non-finite loss or gradient, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _forward(xs, wx1, wx2, pairs, hs, cs, sig, g, step)
+        _forward(xs, wx1, wx2, pairs, hs, cs, sig, g, tc, step)
         last = hs[k + 1, 1]
         pred = (last @ head_w[:, :, None])[:, :, 0] + head_b[:, None]
         resid = pred - y.reshape(c, n)
@@ -319,7 +352,7 @@ def compute_gradients(windows, targets, params):
         g_head_w[:] = (last.transpose(0, 2, 1) @ dpred[:, :, None])[:, :, 0]
         g_head_b[:] = dpred.sum(axis=1)
         # only the last step of layer 2 feeds the head
-        _backward(xs, wx2, pairs[0], g_blocks, (g_wh, g_b), hs, cs, sig, g,
+        _backward(xs, wx2, pairs[0], g_blocks, sums, hs, cs, sig, g, tc,
                   dpred[:, :, None] * head_w[:, None, :], step)
     finite = np.isfinite(grads)
     if not finite.all():

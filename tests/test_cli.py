@@ -29,6 +29,7 @@ from fedcast.cli import (
 from fedcast.data import write_cache
 from fedcast.errors import DataError, NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
+from fedcast.seeding import ROUND, TRAIN, key_int
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
                    "lft_epochs_cap": 1}
@@ -407,6 +408,71 @@ def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
         failure["completed"]
     assert not (run_dir / "results.json").exists()
     assert not (run_dir / "manifest.json").exists()
+
+
+def _fail_in_phase_3(monkeypatch, failures):
+    """Make every federated-round training of a client in `failures` fail
+    from a round on.
+
+    `failures` maps a household id to (first failing round, param_index).
+    A call with failing sessions raises what `fit_epochs` raises: the first
+    failing session's NumericalError, naming its row.  Module patches are
+    inherited by forked workers.
+    """
+    keys = {}
+    real_stream, real_fit = scenarios.stream, scenarios.fit_epochs
+
+    def stream(*key):
+        gen = real_stream(*key)
+        keys[id(gen)] = (gen, key)  # the generator kept alive keeps its id
+        return gen
+
+    def fit_epochs(sessions, *args, **kwargs):
+        for i, session in enumerate(sessions):
+            _, (_, *key) = keys[id(session.gen)]
+            for hid, (first, index) in failures.items():
+                if key[:3] == [TRAIN, key_int(hid), ROUND] and key[3] >= first:
+                    raise NumericalError(
+                        f"non-finite gradient at parameter index {index}",
+                        param_index=index, session=i)
+        return real_fit(sessions, *args, **kwargs)
+    monkeypatch.setattr(scenarios, "stream", stream)
+    monkeypatch.setattr(scenarios, "fit_epochs", fit_epochs)
+
+
+SINGLETONS = [
+    {"kind": "centralised"},
+    {"kind": "fl_hc", "hc_threshold": 1e-9, "hc_linkage": "ward", "hc_rounds": 1},
+    {"kind": "fl_hc_lft", "hc_threshold": 1e-9, "hc_linkage": "ward",
+     "hc_rounds": 1},
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("failures,expected", [
+    # cluster 2 fails in phase 3's first round and cluster 0 in its second:
+    # the clusters trained one after another raise cluster 0's error
+    ({"h002": (2, 9), "h000": (3, 5)}, ("h000", 3, 5)),
+    ({"h002": (2, 9)}, ("h002", 2, 9)),
+])
+def test_a_phase_3_failure_raises_the_serial_error(pipeline, tmp_path, monkeypatch,
+                                                   capsys, jobs, failures,
+                                                   expected):
+    # Each of the three households is its own cluster, and cluster c is
+    # household h00c.  Patience 2 lets every cluster reach round 3.
+    root, _ = pipeline
+    _fail_in_phase_3(monkeypatch, failures)
+    raw = base_config(scenarios=SINGLETONS, overrides=dict(
+        SMALL_OVERRIDES, patience=2, flhc_rounds_cap=4))
+    code, run_dir = run_into(root, tmp_path, raw, jobs=jobs)
+    assert code == 3
+    hid, round_index, index = expected
+    message = (f"round {round_index}: client {hid} failed: "
+               f"non-finite gradient at parameter index {index}")
+    assert message in capsys.readouterr().err
+    assert json.loads((run_dir / "failure.json").read_text()) == {
+        "error": message, "error_class": "NumericalError", "param_index": index,
+        "completed": ["centralised__k6-w"]}
 
 
 # --------------------------------------------------------- crash-safe outputs

@@ -7,8 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
+from fedcast.data.sequences import make_sequences
 from fedcast.errors import NumericalError, ValidationError
 from fedcast.nn import (
+    HIDDEN_SIZE,
     compute_gradients,
     forward_batch,
     init_model,
@@ -242,3 +244,31 @@ def test_the_wavefront_kernel_matches_the_oracle_over_a_nan_arena():
     compute_gradients(*oracle_case(12, 3, 32, 7, 20))  # the largest carve
     for case in ORACLE_GRID:
         assert_matches_oracle(*oracle_case(12, *case), poison=True)
+
+
+# (C, B) of the wider sweep: one model at the desk batch size, the stacks
+# the engine builds at B=128, 32 and 8, and uneven shapes
+WIDE_SHAPES = [(1, 256), (2, 128), (8, 32), (32, 8), (3, 7), (20, 1)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 20])
+def test_the_kernel_matches_the_oracle_at_the_production_width(d):
+    for k in (6, 12, 24):
+        for c, n in WIDE_SHAPES:
+            assert_matches_oracle(*oracle_case(k, c, n, d, HIDDEN_SIZE))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 20])
+def test_sliding_window_forwards_match_the_oracle(d):
+    # the overlapping read-only windows of `make_sequences`, as validation
+    # and test sets hold them
+    for k in (6, 12, 24):
+        for n in (1, 37, 420, 1024):
+            gen = np.random.default_rng([d, k, n])
+            seq = make_sequences(gen.normal(size=(n + k, d)), np.arange(n + k), k)
+            params = init_model(d, gen) * gen.choice([1.0, 4.0])
+            assert len(seq.windows) == n
+            assert forward_batch(seq.windows, params).tobytes() == \
+                layerwise_forward(seq.windows, params).tobytes()

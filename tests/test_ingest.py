@@ -143,6 +143,23 @@ def test_write_accepts_plain_dicts(tmp_path):
     assert back["hx"].kwh.tolist() == [0.25, 0.3]
 
 
+def test_ingested_readings_write_back_unchanged(tmp_path):
+    # ingest -> write -> ingest keeps every household's columns bit for bit,
+    # and the written file is the one the readings were ingested from
+    pop = generate_synthetic_households(3, seed=7, days=2)
+    source = tmp_path / "source.csv"
+    write_meter_csv(source, pop.households)
+    readings, _ = ingest_meter_csv(source)
+    path = tmp_path / "meters.csv"
+    write_meter_csv(path, readings)
+    back, skipped = ingest_meter_csv(path)
+    assert skipped == 0 and list(back) == list(readings)
+    for hid, columns in readings.items():
+        assert back[hid].minutes.tobytes() == columns.minutes.tobytes()
+        assert back[hid].kwh.tobytes() == columns.kwh.tobytes()
+    assert path.read_bytes() == source.read_bytes()
+
+
 def test_csv_writers_that_fail_midway_leave_no_partial_file(tmp_path):
     # float() refuses one value after some rows went out: the new file
     # must not appear, and an old file must survive unchanged
