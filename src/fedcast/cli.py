@@ -169,8 +169,7 @@ def _entry_datasets(cache_dir: str, k: int, with_weather: bool) -> list:
 
 
 def _run_group(cache_dir: str, group: list):
-    """Run one group of related entries in order, sharing one memo (and
-    the group's configs, see `run_scenario`).
+    """Run one group of related entries in order, sharing one memo.
 
     Returns (done, failure): (entry_id, report, models) for each entry that
     finished, and (entry_id, error) for the entry whose FedcastError ended
@@ -181,7 +180,7 @@ def _run_group(cache_dir: str, group: list):
     for cfg in group:
         datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
         try:
-            report, models = run_scenario(datasets, cfg, memo, group)
+            report, models = run_scenario(datasets, cfg, memo)
         except FedcastError as err:
             return done, (cfg.entry_id, err)
         done.append((cfg.entry_id, report, models))

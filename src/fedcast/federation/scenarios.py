@@ -14,23 +14,21 @@ Regimes, and the phases each composes:
                  early stopping)
     fl_hc        federated averaging, then clustering of client updates,
                  then independent federated training per cluster
-                 (`_warm_up`, `agglomerate`, `_train_clusters`)
+                 (`_warm_up`, `agglomerate`, `_cluster_federation` per cluster)
     fl_lft       fl followed by per-client fine-tuning of the global model
                  (`fine_tune`)
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
                  (`fine_tune`)
 
 Phases:
-    _federate            the one federated loop: FedAvg rounds of one or
-                         more independent runs in lockstep, every global
-                         model scored on its clients' validation sets; it
-                         serves fl, the warm-up and the phase-3 clusters
+    _federate            the one federated loop: a `fedavg_round` per round,
+                         every global model scored on the clients' validation
+                         sets; it serves fl, the warm-up and each cluster
     _train_clients       local_epochs of unvalidated training per client,
                          checked finite (each round, and the burst)
     _warm_up             fl_hc phases 1 and 2: `_federate` without early
                          stopping, then the burst and its update distances
-    _train_clusters      fl_hc phase 3 for every cluster an entry, or its
-                         group, still needs, in one `_federate`
+    _cluster_federation  fl_hc phase 3 for one cluster
     _train_locally       validated per-client training from given starts
                          (localised, and `fine_tune`)
 
@@ -40,39 +38,27 @@ All training goes through `training.fit_epochs`, which steps a list of
 independent sessions in lockstep: the households of a localised run, the
 clients of one federated round, the clustering burst, and the clients
 being fine-tuned each form one list; centralised training is one session.
-The phase-3 clusters of fl_hc entries train in lockstep too: one
-`fit_epochs` call per round serves the chosen clients of every cluster
-still running.  A failing cluster leaves the others running, and an entry
-raises the error of its lowest-id failing cluster, which is the error
-training its clusters one after another would raise.
 
 Entries of one sweep that train the same thing share a memo (a plain dict,
 one per group from `group_entries`): an fl or fl_hc run is trained once and
 reused as the base of the fine-tuning entries, and the fl_hc warm-up is
-trained once for every threshold and linkage.  Phase 3 is memoised per
-cluster, under everything it reads (`_cluster_key`): the warm-up, the
-member ids, the cluster id, `patience` and `flhc_rounds_cap`.  Thresholds
-or linkages giving the same partition, or sharing a cluster, train it
-once, and the first fl_hc entry of a group trains the clusters of every
-entry of the group (`run_scenario`'s `group`) in one lockstep, scoring
-each client on the phase-1 model once.  A cluster's failure is memoised
-too and raised by the entries that use it.  A hit returns exactly what a
+trained once for every threshold and linkage.  A hit returns exactly what a
 fresh run would, and its samples are still charged to every entry using it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ..clustering import agglomerate, pairwise_euclidean
 from ..data.sequences import SequenceSet
-from ..errors import FedcastError, NumericalError, ValidationError
+from ..errors import NumericalError, ValidationError
 from ..nn import init_model, release_arena
 from ..seeding import CLUSTERING, FINE_TUNE, INIT, ROUND, SELECT, TRAIN, key_int, stream
-from .config import _HC_KINDS, ScenarioConfig
+from .config import ScenarioConfig
 from .training import (
     EarlyStopper,
     Session,
@@ -274,52 +260,31 @@ def _localised(datasets, excluded, cfg: ScenarioConfig):
     return _finish(report, models, datasets), models
 
 
-def _ok(outcome):
-    """`outcome`, unless it is the error a phase recorded: then raise that."""
-    if isinstance(outcome, FedcastError):
-        raise outcome
-    return outcome
+def _train_clients(start: np.ndarray, clients, cfg: ScenarioConfig, where: str,
+                   *stream_tag) -> list:
+    """Train each (id, dataset) client for local_epochs from `start`.
 
-
-def _train_clients(teams, cfg: ScenarioConfig, where: str, *stream_tag) -> list:
-    """Train every team's clients for local_epochs from the team's start,
-    all teams in one lockstep.
-
-    `teams` is a list of (start, clients), with clients (id, dataset) pairs.
-    Returns, per team, one SessionResult per client, or the NumericalError
-    training that team alone would raise: a numerical failure, or a client
-    ending with non-finite parameters, named with `where` and the client.
-    A failing team leaves the others training.
+    Returns one SessionResult per client.  A numerical failure, or a client
+    ending with non-finite parameters, raises NumericalError naming `where`
+    and the client.
     """
-    outcomes = [None] * len(teams)
-    pending = list(range(len(teams)))
-    while True:
-        owners = [(t, hid) for t in pending for hid, _ in teams[t][1]]
-        try:
-            results = fit_epochs(
-                [Session(teams[t][0], ds.train.windows, ds.train.labels,
-                         stream(cfg.seed, TRAIN, key_int(hid), *stream_tag))
-                 for t in pending for hid, ds in teams[t][1]],
-                cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
-        except NumericalError as err:
-            # fit_epochs keeps no result once a session fails: the failing
-            # team has its error, and the others train again without it
-            t, hid = owners[err.session]
-            outcomes[t] = NumericalError(f"{where}: client {hid} failed: {err}",
-                                         param_index=err.param_index)
-            outcomes[t].__cause__ = err
-            pending.remove(t)
-            continue
-        for t in pending:
-            outcomes[t] = [r for (owner, _), r in zip(owners, results) if owner == t]
-            for (hid, _), result in zip(teams[t][1], outcomes[t]):
-                bad = np.flatnonzero(~np.isfinite(result.params))
-                if bad.size:
-                    outcomes[t] = NumericalError(
-                        f"{where}: client {hid} returned non-finite parameters "
-                        f"(index {bad[0]})", param_index=int(bad[0]))
-                    break
-        return outcomes
+    try:
+        results = fit_epochs(
+            [Session(start, ds.train.windows, ds.train.labels,
+                     stream(cfg.seed, TRAIN, key_int(hid), *stream_tag))
+             for hid, ds in clients],
+            cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
+    except NumericalError as err:
+        raise NumericalError(
+            f"{where}: client {clients[err.session][0]} failed: {err}",
+            param_index=err.param_index) from err
+    for (hid, _), result in zip(clients, results):
+        bad = np.flatnonzero(~np.isfinite(result.params))
+        if bad.size:
+            raise NumericalError(
+                f"{where}: client {hid} returned non-finite parameters "
+                f"(index {bad[0]})", param_index=int(bad[0]))
+    return results
 
 
 def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
@@ -334,98 +299,44 @@ def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
     """
     if not clients:
         raise ValidationError("a round needs at least one participant")
-    return _ok(_fedavg_rounds([(global_params, clients)], cfg, round_index)[0])
+    results = _train_clients(global_params, clients, cfg, f"round {round_index}",
+                             ROUND, round_index)
+    updates = [(ds.n_train, r.params) for (_, ds), r in zip(clients, results)]
+    stats = {hid: r.records[-1]["train_loss"] for (hid, _), r in zip(clients, results)}
+    return fedavg_aggregate(updates), stats, sum(r.samples for r in results)
 
 
-def _fedavg_rounds(teams, cfg: ScenarioConfig, round_index: int) -> list:
-    """`fedavg_round` of independent (start, clients) teams in one lockstep:
-    per team (new_params, stats, samples), or its error."""
-    outcomes = []
-    for (_, clients), results in zip(teams, _train_clients(
-            teams, cfg, f"round {round_index}", ROUND, round_index)):
-        if isinstance(results, FedcastError):
-            outcomes.append(results)
-            continue
-        updates = [(ds.n_train, r.params) for (_, ds), r in zip(clients, results)]
-        stats = {hid: r.records[-1]["train_loss"]
-                 for (hid, _), r in zip(clients, results)}
-        outcomes.append((fedavg_aggregate(updates), stats,
-                         sum(r.samples for r in results)))
-    return outcomes
+def _federate(start: np.ndarray, datasets, cfg: ScenarioConfig, rounds,
+              label: dict, select_key=(), patience: int | None = None):
+    """Federated averaging of `datasets` from `start` over the round numbers
+    `rounds`; returns (final params, stopper, round records).
 
-
-@dataclass
-class _Federation:
-    """One federated run, as `_federate` takes it and leaves it.
-
-    In: the start, the clients, the round numbers it may run, the label of
-    its records, the keys its SELECT streams add, its patience, and the
-    start's score when already known.  Out: the last global model, the
-    stopper holding the best one, the records, and the error that ended
-    the run, if one did.
+    Every global model, the start included, is scored by the uniform mean of
+    the clients' validation RMSEs and fed to the stopper, which keeps the
+    best snapshot.  Rounds stop early only when `patience` is given.
     """
+    by_id = {ds.household_id: ds for ds in datasets}
 
-    params: np.ndarray
-    datasets: list
-    rounds: range
-    label: dict
-    select_key: tuple = ()
-    patience: int | None = None
-    start_metric: float | None = None
-    stopper: EarlyStopper | None = None
-    records: list = field(default_factory=list)
-    error: FedcastError | None = None
+    def score(params):
+        return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
 
-
-def _score(params: np.ndarray, datasets) -> float:
-    """Uniform mean of the clients' validation RMSEs of one model."""
-    return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
-
-
-def _federate(runs, cfg: ScenarioConfig) -> None:
-    """Federated averaging of independent runs in lockstep: one `fit_epochs`
-    call per round number for the runs still going.
-
-    Every global model, the start included, is scored (`_score`) and fed to
-    the run's stopper, which keeps the best snapshot.  A run stops early
-    only when it has a patience, and ends at the first error it would raise
-    alone, which leaves the other runs going.
-    """
-    for run in runs:
-        run.stopper = EarlyStopper(run.patience)
-        metric = run.start_metric
-        run.stopper.update(_score(run.params, run.datasets) if metric is None
-                           else metric, run.params)
-    for r in range(min(run.rounds.start for run in runs),
-                   max(run.rounds.stop for run in runs)):
-        now = [run for run in runs if r in run.rounds and run.error is None
-               and not run.stopper.should_stop]
-        teams = []
-        for run in now:
-            by_id = {ds.household_id: ds for ds in run.datasets}
-            chosen = sample_clients(by_id, cfg.client_fraction,
-                                    stream(cfg.seed, SELECT, *run.select_key, r))
-            teams.append((run.params, [(hid, by_id[hid]) for hid in chosen]))
-        for run, (_, clients), outcome in zip(now, teams,
-                                              _fedavg_rounds(teams, cfg, r)):
-            try:
-                run.params, stats, samples = _ok(outcome)
-                metric = _score(run.params, run.datasets)
-                run.records.append({
-                    **run.label, "round": r,
-                    "participants": [hid for hid, _ in clients],
-                    "train_loss": stats, "avg_val_rmse": metric,
-                    "samples": samples})
-                run.stopper.update(metric, run.params)
-            except FedcastError as err:
-                run.error = err
-
-
-def _federate_alone(run: _Federation, cfg: ScenarioConfig) -> _Federation:
-    """`_federate` of one run, raising the error that ended it."""
-    _federate([run], cfg)
-    _ok(run.error)
-    return run
+    params = start
+    stopper = EarlyStopper(patience)
+    stopper.update(score(params), params)
+    records = []
+    for r in rounds:
+        chosen = sample_clients(by_id, cfg.client_fraction,
+                                stream(cfg.seed, SELECT, *select_key, r))
+        params, stats, samples = fedavg_round(
+            params, [(hid, by_id[hid]) for hid in chosen], cfg, r)
+        metric = score(params)
+        records.append({**label, "round": r, "participants": chosen,
+                        "train_loss": stats, "avg_val_rmse": metric,
+                        "samples": samples})
+        stopper.update(metric, params)
+        if stopper.should_stop:
+            break
+    return params, stopper, records
 
 
 def _fl(datasets, excluded, cfg: ScenarioConfig):
@@ -435,10 +346,9 @@ def _fl(datasets, excluded, cfg: ScenarioConfig):
     RMSE of all clients (see `_federate`).
     """
     report = _base_report(cfg, datasets, excluded)
-    run = _federate_alone(_Federation(
-        _init_flat(cfg, datasets[0].feature_dim), datasets,
-        range(1, cfg.fl_rounds_cap + 1), {}, patience=cfg.patience), cfg)
-    stopper, report["rounds"] = run.stopper, run.records
+    _, stopper, report["rounds"] = _federate(
+        _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
+        range(1, cfg.fl_rounds_cap + 1), {}, patience=cfg.patience)
     report["initial_val_rmse"] = stopper.initial_metric
     report["best_val_rmse"] = stopper.best_metric
     report["best_round"] = stopper.best_step
@@ -455,84 +365,44 @@ def _warm_up(datasets, cfg: ScenarioConfig):
     distances between the burst's parameter deltas.
     """
     # Phase 1: fixed-length federated warm-up (no early stopping).
-    run = _federate_alone(_Federation(
-        _init_flat(cfg, datasets[0].feature_dim), datasets,
-        range(1, cfg.hc_rounds + 1), {"phase": 1}), cfg)
-    params, records = run.params, run.records
+    params, stopper, records = _federate(
+        _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
+        range(1, cfg.hc_rounds + 1), {"phase": 1})
     # Phase 2: full participation burst; deltas against the shared model.
     clients = [(ds.household_id, ds) for ds in datasets]
-    results = _ok(_train_clients([(params, clients)], cfg, "clustering burst",
-                                 CLUSTERING)[0])
+    results = _train_clients(params, clients, cfg, "clustering burst", CLUSTERING)
     records.append({
         "phase": 2, "round": cfg.hc_rounds,
         "participants": [hid for hid, _ in clients], "train_loss": None,
         "avg_val_rmse": None, "samples": sum(r.samples for r in results)})
     distances = pairwise_euclidean([r.params - params for r in results])
-    return run.stopper.initial_metric, params, records, distances
+    return stopper.initial_metric, params, records, distances
 
 
-def _cluster_key(cfg: ScenarioConfig, members, cluster_id: int) -> tuple:
-    """Every input of one phase-3 cluster: the warm-up, the member ids, the
-    cluster id (a key of its SELECT stream), the patience and the cap."""
-    return ("fl_hc cluster", _warmup_key(cfg),
-            tuple(ds.household_id for ds in members), cluster_id,
-            cfg.patience, cfg.flhc_rounds_cap)
+def _cluster_federation(start: np.ndarray, datasets, cluster_id: int,
+                        cfg: ScenarioConfig):
+    """Phase 3 of fl_hc for one cluster: (best model, summary, records)."""
+    _, stopper, records = _federate(
+        start, datasets, cfg, range(cfg.hc_rounds + 1, cfg.flhc_rounds_cap + 1),
+        {"phase": 3, "cluster": cluster_id}, (cluster_id,), cfg.patience)
+    return stopper.best_params, {
+        "cluster": cluster_id,
+        "members": [ds.household_id for ds in datasets],
+        "best_val_rmse": stopper.best_metric,
+        "best_round": stopper.best_step,
+        "rounds_run": len(records),
+    }, records
 
 
-def _train_clusters(datasets, start: np.ndarray, distances, memo: dict,
-                    cfgs) -> None:
-    """Phase 3 of fl_hc for every cluster of `cfgs` missing from `memo`.
-
-    `cfgs` share one warm-up, whose phase-1 model is `start` and whose burst
-    gave `distances`.  The clusters train in lockstep (`_federate`), each
-    from `start` with its own stopper, and each client is scored on `start`
-    once.  A cluster's result goes into `memo` under its `_cluster_key`:
-    (best model, summary, records), or the error it would raise trained
-    alone.  A config whose clustering raises is skipped, for its own entry
-    to raise.
-    """
-    pending = {}
-    for cfg in cfgs:
-        try:
-            assignment = agglomerate(distances, cfg.hc_linkage, cfg.hc_threshold)
-        except FedcastError:
-            continue
-        for cluster_id, member_idx in enumerate(assignment.clusters()):
-            members = [datasets[i] for i in member_idx]
-            key = _cluster_key(cfg, members, cluster_id)
-            if key not in memo:
-                pending.setdefault(key, (cfg, cluster_id, members))
-    clients = {ds.household_id: ds for _, _, members in pending.values()
-               for ds in members}
-    start_rmse = {hid: evaluate_rmse(start, ds.val) for hid, ds in clients.items()}
-    runs = [_Federation(start, members,
-                        range(cfg.hc_rounds + 1, cfg.flhc_rounds_cap + 1),
-                        {"phase": 3, "cluster": cluster_id}, (cluster_id,),
-                        cfg.patience,
-                        _mean(start_rmse[ds.household_id] for ds in members))
-            for cfg, cluster_id, members in pending.values()]
-    _federate(runs, cfgs[0])
-    for key, run in zip(pending, runs):
-        memo[key] = run.error or (run.stopper.best_params, {
-            "cluster": run.label["cluster"],
-            "members": [ds.household_id for ds in run.datasets],
-            "best_val_rmse": run.stopper.best_metric,
-            "best_round": run.stopper.best_step,
-            "rounds_run": len(run.records),
-        }, run.records)
-
-
-def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict, group=()):
+def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     """Federated averaging, update clustering, then per-cluster federation.
 
     Phase 1 runs hc_rounds plain federated rounds.  Phase 2 has every client
     train local_epochs from the phase-1 model; the parameter deltas feed
     agglomerative clustering.  Phase 3 restarts from the phase-1 model inside
     each cluster and runs independent federated training, sharing the overall
-    round cap, with early stopping per cluster.  Phases 1 and 2, and each
-    cluster's phase 3, are taken from `memo` when an entry with the same
-    inputs already ran them; a miss trains the missing clusters of every
-    fl_hc entry of `group` with this warm-up alongside this entry's own.
+    round cap, with early stopping per cluster.  Phases 1 and 2 are taken
+    from `memo` when an entry with the same warm-up already ran them.
     """
     if len(datasets) < 2:
         raise ValidationError("clustering needs at least two clients")
@@ -545,17 +415,10 @@ def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict, group=()):
         ds.household_id: int(label) for ds, label in zip(datasets, assignment.labels)}
     report["merge_distances"] = [float(m.distance) for m in assignment.merges]
 
-    keys = [_cluster_key(cfg, [datasets[i] for i in member_idx], cluster_id)
-            for cluster_id, member_idx in enumerate(assignment.clusters())]
-    if any(key not in memo for key in keys):
-        _train_clusters(datasets, params, distances, memo, [cfg] + [
-            c for c in group if c.kind in _HC_KINDS
-            and _warmup_key(c) == _warmup_key(cfg)])
     models, clusters = {}, []
-    # in cluster order, so the error raised is the one serial training of
-    # the clusters would raise
-    for cluster_id, key in enumerate(keys):
-        models[f"cluster{cluster_id}"], info, records = copy.deepcopy(_ok(memo[key]))
+    for cluster_id, member_idx in enumerate(assignment.clusters()):
+        models[f"cluster{cluster_id}"], info, records = _cluster_federation(
+            params, [datasets[i] for i in member_idx], cluster_id, cfg)
         clusters.append(info)
         report["rounds"] += records
     report["clusters"] = clusters
@@ -610,12 +473,11 @@ def _base_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, kind=_BASE_KIND[cfg.kind])
 
 
-def _base_run(datasets, excluded, cfg: ScenarioConfig, memo: dict, group):
+def _base_run(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     """An fl or fl_hc entry's (report, models), trained once per memo."""
     if cfg.kind == "fl":
         return _memoised(memo, cfg, lambda: _fl(datasets, excluded, cfg))
-    return _memoised(memo, cfg,
-                     lambda: _fl_hc(datasets, excluded, cfg, memo, group))
+    return _memoised(memo, cfg, lambda: _fl_hc(datasets, excluded, cfg, memo))
 
 
 def group_entries(cfgs) -> list:
@@ -627,7 +489,7 @@ def group_entries(cfgs) -> list:
     """
     groups = {}
     for cfg in cfgs:
-        if cfg.kind in _HC_KINDS:
+        if cfg.kind in ("fl_hc", "fl_hc_lft"):
             key = _warmup_key(cfg)
         elif cfg.kind == "fl_lft":
             key = _base_config(cfg)
@@ -637,9 +499,9 @@ def group_entries(cfgs) -> list:
     return list(groups.values())
 
 
-def _run_lft(datasets, excluded, cfg: ScenarioConfig, memo: dict, group):
+def _run_lft(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     base_report, base_models = _base_run(datasets, excluded, _base_config(cfg),
-                                         memo, group)
+                                         memo)
     records, results = fine_tune(_model_of(base_report, base_models), datasets,
                                  cfg)
     report = _base_report(cfg, datasets, excluded)
@@ -653,14 +515,11 @@ def _run_lft(datasets, excluded, cfg: ScenarioConfig, memo: dict, group):
     return _finish(report, models, datasets), models
 
 
-def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None,
-                 group=()):
+def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     """Check the datasets, run the config's regime; returns (report, models).
 
     `memo` lets entries run on the same datasets share work (see the module
-    docstring); pass one dict for a whole group from `group_entries`, and
-    that group's configs as `group`, so that fl_hc phase 3 trains all the
-    group's clusters in one lockstep.
+    docstring); pass one dict for a whole group from `group_entries`.
     """
     memo = {} if memo is None else memo
     # The LSTM scratch arena is sized by this entry's largest call; free it
@@ -672,9 +531,9 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None,
         if cfg.kind == "localised":
             return _localised(datasets, excluded, cfg)
         if cfg.kind in ("fl", "fl_hc"):
-            return _base_run(datasets, excluded, cfg, memo, group)
+            return _base_run(datasets, excluded, cfg, memo)
         if cfg.kind in _BASE_KIND:
-            return _run_lft(datasets, excluded, cfg, memo, group)
+            return _run_lft(datasets, excluded, cfg, memo)
         raise ValidationError(f"unknown scenario {cfg.kind!r}")
     finally:
         release_arena()

@@ -420,30 +420,22 @@ def variants(tiny_population, tiny_prepared):
             (4, False): household_datasets(k4, 4, False)}
 
 
-def _trained_clients(variants, monkeypatch, cfg, memo, group=()):
-    """The clients of every client training (federated rounds and the
-    burst) run for cfg, in the order `fit_epochs` receives them.
+def _federated_fits(variants, monkeypatch, cfg, memo):
+    """Client trainings (federated rounds and the burst) run for cfg.
 
     Each is a session without a validation set; fine-tuning's sessions
     validate and are not counted.
     """
-    datasets = variants[cfg.k, cfg.with_weather]
     calls = []
     real = scenarios.fit_epochs
 
     def counted(sessions, *args, **kwargs):
-        calls.extend(ds.household_id for s in sessions if s.val is None
-                     for ds in datasets if s.windows is ds.train.windows)
+        calls.extend(1 for s in sessions if s.val is None)
         return real(sessions, *args, **kwargs)
     monkeypatch.setattr(scenarios, "fit_epochs", counted)
-    run_scenario(datasets, cfg, memo, group)
+    run_scenario(variants[cfg.k, cfg.with_weather], cfg, memo)
     monkeypatch.setattr(scenarios, "fit_epochs", real)
-    return calls
-
-
-def _federated_fits(variants, monkeypatch, cfg, memo, group=()):
-    """How many client trainings run for cfg (`_trained_clients`)."""
-    return len(_trained_clients(variants, monkeypatch, cfg, memo, group))
+    return len(calls)
 
 
 FL = small_config("fl", client_fraction=0.5, local_epochs=1)
@@ -464,10 +456,9 @@ def test_memo_hits_skip_shared_training(variants, monkeypatch):
     shared, alone = _after(variants, monkeypatch, FL_HC,
                            replace(FL_HC, kind="fl_hc_lft"))
     assert shared == 0 < alone
-    # another threshold or linkage reuses the warm-up, and reruns phase 3
-    # when it gives another partition (three clusters here against one)
+    # another threshold or linkage reuses the warm-up and reruns phase 3
     shared, alone = _after(variants, monkeypatch, FL_HC,
-                           replace(FL_HC, hc_threshold=0.05, hc_linkage="single"))
+                           replace(FL_HC, hc_threshold=1e9, hc_linkage="single"))
     assert 0 < shared < alone
 
 
@@ -538,8 +529,6 @@ def test_memo_hit_still_charges_its_base(tiny_datasets):
         rec["samples"] for rec in shared["rounds"])
 
 
-# ------------------------------------------------- the per-cluster phase-3 memo
-
 # Clustered entries sharing FL_HC's warm-up.  On the tiny population ward at
 # t=0.03 and single at 0.05 give one partition, {h000, h003} {h001} {h002};
 # ward at 0.1 gives {h000, h002, h003} {h001}, sharing cluster 1 with it;
@@ -563,42 +552,9 @@ def _as_bytes(report, models):
             {name: vec.tobytes() for name, vec in models.items()})
 
 
-@pytest.mark.parametrize("group", [HC_GROUP, ()])
-def test_each_clustered_entry_of_a_group_matches_it_run_alone(variants, group):
-    # with the group, the first entry trains every cluster of the group in
-    # one lockstep; without it, each entry trains the clusters it misses
+def test_each_clustered_entry_sharing_a_memo_matches_it_run_alone(variants):
     datasets = variants[FL_HC.k, FL_HC.with_weather]
     memo = {}
     for cfg in HC_GROUP:
-        assert _as_bytes(*run_scenario(datasets, cfg, memo, group)) == \
+        assert _as_bytes(*run_scenario(datasets, cfg, memo)) == \
             _as_bytes(*run_scenario(datasets, cfg))
-
-
-def test_one_partition_trains_phase_3_once(variants, monkeypatch):
-    first, second = HC_GROUP[:2]
-    datasets = variants[FL_HC.k, FL_HC.with_weather]
-    assert run_scenario(datasets, first)[0]["cluster_assignment"] == \
-        run_scenario(datasets, second)[0]["cluster_assignment"]
-    alone = _trained_clients(variants, monkeypatch, first, {})
-    memo = {}
-    grouped = [_trained_clients(variants, monkeypatch, cfg, memo, (first, second))
-               for cfg in (first, second)]
-    assert grouped == [alone, []]
-    # without the group, the second entry finds every cluster in the memo
-    memo = {}
-    run_scenario(datasets, first, memo)
-    assert _trained_clients(variants, monkeypatch, second, memo) == []
-
-
-def test_a_partition_differing_in_one_cluster_retrains_only_it(variants,
-                                                               monkeypatch):
-    first, second = HC_GROUP[0], HC_GROUP[2]
-    report, _ = run_scenario(variants[FL_HC.k, FL_HC.with_weather], second)
-    assert [c["members"] for c in report["clusters"]] == \
-        [["h000", "h002", "h003"], ["h001"]]
-    cluster_0 = [hid for rec in report["rounds"]
-                 if rec.get("phase") == 3 and rec["cluster"] == 0
-                 for hid in rec["participants"]]
-    memo = {}
-    run_scenario(variants[FL_HC.k, FL_HC.with_weather], first, memo)
-    assert _trained_clients(variants, monkeypatch, second, memo) == cluster_0
