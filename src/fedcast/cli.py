@@ -32,8 +32,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime
 from pathlib import Path
 
@@ -41,21 +39,11 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_write
-from .data import (
-    dataset_digest,
-    generate_synthetic_households,
-    household_datasets,
-    ingest_meter_csv,
-    ingest_weather_csv,
-    load_cache,
-    prepare_datasets,
-    write_cache,
-    write_meter_csv,
-    write_weather_csv,
-)
 from .errors import DataError, FedcastError, NumericalError, ValidationError
-from .federation import ScenarioConfig, group_entries, run_scenario
-from .reporting import emit_report, render_tables, build_comparison
+
+# Each command imports the layers it runs when it runs: `prepare` and
+# `synthesize` load only the data pipeline, and only `run --jobs N` with N > 1
+# loads the process pool.
 
 SEED_ENV = "FEDCAST_SEED"
 
@@ -86,6 +74,8 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     Scalar fields stand for singleton grids; list fields sweep.  The
     environment variable FEDCAST_SEED overrides the config seed.
     """
+    from .federation import ScenarioConfig
+
     known = {"data", "seed", "k", "weather", "scenarios", "overrides"}
     unknown = set(raw) - known
     if unknown:
@@ -113,7 +103,10 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     if bad:
         raise ValidationError(f"unknown override keys: {sorted(bad)}")
 
-    k_values = [int(k) for k in _aslist(raw.get("k", 12))]
+    # an integral float such as 12.0 stands for its integer; ScenarioConfig
+    # refuses any other value that is not an integer
+    k_values = [int(k) if isinstance(k, float) and k.is_integer() else k
+                for k in _aslist(raw.get("k", 12))]
     weather_values = _aslist(raw.get("weather", False))
     if not all(isinstance(w, bool) for w in weather_values):
         raise ValidationError("weather must be true, false, or a list of those")
@@ -159,6 +152,8 @@ _DATASET_CACHE: dict = {}
 
 
 def _entry_datasets(cache_dir: str, k: int, with_weather: bool) -> list:
+    from .data import household_datasets, load_cache
+
     key = (cache_dir, k, with_weather)
     if key not in _DATASET_CACHE:
         if cache_dir not in _PREP_CACHE:
@@ -175,6 +170,8 @@ def _run_group(cache_dir: str, group: list):
     finished, and (entry_id, error) for the entry whose FedcastError ended
     the group, or None.
     """
+    from .federation import run_scenario
+
     memo = {}
     done = []
     for cfg in group:
@@ -208,6 +205,9 @@ def _write_entry_outputs(out: Path, entry_id: str, report: dict,
 
 
 def cmd_prepare(args) -> int:
+    from .data import (dataset_digest, ingest_meter_csv, ingest_weather_csv,
+                       prepare_datasets, write_cache)
+
     try:
         ks = [int(part) for part in args.k.split(",") if part]
     except ValueError:
@@ -237,6 +237,9 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .data import (generate_synthetic_households, write_meter_csv,
+                       write_weather_csv)
+
     start = None
     if args.start:
         try:
@@ -259,6 +262,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .data import dataset_digest, load_cache
+    from .federation import group_entries
+    from .reporting import emit_report
+
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     config_path = Path(args.config)
     if not config_path.is_file():
         raise DataError(f"config file not found: {config_path}")
@@ -286,6 +295,9 @@ def cmd_run(args) -> int:
     groups = group_entries(entries)
     outcomes = []
     if args.jobs > 1:
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             submitted = [(group, pool.submit(_run_group, str(data_dir), group))
                          for group in sorted(groups, key=len, reverse=True)]
@@ -350,6 +362,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .reporting import build_comparison, emit_report, render_tables
+
     reports = []
     digests = {}
     seen = {}
@@ -432,7 +446,12 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as err:
+    except RuntimeError as err:
+        # BrokenProcessPool is a RuntimeError.  Only `run --jobs N` loads the
+        # pool, so without it loaded no error can be a dead worker's.
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(err, pool.BrokenProcessPool):
+            raise
         print(f"error: a worker process died: {err}", file=sys.stderr)
         return 4
 

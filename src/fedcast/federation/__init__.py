@@ -14,7 +14,6 @@ from .training import (
     Session,
     evaluate_rmse,
     fit_epochs,
-    predict,
     train_session,
 )
 from .scenarios import (
@@ -43,7 +42,6 @@ __all__ = [
     "fine_tune",
     "fit_epochs",
     "group_entries",
-    "predict",
     "recount_samples",
     "run_scenario",
     "sample_clients",

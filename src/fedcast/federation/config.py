@@ -9,6 +9,7 @@ epochs, so those two fields are validated rather than free.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 from ..clustering import LINKAGES as HC_LINKAGES
 from ..errors import ValidationError
@@ -22,6 +23,13 @@ HC_ROUNDS_GRID = (3, 5, 10)
 
 _HC_KINDS = ("fl_hc", "fl_hc_lft")
 _FL_KINDS = ("fl", "fl_lft") + _HC_KINDS
+
+# Fields that must hold an integer and fields that must hold a number; a bool
+# is neither.  An unset (None) clustering setting is checked by kind instead.
+_INTEGER_FIELDS = ("k", "seed", "local_epochs", "hc_rounds", "batch_size",
+                   "patience", "epochs_cap", "fl_rounds_cap", "flhc_rounds_cap",
+                   "lft_epochs_cap")
+_NUMBER_FIELDS = ("client_fraction", "hc_threshold", "learning_rate")
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,14 @@ class ScenarioConfig:
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(
                 f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
+        for names, kind, noun in ((_INTEGER_FIELDS, Integral, "an integer"),
+                                  (_NUMBER_FIELDS, Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name.startswith("hc_"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValidationError(f"{name} must be {noun}, got {value!r}")
         if self.k < 1:
             raise ValidationError("window length K must be >= 1")
         if self.seed < 0:
@@ -55,7 +71,7 @@ class ScenarioConfig:
             raise ValidationError("client_fraction must lie in (0, 1]")
         if self.local_epochs < 1:
             raise ValidationError("local_epochs must be >= 1")
-        if self.batch_size < 1 or self.learning_rate <= 0 or self.patience < 1:
+        if self.batch_size < 1 or not self.learning_rate > 0 or self.patience < 1:
             raise ValidationError("bad optimizer settings")
         for cap in (self.epochs_cap, self.fl_rounds_cap, self.flhc_rounds_cap,
                     self.lft_epochs_cap):

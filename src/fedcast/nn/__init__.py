@@ -2,7 +2,6 @@
 
 from .adam import AdamState, adam_step
 from .lstm import (
-    GATE_ORDER,
     HIDDEN_SIZE,
     compute_gradients,
     forward_batch,
@@ -13,7 +12,6 @@ from .lstm import (
 
 __all__ = [
     "AdamState",
-    "GATE_ORDER",
     "HIDDEN_SIZE",
     "adam_step",
     "compute_gradients",

@@ -82,8 +82,6 @@ from ..errors import NumericalError, ValidationError
 # `hidden` arguments below; the CLI does not expose it.
 HIDDEN_SIZE = 20
 
-GATE_ORDER = ("forget", "input", "output", "cell")
-
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)

@@ -113,12 +113,37 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(overrides={"optimizer": "sgd"}),
     lambda raw: raw.update(weather="yes"),
     lambda raw: raw.update(seed=-1),
+    # values of the wrong type
+    lambda raw: raw.update(k="x"),
+    lambda raw: raw.update(k=12.5),
+    lambda raw: raw.update(k=True),
+    lambda raw: raw.update(overrides={"batch_size": "32"}),
+    lambda raw: raw.update(overrides={"batch_size": 32.5}),
+    lambda raw: raw.update(overrides={"epochs_cap": 1.5}),
+    lambda raw: raw.update(overrides={"patience": True}),
+    lambda raw: raw.update(overrides={"learning_rate": "0.01"}),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl", "client_fraction": "0.5", "local_epochs": 1}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl", "client_fraction": 0.5, "local_epochs": 1.5}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": "1.4", "hc_linkage": "ward",
+         "hc_rounds": 2}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward",
+         "hc_rounds": 2.0}]),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()
     mangle(raw)
     with pytest.raises(ValidationError):
         resolve_config(raw)
+
+
+def test_an_integral_float_k_stands_for_its_integer():
+    _, entries = resolve_config(base_config(k=12.0))
+    assert {cfg.k for cfg in entries} == {12}
+    assert all(type(cfg.k) is int for cfg in entries)
 
 
 def test_run_identity_depends_on_all_parts():
@@ -394,7 +419,9 @@ def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
     root, _ = pipeline
     monkeypatch.setenv("FEDCAST_TEST_MARKER", str(tmp_path / "fl-group-done"))
     monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _MarkingPool)
+    # `cmd_run` imports the pool from its module when --jobs is above 1
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
+                        _MarkingPool)
     code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
     assert code == 4
     assert "error: a worker process died" in capsys.readouterr().err
@@ -549,6 +576,21 @@ def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,jobs,message", [
+    (base_config(overrides={"batch_size": "32"}), 1, "batch_size"),
+    (base_config(), 0, "--jobs"),
+])
+def test_a_mistyped_config_or_jobs_is_a_usage_error(tmp_path, capsys, raw,
+                                                    jobs, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path),
+                 "--jobs", str(jobs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_bad_synthesize_arguments_fail_cleanly(tmp_path, capsys):
     assert main(["synthesize", "--n", "0", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
@@ -573,15 +615,48 @@ def test_report_refuses_non_run_directories(tmp_path, capsys):
     assert "not a run directory" in capsys.readouterr().err
 
 
-def test_console_script_is_wired_up():
-    # the subprocess imports the same fedcast as the tests, installed or not
+def _subprocess_env() -> dict:
+    """Environment in which a subprocess imports the same fedcast as the
+    tests, installed or not."""
     src = str(Path(fedcast.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_is_wired_up():
     proc = subprocess.run([sys.executable, "-m", "fedcast.cli", "--version"],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+UNUSED_BY_PREPARE = ("fedcast.federation", "fedcast.nn", "fedcast.clustering",
+                     "fedcast.reporting", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("command,unused", [
+    ("prepare", UNUSED_BY_PREPARE),
+    ("run", ("concurrent.futures.process",)),
+])
+def test_a_command_loads_only_the_layers_it_runs(pipeline, tmp_path, command,
+                                                 unused):
+    root, _ = pipeline
+    if command == "prepare":
+        argv = ["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                "--weather", str(root / "synth" / "weather.csv"),
+                "--out", str(tmp_path / "cache"), "--k", "6"]
+    else:
+        argv = ["run", "--config", str(root / "config.json"),
+                "--out", str(tmp_path), "--jobs", "1"]
+    code = ("import json, sys; from fedcast.cli import main; "
+            "code = main(sys.argv[2:]); "
+            "print(json.dumps([m for m in sys.argv[1].split(',') "
+            "if m in sys.modules])); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, ",".join(unused), *argv],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_every_benchmark_trace_target_resolves():
@@ -594,3 +669,36 @@ def test_every_benchmark_trace_target_resolves():
         [sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_traced_layer_records_spans(pipeline, tmp_path):
+    # The CLI looks a layer's functions up when a command calls them, so a
+    # span is recorded only if the traced name is the one the command reads.
+    root, _ = pipeline
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(data="cache", scenarios=[
+        {"kind": "fl_lft", "client_fraction": 0.5, "local_epochs": 1},
+        {"kind": "fl_hc", "hc_threshold": 1e-9, "hc_linkage": "ward",
+         "hc_rounds": 1},
+    ])))
+    commands = {
+        "prepare": ["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                    "--out", str(tmp_path / "cache"), "--k", "6",
+                    "--weather-variant", "without"],
+        "run": ["run", "--config", str(config), "--out", str(tmp_path / "runs"),
+                "--jobs", "1"],
+    }
+    names = set()
+    for name, argv in commands.items():
+        spans = tmp_path / f"spans_{name}.json"
+        proc = subprocess.run(
+            [sys.executable, str(tracer), str(spans), *argv],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
+    expected = {"data.ingest_meter_csv", "data.write_cache", "data.load_cache",
+                "federation.run_scenario", "federation.fedavg_round",
+                "federation.fit_epochs", "clustering.agglomerate",
+                "reporting.emit_report"}
+    assert expected <= names, sorted(expected - names)
