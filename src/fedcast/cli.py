@@ -47,9 +47,8 @@ from .errors import DataError, FedcastError, NumericalError, ValidationError
 
 SEED_ENV = "FEDCAST_SEED"
 
-# Config keys that expand into sweep grids when given as lists.
-_GRID_KEYS = ("client_fraction", "local_epochs", "hc_threshold", "hc_linkage",
-              "hc_rounds")
+# Config keys per scenario kind; each expands into a sweep grid when given
+# as a list.
 _SCENARIO_KEYS = {
     "centralised": (),
     "localised": (),

@@ -65,10 +65,6 @@ class ClusterAssignment:
     labels: tuple
     merges: tuple
 
-    @property
-    def n_clusters(self) -> int:
-        return len(set(self.labels))
-
     def clusters(self) -> list:
         """Member indices per cluster id, each list ascending."""
         groups: dict[int, list] = {}

@@ -1,11 +1,10 @@
 """Data pipeline: readings -> hourly series -> feature windows -> datasets."""
 
-from .cleaning import HourlySeries, MeterReadings, RawReading, clean_readings
+from .cleaning import HourlySeries, MeterReadings, clean_readings
 from .features import (
     BASE_COLUMNS,
     WEATHER_COLUMNS,
     DesignMatrix,
-    WeatherRecord,
     WeatherTable,
     build_design_matrix,
 )
@@ -19,7 +18,6 @@ from .sequences import (
 )
 from .synthetic import (
     ARCHETYPES,
-    SyntheticHousehold,
     SyntheticPopulation,
     generate_synthetic_households,
 )
@@ -49,12 +47,9 @@ __all__ = [
     "NormalizationParams",
     "PreparedData",
     "PreparedHousehold",
-    "RawReading",
     "SequenceSet",
-    "SyntheticHousehold",
     "SyntheticPopulation",
     "WEATHER_COLUMNS",
-    "WeatherRecord",
     "WeatherTable",
     "build_design_matrix",
     "build_household_dataset",

@@ -65,13 +65,14 @@ class PreparedData:
         }
 
 
-def prepare_datasets(readings_by_household: dict, weather_records,
+def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
                      k_values, with_weather: bool) -> PreparedData:
     """Clean and featurise every household and fit shared normalizers.
 
-    Produces the plain-feature variant always, plus the weather variant when
-    `with_weather` is set (weather records are then required and must cover
-    every metered hour).
+    `readings_by_household` maps household ids to `MeterReadings`.  Produces
+    the plain-feature variant always, plus the weather variant when
+    `with_weather` is set (`weather` is then required and must cover every
+    metered hour).
     """
     k_values = tuple(sorted(set(int(k) for k in k_values)))
     if not k_values or any(k < 1 for k in k_values):
@@ -79,12 +80,8 @@ def prepare_datasets(readings_by_household: dict, weather_records,
     if not readings_by_household:
         raise DataError("no households in the input")
     variants = (VARIANT_BASE, VARIANT_WEATHER) if with_weather else (VARIANT_BASE,)
-    weather = None
-    if with_weather:
-        if not weather_records:
-            raise DataError("weather variant requested but no weather data given")
-        weather = (weather_records if isinstance(weather_records, WeatherTable)
-                   else WeatherTable.from_records(weather_records))
+    if with_weather and not weather:
+        raise DataError("weather variant requested but no weather data given")
 
     max_k = max(k_values)
     households = {}

@@ -7,11 +7,11 @@ reading's value, and sums the readings inside each fully covered hour into
 one hourly total.  Feeding the hourly output back in is a no-op: the grid
 step is inferred from the data, and an hourly series resamples to itself.
 
-A household's readings travel as `MeterReadings`, two columns (epoch
-minutes and kWh) rather than one object per reading, and every step runs
-on whole arrays: a sort for the duplicates, a count of each gap for the
-step, a running maximum of source indices for the forward fill, and a
-bincount for the hourly sums.
+A household's readings are one `MeterReadings`, two columns (epoch
+minutes and kWh), which is the form both the CSV ingest and the synthetic
+generator produce.  Every step runs on whole arrays: a sort for the
+duplicates, a count of each gap for the step, a running maximum of source
+indices for the forward fill, and a bincount for the hourly sums.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ _SUPPORTED_STEPS_MIN = (30, 60)
 
 
 @dataclass(frozen=True)
-class RawReading:
-    """One interval energy total, timestamped at the interval start (UTC)."""
-
-    timestamp: datetime
-    energy_kwh: float
-
-
-@dataclass(frozen=True)
 class MeterReadings:
     """One household's interval readings as columns, in input order."""
 
@@ -47,13 +39,6 @@ class MeterReadings:
 
     def __len__(self) -> int:
         return len(self.minutes)
-
-    @classmethod
-    def from_records(cls, records) -> "MeterReadings":
-        records = list(records)
-        return cls(
-            np.array([epoch_minutes(r.timestamp) for r in records], dtype=np.int64),
-            np.array([float(r.energy_kwh) for r in records], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -76,19 +61,16 @@ def epoch_minutes(ts: datetime) -> int:
     return int(ts.timestamp() // 60)
 
 
-def clean_readings(readings, household_id: str | None = None,
+def clean_readings(readings: MeterReadings, household_id: str | None = None,
                    window: tuple[datetime, datetime] | None = None) -> HourlySeries:
-    """Turn interval readings into a gap-free hourly series.
+    """Turn one household's interval readings into a gap-free hourly series.
 
-    `readings` is a `MeterReadings` or an iterable of `RawReading`.
     `window`, when given, is the required (start, end) coverage; a first
     reading after the window start is a leading gap and is rejected, because
     there is nothing to forward-fill from.  A window start that falls on a
     missing slot is filled from the last reading before it.
     """
     who = household_id or "<unknown household>"
-    if not isinstance(readings, MeterReadings):
-        readings = MeterReadings.from_records(readings)
     if len(readings) == 0:
         raise DataError(f"{who}: no readings")
 

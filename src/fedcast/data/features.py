@@ -24,23 +24,8 @@ BASE_COLUMNS = ("energy_kwh", "year", "week_of_year", "day_of_week", "hour_of_da
 WEATHER_COLUMNS = BASE_COLUMNS + ("air_temp_c", "rel_humidity_pct")
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
-    """Hourly weather observation (UTC)."""
-
-    timestamp: datetime
-    air_temp_c: float
-    rel_humidity_pct: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.air_temp_c) and np.isfinite(self.rel_humidity_pct)):
-            raise ValidationError("weather values must be finite")
-        if not 0.0 <= self.rel_humidity_pct <= 100.0:
-            raise ValidationError("relative humidity must lie in [0, 100]")
-
-
 class WeatherTable:
-    """Hour-indexed weather lookup."""
+    """Hourly weather observations as columns, one row per unix hour."""
 
     def __init__(self, hours: np.ndarray, air_temp_c: np.ndarray,
                  rel_humidity_pct: np.ndarray):
@@ -51,20 +36,6 @@ class WeatherTable:
             raise ValidationError("weather columns must have equal length")
         if len(self.hours) and np.any(np.diff(self.hours) <= 0):
             raise ValidationError("weather hours must be strictly increasing")
-
-    @classmethod
-    def from_records(cls, records) -> "WeatherTable":
-        recs = sorted(records, key=lambda r: r.timestamp)
-        hours, temps, hums = [], [], []
-        for r in recs:
-            ts = r.timestamp if r.timestamp.tzinfo else r.timestamp.replace(tzinfo=timezone.utc)
-            hour = int(ts.timestamp() // 3600)
-            if hours and hour == hours[-1]:
-                continue  # duplicate hour, keep the first
-            hours.append(hour)
-            temps.append(r.air_temp_c)
-            hums.append(r.rel_humidity_pct)
-        return cls(np.asarray(hours, dtype=np.int64), np.asarray(temps), np.asarray(hums))
 
     def __len__(self) -> int:
         return len(self.hours)

@@ -8,10 +8,10 @@ Timestamps are ISO-8601; naive values are taken as UTC.  Malformed data rows
 are skipped and counted rather than aborting the ingest, but a wrong header
 is a hard error because it means the file is not the expected format at all.
 
-Meter files are read into columns: each household's readings come back as
-one `MeterReadings` (epoch minutes and kWh arrays), not one object per row,
-and the row checks run as array masks.  Weather files are small (one row
-per hour) and stay a list of `WeatherRecord`.
+Both files are read into columns, and the row checks run as array masks:
+each household's readings come back as one `MeterReadings` (epoch minutes
+and kWh arrays), and the weather as one `WeatherTable` (unix hours,
+temperature and humidity arrays).  The writers take the same types back.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from ..atomic import atomic_write
 from ..errors import DataError
 from .cleaning import MeterReadings, epoch_minutes
-from .features import WeatherRecord
+from .features import WeatherTable
 
 METER_HEADER = ["household_id", "timestamp", "kwh"]
 WEATHER_HEADER = ["timestamp", "air_temp_c", "rel_humidity_pct"]
@@ -120,65 +120,70 @@ def ingest_meter_csv(path) -> tuple[dict, int]:
     return by_household, n_rows - len(codes)
 
 
-def ingest_weather_csv(path) -> tuple[list, int]:
-    """Weather records in file order plus the count of skipped rows."""
+def _seconds_or_nan(text: str) -> float:
+    try:
+        return _parse_ts(text).timestamp()
+    except (ValueError, OverflowError):
+        return math.nan  # fails the finiteness check like a NaN value
+
+
+def ingest_weather_csv(path) -> tuple[WeatherTable, int]:
+    """Hourly weather plus the count of skipped rows.
+
+    A row is skipped when it has other than three fields, an unparseable
+    timestamp, a temperature or humidity that is not a finite number, or a
+    humidity outside [0, 100].  The kept rows are sorted by timestamp,
+    stably so equal stamps keep file order, and each hour keeps its
+    earliest observation.
+    """
     path = Path(path)
-    records = []
-    skipped = 0
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return [], 0
-        _check_header(header, WEATHER_HEADER, path)
-        for row in reader:
-            try:
-                if len(row) != 3:
-                    raise ValueError
-                rec = WeatherRecord(_parse_ts(row[0]), float(row[1]), float(row[2]))
-            except Exception:
-                skipped += 1
-                continue
-            records.append(rec)
-    return records, skipped
+        if header is not None:
+            _check_header(header, WEATHER_HEADER, path)
+        rows = list(reader)
+    fields = [row for row in rows if len(row) == 3]
+    n = len(fields)
+    seconds = np.fromiter((_seconds_or_nan(row[0]) for row in fields),
+                          dtype=np.float64, count=n)
+    temps = np.fromiter((_float_or_nan(row[1]) for row in fields),
+                        dtype=np.float64, count=n)
+    hums = np.fromiter((_float_or_nan(row[2]) for row in fields),
+                       dtype=np.float64, count=n)
+    kept = np.flatnonzero(np.isfinite(seconds) & np.isfinite(temps)
+                          & np.isfinite(hums) & (hums >= 0.0) & (hums <= 100.0))
+    order = kept[np.argsort(seconds[kept], kind="stable")]
+    # unique() keeps the first of each hour in timestamp order: the earliest
+    hours, first = np.unique((seconds[order] // 3600).astype(np.int64),
+                             return_index=True)
+    pick = order[first]
+    return WeatherTable(hours, temps[pick], hums[pick]), len(rows) - len(kept)
 
 
-def _format_ts(ts: datetime) -> str:
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts.isoformat()
+def _meter_rows(household_id: str, readings: MeterReadings):
+    """CSV rows of one household's readings."""
+    stamps = np.datetime_as_string(readings.minutes.astype("datetime64[m]"),
+                                   unit="s")
+    return zip(itertools.repeat(household_id), stamps,
+               map(repr, readings.kwh.tolist()))
 
 
-def _meter_rows(household_id: str, readings):
-    """CSV rows of one household's MeterReadings or RawReading records."""
-    if isinstance(readings, MeterReadings):
-        stamps = np.datetime_as_string(readings.minutes.astype("datetime64[m]"),
-                                       unit="s")
-        return zip(itertools.repeat(household_id), stamps,
-                   map(repr, readings.kwh.tolist()))
-    return ([household_id, _format_ts(r.timestamp), repr(float(r.energy_kwh))]
-            for r in readings)
-
-
-def write_meter_csv(path, households) -> None:
-    """Dump {household_id: MeterReadings or [RawReading]}, as `ingest_meter_csv`
-    returns or the record path builds, or SyntheticHousehold rows to CSV."""
+def write_meter_csv(path, households: dict) -> None:
+    """Dump {household_id: MeterReadings}, as `ingest_meter_csv` returns or
+    the synthetic generator builds, to CSV in the mapping's order."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METER_HEADER)
-        if isinstance(households, dict):
-            items = sorted(households.items())
-        else:
-            items = [(h.household_id, h.readings) for h in households]
-        for household_id, readings in items:
+        for household_id, readings in households.items():
             writer.writerows(_meter_rows(household_id, readings))
 
 
-def write_weather_csv(path, records) -> None:
-    """Dump WeatherRecord rows to CSV."""
+def write_weather_csv(path, weather: WeatherTable) -> None:
+    """Dump a WeatherTable to CSV, one row per hour."""
+    stamps = np.datetime_as_string(weather.hours.astype("datetime64[h]"), unit="s")
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
-        for r in records:
-            writer.writerow([_format_ts(r.timestamp), repr(float(r.air_temp_c)),
-                             repr(float(r.rel_humidity_pct))])
+        writer.writerows(zip(stamps, map(repr, weather.air_temp_c.tolist()),
+                             map(repr, weather.rel_humidity_pct.tolist())))

@@ -39,12 +39,6 @@ class NormalizationParams:
         return out
 
     @property
-    def degenerate(self) -> tuple:
-        """Names of constant columns, which normalize to 0.0."""
-        return tuple(c for c, lo, hi in zip(self.columns, self.mins, self.maxs)
-                     if lo == hi)
-
-    @property
     def energy_range(self) -> float:
         """max - min of the energy column; multiplies normalised errors back to kWh."""
         return float(self.maxs[0] - self.mins[0])

@@ -9,7 +9,12 @@ the true archetype of every household is known for evaluating clustering.
 The generator emits half-hourly readings (each hour's energy split evenly
 across its two slots) so the full cleaning path is exercised, plus matching
 hourly weather: a smooth seasonal/diurnal temperature curve with mild noise
-and anti-correlated humidity.
+and anti-correlated humidity.  Both come out in the pipeline's columnar
+form, one `MeterReadings` per household and one `WeatherTable`.
+
+The start must fall on a whole UTC hour, because weather is indexed by
+unix hour.  Profiles and the weather curve read the hour of day, weekday
+and day of year in the start's own UTC offset.
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
 from ..errors import ValidationError
 from ..seeding import SYNTH, WEATHER, stream
-from .cleaning import RawReading
-from .features import WeatherRecord
+from .cleaning import MeterReadings
+from .features import WeatherTable
 
 # name, 24-hour base profile (kWh per hour), day-of-week modulation (Mon..Sun).
 # Peak hours are pairwise distinct (18, 21, 12) so update clustering and
@@ -52,44 +59,37 @@ ARCHETYPES: tuple = (
 
 
 @dataclass(frozen=True)
-class SyntheticHousehold:
-    household_id: str
-    archetype: int
-    readings: list
-
-
-@dataclass(frozen=True)
 class SyntheticPopulation:
-    households: list
-    weather: list
+    households: dict          # household_id -> MeterReadings, in id order
+    archetype_of: dict        # household_id -> archetype index
+    weather: WeatherTable
     archetype_names: tuple
 
-    @property
-    def archetype_of(self) -> dict:
-        return {h.household_id: h.archetype for h in self.households}
 
-
-def _weather_for(hours: int, start: datetime, seed: int) -> list:
-    gen = stream(seed, WEATHER)
-    jitter = gen.normal(0.0, 0.4, size=hours)
-    records = []
-    for i in range(hours):
-        ts = start + timedelta(hours=i)
+def _weather_for(stamps: list, first_hour: int, seed: int) -> WeatherTable:
+    # per-hour math, not numpy's sin/cos, whose results may differ by host
+    jitter = stream(seed, WEATHER).normal(0.0, 0.4, size=len(stamps))
+    temps = np.empty(len(stamps))
+    for i, ts in enumerate(stamps):
         day_of_year = ts.timetuple().tm_yday
-        temp = (8.0
-                - 7.0 * math.cos(2.0 * math.pi * (day_of_year - 20) / 365.0)
-                + 4.0 * math.sin(2.0 * math.pi * (ts.hour - 9) / 24.0)
-                + float(jitter[i]))
-        humidity = min(98.0, max(25.0, 75.0 - 1.2 * (temp - 8.0)))
-        records.append(WeatherRecord(ts, temp, humidity))
-    return records
+        temps[i] = (8.0
+                    - 7.0 * math.cos(2.0 * math.pi * (day_of_year - 20) / 365.0)
+                    + 4.0 * math.sin(2.0 * math.pi * (ts.hour - 9) / 24.0)
+                    + float(jitter[i]))
+    humidity = np.minimum(98.0, np.maximum(25.0, 75.0 - 1.2 * (temps - 8.0)))
+    hours = np.arange(first_hour, first_hour + len(stamps), dtype=np.int64)
+    return WeatherTable(hours, temps, humidity)
 
 
 def generate_synthetic_households(n: int, archetypes: int = 3, noise: float = 0.05,
                                   seed: int = 0, days: int = 90,
                                   start: datetime | None = None) -> SyntheticPopulation:
     """Population of n households drawn round-robin from the first `archetypes`
-    built-in profiles, with multiplicative noise of the given relative size."""
+    built-in profiles, with multiplicative noise of the given relative size.
+
+    `start` defaults to 2013-01-01 UTC; a naive start is taken as UTC, and a
+    start that is not on a whole UTC hour is refused.
+    """
     if n < 1:
         raise ValidationError("need at least one household")
     if not 1 <= archetypes <= len(ARCHETYPES):
@@ -102,26 +102,31 @@ def generate_synthetic_households(n: int, archetypes: int = 3, noise: float = 0.
         start = datetime(2013, 1, 1, tzinfo=timezone.utc)
     elif start.tzinfo is None:
         start = start.replace(tzinfo=timezone.utc)
+    since_epoch = start - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    if since_epoch % timedelta(hours=1):
+        raise ValidationError(f"start {start.isoformat()} is not on a whole UTC hour")
+    first_hour = since_epoch // timedelta(hours=1)
 
-    hours = days * 24
-    households = []
+    stamps = [start + timedelta(hours=t) for t in range(days * 24)]
+    hour_of_day = np.array([ts.hour for ts in stamps])
+    weekday = np.array([ts.weekday() for ts in stamps])
+    # two half-hour slots per hour, each carrying half the hour's energy
+    minutes = 60 * first_hour + 30 * np.arange(2 * len(stamps), dtype=np.int64)
+    minutes.flags.writeable = False  # one column shared by every household
+    households, archetype_of = {}, {}
     for i in range(n):
         household_id = f"h{i:03d}"
         arch_index = i % archetypes
         profile = ARCHETYPES[arch_index]
         gen = stream(seed, SYNTH, household_id)
         scale = 1.0 + float(gen.uniform(-noise, noise)) if noise else 1.0
-        eps = gen.uniform(-noise, noise, size=hours) if noise else None
-        readings = []
-        for t in range(hours):
-            ts = start + timedelta(hours=t)
-            base = profile["base24"][ts.hour] * profile["week7"][ts.weekday()] * scale
-            value = base * (1.0 + float(eps[t])) if noise else base
-            half = value / 2.0
-            readings.append(RawReading(ts, half))
-            readings.append(RawReading(ts + timedelta(minutes=30), half))
-        households.append(SyntheticHousehold(household_id, arch_index, readings))
+        value = (np.array(profile["base24"])[hour_of_day]
+                 * np.array(profile["week7"])[weekday] * scale)
+        if noise:
+            value = value * (1.0 + gen.uniform(-noise, noise, size=len(stamps)))
+        households[household_id] = MeterReadings(minutes, np.repeat(value / 2.0, 2))
+        archetype_of[household_id] = arch_index
 
-    weather = _weather_for(hours, start, seed)
     names = tuple(a["name"] for a in ARCHETYPES[:archetypes])
-    return SyntheticPopulation(households, weather, names)
+    return SyntheticPopulation(households, archetype_of,
+                               _weather_for(stamps, first_hour, seed), names)

@@ -58,3 +58,8 @@ def agglomerate_bruteforce(vectors, linkage: str, threshold: float) -> tuple:
         merged = clusters[a] | clusters[b]
         clusters = [c for k, c in enumerate(clusters) if k not in (a, b)] + [merged]
     return _labels_from_members(clusters)
+
+
+def n_clusters(assignment) -> int:
+    """Number of distinct clusters in a ClusterAssignment."""
+    return len(set(assignment.labels))

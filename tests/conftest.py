@@ -21,8 +21,7 @@ def tiny_population():
 
 @pytest.fixture(scope="session")
 def tiny_prepared(tiny_population):
-    readings = {h.household_id: h.readings for h in tiny_population.households}
-    return prepare_datasets(readings, tiny_population.weather, [6], with_weather=True)
+    return prepare_datasets(tiny_population.households, tiny_population.weather, [6], with_weather=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,37 @@
 """Record-at-a-time views of the data pipeline's arrays, for tests.
 
-The package keeps hourly series, design matrices and windows as arrays and
-never reads them one record at a time.  The tests do, to check a single
-row, window or reading by name; these helpers do that reading.
+The package keeps readings, hourly series, design matrices and windows as
+arrays and never reads them one record at a time.  The tests do, to check a
+single row, window or reading by name, and to write readings as records;
+these helpers do that reading and convert records to the package's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
-from fedcast.data import WEATHER_COLUMNS
-from fedcast.data.cleaning import RawReading
+from fedcast.data import WEATHER_COLUMNS, MeterReadings
+from fedcast.data.cleaning import epoch_minutes
 from fedcast.errors import ValidationError
+
+
+class Reading(NamedTuple):
+    """One interval energy total, timestamped at the interval start."""
+
+    timestamp: datetime
+    energy_kwh: float
+
+
+def to_columns(readings) -> MeterReadings:
+    """Reading records as the package's columnar MeterReadings, in order."""
+    readings = list(readings)
+    return MeterReadings(
+        np.array([epoch_minutes(r.timestamp) for r in readings], dtype=np.int64),
+        np.array([float(r.energy_kwh) for r in readings], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -55,15 +72,11 @@ def design_row(matrix, i: int) -> FeatureVector:
                          float(vals[3]), float(vals[4]), **extra)
 
 
-def series_to_readings(series) -> list:
+def series_to_readings(series) -> MeterReadings:
     """An hourly series as interval readings, to feed back into cleaning."""
     if len(series) == 0:
         raise ValidationError("empty hourly series")
-    out = []
-    for hour, value in zip(series.hours, series.values):
-        ts = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-        out.append(RawReading(ts, float(value)))
-    return out
+    return MeterReadings(series.hours * 60, series.values.copy())
 
 
 def denormalize_column(values, params, column: str):
@@ -73,3 +86,9 @@ def denormalize_column(values, params, column: str):
     i = params.columns.index(column)
     span = params.maxs[i] - params.mins[i]
     return np.asarray(values, dtype=np.float64) * span + params.mins[i]
+
+
+def degenerate(params) -> tuple:
+    """Names of a NormalizationParams' constant columns, which normalize to 0.0."""
+    return tuple(c for c, lo, hi in zip(params.columns, params.mins, params.maxs)
+                 if lo == hi)

@@ -20,7 +20,7 @@ from fedcast.data import generate_synthetic_households, household_datasets, prep
 from fedcast.federation import ScenarioConfig, fedavg_aggregate, recount_samples, run_scenario
 from fedcast.nn import compute_gradients, forward_batch, init_model
 from fedcast.reporting import pct_difference, savings_factor
-from clustering_oracle import agglomerate_bruteforce
+from clustering_oracle import agglomerate_bruteforce, n_clusters
 
 DESK_SEED = 11
 
@@ -120,10 +120,10 @@ def test_criterion_3_clustering_matches_bruteforce_oracle():
         if seed % 40 == 0:
             off_diag = distances[np.triu_indices(n, k=1)]
             for linkage in linkages:
-                assert agglomerate(distances, linkage, float("inf")).n_clusters == 1
+                assert n_clusters(agglomerate(distances, linkage, float("inf"))) == 1
                 tiny = float(off_diag.min()) * 0.5
                 if tiny > 0:
-                    assert agglomerate(distances, linkage, tiny).n_clusters == n
+                    assert n_clusters(agglomerate(distances, linkage, tiny)) == n
     _line("3", True, "200 instances x 4 linkages exact; threshold extremes hold")
 
 
@@ -149,8 +149,7 @@ def test_criterion_5_pipeline_counts_on_180_days():
     windows per split, with strictly ordered time indexes."""
     pop = generate_synthetic_households(3, archetypes=3, noise=0.05,
                                         seed=5, days=180)
-    readings = {h.household_id: h.readings for h in pop.households}
-    prep = prepare_datasets(readings, None, [6, 12, 24], with_weather=False)
+    prep = prepare_datasets(pop.households, None, [6, 12, 24], with_weather=False)
     for hid in prep.household_ids:
         house = prep.households[hid]
         assert house.n_rows == 4320
@@ -176,8 +175,7 @@ def test_criterion_5_pipeline_counts_on_180_days():
 def desk_runs():
     pop = generate_synthetic_households(20, archetypes=3, noise=0.05,
                                         seed=DESK_SEED, days=90)
-    readings = {h.household_id: h.readings for h in pop.households}
-    prep = prepare_datasets(readings, pop.weather, [12], with_weather=False)
+    prep = prepare_datasets(pop.households, pop.weather, [12], with_weather=False)
     datasets = household_datasets(prep, 12, False)
     started = time.time()
     fl_cfg = ScenarioConfig(kind="fl", k=12, with_weather=False,

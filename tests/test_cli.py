@@ -597,6 +597,10 @@ def test_bad_synthesize_arguments_fail_cleanly(tmp_path, capsys):
     assert main(["synthesize", "--n", "2", "--start", "someday",
                  "--out", str(tmp_path)]) == 2
     assert "--start" in capsys.readouterr().err
+    assert main(["synthesize", "--n", "2", "--start", "2013-01-01T00:30",
+                 "--out", str(tmp_path)]) == 2
+    assert "whole UTC hour" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_prepare_without_inputs_fails_cleanly(tmp_path, capsys):
@@ -630,13 +634,15 @@ def test_console_script_is_wired_up():
     assert proc.stdout.strip()
 
 
-UNUSED_BY_PREPARE = ("fedcast.federation", "fedcast.nn", "fedcast.clustering",
-                     "fedcast.reporting", "concurrent.futures.process")
+UNUSED_BY_DATA_COMMANDS = ("fedcast.federation", "fedcast.nn",
+                           "fedcast.clustering", "fedcast.reporting",
+                           "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("command,unused", [
-    ("prepare", UNUSED_BY_PREPARE),
+    ("prepare", UNUSED_BY_DATA_COMMANDS),
     ("run", ("concurrent.futures.process",)),
+    ("synthesize", UNUSED_BY_DATA_COMMANDS),
 ])
 def test_a_command_loads_only_the_layers_it_runs(pipeline, tmp_path, command,
                                                  unused):
@@ -645,6 +651,8 @@ def test_a_command_loads_only_the_layers_it_runs(pipeline, tmp_path, command,
         argv = ["prepare", "--meters", str(root / "synth" / "meters.csv"),
                 "--weather", str(root / "synth" / "weather.csv"),
                 "--out", str(tmp_path / "cache"), "--k", "6"]
+    elif command == "synthesize":
+        argv = ["synthesize", "--n", "3", "--days", "2", "--out", str(tmp_path)]
     else:
         argv = ["run", "--config", str(root / "config.json"),
                 "--out", str(tmp_path), "--jobs", "1"]

@@ -7,13 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import data_oracle
-from fedcast.data import (
-    HourlySeries,
-    RawReading,
-    WeatherTable,
-    build_design_matrix,
-    clean_readings,
-)
+from data_helpers import Reading, to_columns
+from fedcast.data import HourlySeries, WeatherTable, build_design_matrix, clean_readings
 from fedcast.errors import DataError
 
 
@@ -52,15 +47,15 @@ def meter_inputs(draw):
     interior[[0, -1]] = False
     slots = slots[~interior]
     values = rng.gamma(2.0, 0.2, size=len(slots)).round(draw(st.sampled_from([3, 17])))
-    readings = [RawReading(start + timedelta(minutes=step * int(s)), float(v))
+    readings = [Reading(start + timedelta(minutes=step * int(s)), float(v))
                 for s, v in zip(slots, values)]
     for i in rng.integers(0, len(readings), size=draw(st.integers(0, 5))):
         readings.insert(int(rng.integers(0, len(readings) + 1)),
-                        RawReading(readings[i].timestamp, float(rng.random())))
+                        Reading(readings[i].timestamp, float(rng.random())))
     if draw(st.integers(0, 9)) == 0:  # one bad value: the first one is named
         i = int(rng.integers(0, len(readings)))
-        readings[i] = RawReading(readings[i].timestamp,
-                                 draw(st.sampled_from([-0.5, np.nan, np.inf])))
+        readings[i] = Reading(readings[i].timestamp,
+                              draw(st.sampled_from([-0.5, np.nan, np.inf])))
     if draw(st.booleans()):
         readings = [readings[i] for i in rng.permutation(len(readings))]
 
@@ -84,8 +79,8 @@ def meter_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(meter_inputs())
 @example((  # a leap year's end: day 365 of 2016 folds into week 51
-    [RawReading(datetime(2016, 12, 29, tzinfo=timezone.utc) + timedelta(minutes=30 * i),
-                0.1 + i / 1000) for i in range(400)],
+    [Reading(datetime(2016, 12, 29, tzinfo=timezone.utc) + timedelta(minutes=30 * i),
+             0.1 + i / 1000) for i in range(400)],
     None,
     WeatherTable(np.arange(unix_hour(2016, 12, 28), unix_hour(2017, 1, 9)),
                  np.linspace(-3.0, 9.0, 288), np.full(288, 80.0))))
@@ -94,7 +89,7 @@ def test_cleaning_and_features_match_the_oracle(case):
     expected = prepared(data_oracle.clean_readings, data_oracle.build_design_matrix,
                         readings, window, weather)
     assert prepared(clean_readings, build_design_matrix,
-                    readings, window, weather) == expected
+                    to_columns(readings), window, weather) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,6 @@
 """Calendar decomposition and weather joins."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from fedcast.data import (
     BASE_COLUMNS,
     WEATHER_COLUMNS,
-    WeatherRecord,
+    MeterReadings,
     WeatherTable,
     build_design_matrix,
     clean_readings,
 )
 from data_helpers import design_row
-from data_oracle import calendar_fields, lookup
-from fedcast.data.cleaning import RawReading
-from fedcast.errors import DataError, ValidationError
+from data_oracle import calendar_fields
+from fedcast.data.cleaning import epoch_minutes
+from fedcast.errors import DataError
 
 
 def unix_hour(*args):
@@ -56,17 +56,13 @@ def test_calendar_fields_agree_with_datetime(hour):
 
 
 def hourly_series(n_hours, start=datetime(2013, 1, 1, tzinfo=timezone.utc)):
-    readings = [RawReading(start + timedelta(minutes=30 * i), 0.25)
-                for i in range(2 * n_hours)]
-    return clean_readings(readings, "h0")
+    minutes = epoch_minutes(start) + 30 * np.arange(2 * n_hours)
+    return clean_readings(MeterReadings(minutes, np.full(2 * n_hours, 0.25)), "h0")
 
 
 def weather_covering(series):
-    records = []
-    for hour in series.hours:
-        ts = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-        records.append(WeatherRecord(ts, 10.0 + (hour % 5), 60.0))
-    return WeatherTable.from_records(records)
+    hours = series.hours
+    return WeatherTable(hours, 10.0 + (hours % 5), np.full(len(hours), 60.0))
 
 
 def test_base_matrix_layout():
@@ -91,26 +87,8 @@ def test_weather_join_on_exact_hour():
 
 def test_missing_weather_hour_names_the_timestamp():
     series = hourly_series(10)
-    records = [WeatherRecord(
-        datetime.fromtimestamp(int(h) * 3600, tz=timezone.utc), 10.0, 60.0)
-        for h in series.hours[:-1]]  # drop the final hour
+    hours = series.hours[:-1]  # drop the final hour
+    weather = WeatherTable(hours, np.full(len(hours), 10.0), np.full(len(hours), 60.0))
     with pytest.raises(DataError, match="2013-01-01T09:00"):
-        build_design_matrix(series, WeatherTable.from_records(records))
+        build_design_matrix(series, weather)
 
-
-def test_weather_duplicate_hours_keep_the_first():
-    ts = datetime(2013, 1, 1, tzinfo=timezone.utc)
-    table = WeatherTable.from_records([
-        WeatherRecord(ts, 5.0, 50.0),
-        WeatherRecord(ts, 99.0, 10.0),
-    ])
-    assert len(table) == 1
-    assert lookup(table, int(ts.timestamp() // 3600)) == (5.0, 50.0)
-
-
-def test_weather_record_validation():
-    ts = datetime(2013, 1, 1, tzinfo=timezone.utc)
-    with pytest.raises(ValidationError):
-        WeatherRecord(ts, 5.0, 101.0)
-    with pytest.raises(ValidationError):
-        WeatherRecord(ts, float("nan"), 50.0)

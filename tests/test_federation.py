@@ -413,8 +413,7 @@ def test_duplicated_training_data_matches_single_client(tiny_datasets):
 @pytest.fixture(scope="module")
 def variants(tiny_population, tiny_prepared):
     """Client datasets per (K, weather) variant of the tiny population."""
-    readings = {h.household_id: h.readings for h in tiny_population.households}
-    k4 = prepare_datasets(readings, None, [4], with_weather=False)
+    k4 = prepare_datasets(tiny_population.households, None, [4], with_weather=False)
     return {(6, False): household_datasets(tiny_prepared, 6, False),
             (6, True): household_datasets(tiny_prepared, 6, True),
             (4, False): household_datasets(k4, 4, False)}

@@ -1,13 +1,14 @@
 """CSV wire-format round trips and malformed-row handling."""
 
+import csv
 from datetime import datetime, timezone
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fedcast.data.ingest as ingest
 from fedcast.data import (
+    MeterReadings,
     generate_synthetic_households,
     ingest_meter_csv,
     ingest_weather_csv,
@@ -24,23 +25,23 @@ def test_meter_round_trip(tmp_path):
     readings, skipped = ingest_meter_csv(path)
     assert skipped == 0
     assert sorted(readings) == ["h000", "h001"]
-    original = pop.households[0].readings
+    original = pop.households["h000"]
     parsed = readings["h000"]
     assert len(parsed) == len(original)
     assert parsed.minutes.dtype == np.int64 and parsed.kwh.dtype == np.float64
-    # whole-minute stamps, equal to the second; repr() keeps float64 exactly
-    assert (parsed.minutes * 60).tolist() == [r.timestamp.timestamp() for r in original]
-    assert parsed.kwh.tobytes() == np.array([r.energy_kwh for r in original]).tobytes()
+    # whole-minute stamps, equal to the minute; repr() keeps float64 exactly
+    assert parsed.minutes.tolist() == original.minutes.tolist()
+    assert parsed.kwh.tobytes() == original.kwh.tobytes()
 
 
 def test_weather_round_trip(tmp_path):
     pop = generate_synthetic_households(1, seed=4, days=1)
     path = tmp_path / "weather.csv"
     write_weather_csv(path, pop.weather)
-    records, skipped = ingest_weather_csv(path)
+    table, skipped = ingest_weather_csv(path)
     assert skipped == 0
-    assert len(records) == len(pop.weather)
-    assert records[5].air_temp_c == pop.weather[5].air_temp_c
+    assert len(table) == len(pop.weather)
+    assert table.air_temp_c[5] == pop.weather.air_temp_c[5]
 
 
 def test_malformed_meter_rows_are_skipped_and_counted(tmp_path):
@@ -112,9 +113,48 @@ def test_malformed_weather_rows_are_skipped(tmp_path):
         "2013-01-01T00:00:00,5.0,60\n"
         "2013-01-01T01:00:00,5.0,140\n"  # humidity out of range
         "2013-01-01T02:00:00,oops,60\n")
-    records, skipped = ingest_weather_csv(path)
+    table, skipped = ingest_weather_csv(path)
     assert skipped == 2
-    assert len(records) == 1
+    assert len(table) == 1
+
+
+T0_HOUR = int(datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 3600)
+
+
+def test_weather_values_out_of_range_are_skipped_and_counted(tmp_path):
+    path = tmp_path / "weather.csv"
+    path.write_text(
+        "timestamp,air_temp_c,rel_humidity_pct\n"
+        "2013-01-01T00:00:00,5.0,60\n"
+        "2013-01-01T01:00:00,nan,60\n"     # NaN temperature
+        "2013-01-01T02:00:00,inf,60\n"     # infinite temperature
+        "2013-01-01T03:00:00,-inf,60\n"
+        "2013-01-01T04:00:00,5.0,nan\n"    # NaN humidity
+        "2013-01-01T05:00:00,5.0,-0.5\n"   # humidity below 0
+        "2013-01-01T06:00:00,5.0,100.5\n"  # humidity above 100
+        "2013-01-01T07:00:00,-5.0,0\n"     # humidity at either bound: kept
+        "2013-01-01T08:00:00,5.0,100\n")
+    table, skipped = ingest_weather_csv(path)
+    assert skipped == 6
+    assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 7, T0_HOUR + 8]
+    assert table.air_temp_c.tolist() == [5.0, -5.0, 5.0]
+    assert table.rel_humidity_pct.tolist() == [60.0, 0.0, 100.0]
+
+
+def test_a_duplicate_weather_hour_keeps_its_earliest_observation(tmp_path):
+    path = tmp_path / "weather.csv"
+    path.write_text(
+        "timestamp,air_temp_c,rel_humidity_pct\n"
+        "2013-01-01T01:30:00,3.0,50\n"
+        "2013-01-01T00:00:00,5.0,50\n"
+        "2013-01-01T00:00:00,99.0,10\n"         # same stamp, later in the file
+        "2013-01-01T01:10:00,4.0,50\n"          # earliest of hour 1
+        "2013-01-01T01:45:00+01:00,7.0,50\n")   # 00:45 UTC, later in hour 0
+    table, skipped = ingest_weather_csv(path)
+    assert skipped == 0
+    assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 1]
+    assert table.air_temp_c.tolist() == [5.0, 4.0]
+    assert table.rel_humidity_pct.tolist() == [50.0, 50.0]
 
 
 def test_wrong_header_is_a_hard_error(tmp_path):
@@ -132,15 +172,24 @@ def test_empty_file_gives_empty_result(tmp_path):
 
 
 def test_write_accepts_plain_dicts(tmp_path):
-    from fedcast.data import RawReading
-    readings = {"hx": [RawReading(datetime(2013, 1, 1), 0.25),
-                       RawReading(datetime(2013, 1, 1, 0, 30), 0.3)]}
+    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+    readings = {"hx": MeterReadings(np.array([t0, t0 + 30], dtype=np.int64),
+                                    np.array([0.25, 0.3]))}
     path = tmp_path / "meters.csv"
     write_meter_csv(path, readings)
     back, _ = ingest_meter_csv(path)
-    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
     assert back["hx"].minutes.tolist() == [t0, t0 + 30]
     assert back["hx"].kwh.tolist() == [0.25, 0.3]
+
+
+def test_meter_rows_follow_the_mapping_order(tmp_path):
+    # h999 before h1000, as generated; sorting the ids would swap them
+    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+    column = MeterReadings(np.array([t0], dtype=np.int64), np.array([0.5]))
+    path = tmp_path / "meters.csv"
+    write_meter_csv(path, {"h999": column, "h1000": column, "h0": column})
+    back, _ = ingest_meter_csv(path)
+    assert list(back) == ["h999", "h1000", "h0"]
 
 
 def test_ingested_readings_write_back_unchanged(tmp_path):
@@ -160,18 +209,30 @@ def test_ingested_readings_write_back_unchanged(tmp_path):
     assert path.read_bytes() == source.read_bytes()
 
 
-def test_csv_writers_that_fail_midway_leave_no_partial_file(tmp_path):
-    # float() refuses one value after some rows went out: the new file
+def test_csv_writers_that_fail_midway_leave_no_partial_file(tmp_path, monkeypatch):
+    # the writer refuses its tenth row after nine went out: the new file
     # must not appear, and an old file must survive unchanged
-    from fedcast.data import RawReading
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh, **kwargs):
+            self.writer = real_writer(fh, **kwargs)
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 10:
+                raise ValueError("injected failure")
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(ingest.csv, "writer", FailingWriter)
     pop = generate_synthetic_households(2, seed=4, days=1)
-    readings = {h.household_id: list(h.readings) for h in pop.households}
-    readings["h001"][3] = RawReading(readings["h001"][3].timestamp, "n/a")
-    weather = list(pop.weather)
-    weather[5] = SimpleNamespace(timestamp=weather[5].timestamp,
-                                 air_temp_c="n/a", rel_humidity_pct=50.0)
-    for name, write, rows in (("meters.csv", write_meter_csv, readings),
-                              ("weather.csv", write_weather_csv, weather)):
+    for name, write, rows in (("meters.csv", write_meter_csv, pop.households),
+                              ("weather.csv", write_weather_csv, pop.weather)):
         path = tmp_path / name
         with pytest.raises(ValueError):
             write(path, rows)

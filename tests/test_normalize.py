@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from data_helpers import denormalize_column
+from data_helpers import degenerate, denormalize_column
 from fedcast.data import DesignMatrix, NormalizationParams, fit_normalizer, normalize
 from fedcast.errors import ValidationError
 
@@ -46,7 +46,7 @@ def test_heldout_values_may_leave_unit_range():
 def test_degenerate_column_maps_to_zero():
     m = matrix([[1.0, 0.0, 5.0], [2.0, 1.0, 5.0]])
     params = fit_normalizer([m], [2])
-    assert params.degenerate == ("b",)
+    assert degenerate(params) == ("b",)
     assert np.all(normalize(m, params).values[:, 2] == 0.0)
 
 

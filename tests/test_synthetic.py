@@ -1,6 +1,6 @@
 """Synthetic population generator: reproducibility and archetype structure."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -12,24 +12,24 @@ from fedcast.errors import ValidationError
 def test_same_seed_reproduces_every_reading():
     a = generate_synthetic_households(3, noise=0.05, seed=5, days=2)
     b = generate_synthetic_households(3, noise=0.05, seed=5, days=2)
-    for ha, hb in zip(a.households, b.households):
-        assert ha.household_id == hb.household_id
-        assert ha.archetype == hb.archetype
-        assert all(ra.timestamp == rb.timestamp and ra.energy_kwh == rb.energy_kwh
-                   for ra, rb in zip(ha.readings, hb.readings))
-    assert all(wa.air_temp_c == wb.air_temp_c for wa, wb in zip(a.weather, b.weather))
+    assert list(a.households) == list(b.households)
+    assert a.archetype_of == b.archetype_of
+    for hid, ra in a.households.items():
+        rb = b.households[hid]
+        assert np.array_equal(ra.minutes, rb.minutes)
+        assert np.array_equal(ra.kwh, rb.kwh)
+    assert np.array_equal(a.weather.air_temp_c, b.weather.air_temp_c)
 
 
 def test_different_seed_changes_readings():
     a = generate_synthetic_households(1, noise=0.05, seed=5, days=1)
     b = generate_synthetic_households(1, noise=0.05, seed=6, days=1)
-    assert any(ra.energy_kwh != rb.energy_kwh
-               for ra, rb in zip(a.households[0].readings, b.households[0].readings))
+    assert np.any(a.households["h000"].kwh != b.households["h000"].kwh)
 
 
 def test_round_robin_archetype_assignment():
     pop = generate_synthetic_households(7, archetypes=3, seed=0, days=1)
-    assert [h.archetype for h in pop.households] == [0, 1, 2, 0, 1, 2, 0]
+    assert list(pop.archetype_of.values()) == [0, 1, 2, 0, 1, 2, 0]
     assert pop.archetype_of["h003"] == 0
     assert pop.archetype_names == ("commuter", "night_owl", "homebody")
 
@@ -39,17 +39,15 @@ def test_zero_noise_reproduces_the_profile_exactly():
     profile = ARCHETYPES[0]
     start = datetime(2013, 1, 1, tzinfo=timezone.utc)  # a Tuesday
     dow = start.weekday()
-    for h in pop.households:
+    for readings in pop.households.values():
         for t in range(24):
             expected = profile["base24"][t] * profile["week7"][dow]
-            slot_a = h.readings[2 * t]
-            slot_b = h.readings[2 * t + 1]
-            assert slot_a.energy_kwh == pytest.approx(expected / 2, abs=1e-15)
-            assert slot_b.energy_kwh == slot_a.energy_kwh
+            slot_a = readings.kwh[2 * t]
+            slot_b = readings.kwh[2 * t + 1]
+            assert slot_a == pytest.approx(expected / 2, abs=1e-15)
+            assert slot_b == slot_a
     # with no noise, both households are identical
-    r0 = pop.households[0].readings
-    r1 = pop.households[1].readings
-    assert all(a.energy_kwh == b.energy_kwh for a, b in zip(r0, r1))
+    assert np.array_equal(pop.households["h000"].kwh, pop.households["h001"].kwh)
 
 
 def test_archetype_peak_hours_survive_cleaning_and_noise():
@@ -60,22 +58,22 @@ def test_archetype_peak_hours_survive_cleaning_and_noise():
     peaks = {i: int(np.argmax(a["base24"])) for i, a in enumerate(ARCHETYPES)}
     assert sorted(peaks.values()) == [12, 18, 21]  # pairwise distinct
     hits = 0
-    for h in pop.households:
-        series = clean_readings(h.readings, h.household_id)
+    for hid, readings in pop.households.items():
+        series = clean_readings(readings, hid)
         by_hour = np.zeros(24)
         for hour, value in zip(series.hours, series.values):
             by_hour[hour % 24] += value
-        if int(np.argmax(by_hour)) == peaks[h.archetype]:
+        if int(np.argmax(by_hour)) == peaks[pop.archetype_of[hid]]:
             hits += 1
     assert hits >= 0.95 * len(pop.households)
 
 
 def test_weather_covers_every_metered_hour():
     pop = generate_synthetic_households(1, seed=3, days=2)
-    series = clean_readings(pop.households[0].readings, "h000")
-    weather_hours = {int(w.timestamp.timestamp() // 3600) for w in pop.weather}
+    series = clean_readings(pop.households["h000"], "h000")
+    weather_hours = set(pop.weather.hours.tolist())
     assert set(int(h) for h in series.hours) <= weather_hours
-    assert all(0.0 <= w.rel_humidity_pct <= 100.0 for w in pop.weather)
+    assert all(0.0 <= h <= 100.0 for h in pop.weather.rel_humidity_pct)
 
 
 def test_parameter_validation():
@@ -89,3 +87,32 @@ def test_parameter_validation():
         generate_synthetic_households(2, noise=1.5)
     with pytest.raises(ValidationError):
         generate_synthetic_households(2, days=0)
+
+
+@pytest.mark.parametrize("start", [
+    datetime(2013, 1, 1, 0, 30),
+    datetime(2013, 1, 1, 0, 0, 1),
+    datetime(2013, 1, 1, 0, 0, 0, 1),
+    datetime(2013, 1, 1, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+])
+def test_a_start_off_the_whole_utc_hour_is_refused(start):
+    # weather is indexed by unix hour, so it cannot carry such a start
+    with pytest.raises(ValidationError, match="whole UTC hour"):
+        generate_synthetic_households(1, start=start, days=1)
+
+
+def test_a_fixed_offset_start_reads_profiles_in_local_time():
+    # 00:00 on Friday 2013-01-04 at UTC+1 is 23:00 on Thursday in UTC: the
+    # profile is looked up at the local hour and weekday, the readings and
+    # weather are stamped in UTC
+    start = datetime(2013, 1, 4, tzinfo=timezone(timedelta(hours=1)))
+    pop = generate_synthetic_households(1, archetypes=1, noise=0.0, seed=9,
+                                        days=1, start=start)
+    profile = ARCHETYPES[0]
+    readings = pop.households["h000"]
+    first_minute = int(start.timestamp() // 60)
+    assert readings.minutes[0] == first_minute
+    assert pop.weather.hours[0] == first_minute // 60
+    for t in range(24):
+        expected = profile["base24"][t] * profile["week7"][4]  # Friday
+        assert readings.kwh[2 * t] == pytest.approx(expected / 2, abs=1e-15)
