@@ -75,6 +75,8 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     """
     from .federation import ScenarioConfig
 
+    if not isinstance(raw, dict):
+        raise ValidationError("the config must be a JSON object")
     known = {"data", "seed", "k", "weather", "scenarios", "overrides"}
     unknown = set(raw) - known
     if unknown:
@@ -98,6 +100,8 @@ def resolve_config(raw: dict) -> tuple[int, list]:
         raise ValidationError("seed must be a non-negative integer")
 
     overrides = raw.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ValidationError("'overrides' must be a JSON object")
     bad = set(overrides) - set(_OVERRIDE_KEYS)
     if bad:
         raise ValidationError(f"unknown override keys: {sorted(bad)}")
@@ -112,10 +116,12 @@ def resolve_config(raw: dict) -> tuple[int, list]:
 
     entries = []
     for section in raw["scenarios"]:
+        if not isinstance(section, dict):
+            raise ValidationError("every scenario section must be a JSON object")
         if "kind" not in section:
             raise ValidationError("every scenario section needs a 'kind'")
         kind = section["kind"]
-        if kind not in _SCENARIO_KEYS:
+        if not isinstance(kind, str) or kind not in _SCENARIO_KEYS:
             raise ValidationError(f"unknown scenario {kind!r}")
         allowed = _SCENARIO_KEYS[kind]
         bad = set(section) - {"kind"} - set(allowed)
@@ -236,8 +242,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    from .data import (generate_synthetic_households, write_meter_csv,
-                       write_weather_csv)
+    from .data import write_meter_csv, write_weather_csv
+    from .data.synthetic import generate_synthetic_households
 
     start = None
     if args.start:

@@ -26,15 +26,12 @@ LINKAGES = ("ward", "average", "complete", "single")
 
 def pairwise_euclidean(updates) -> np.ndarray:
     """Symmetric zero-diagonal Euclidean distance matrix for n update vectors."""
-    if isinstance(updates, np.ndarray) and updates.ndim == 2:
-        mat = np.asarray(updates, dtype=np.float64)
-    else:
-        rows = [np.asarray(u, dtype=np.float64).ravel() for u in updates]
-        if len(rows) < 1:
-            raise ValidationError("need at least one update vector")
-        if len({r.shape for r in rows}) > 1:
-            raise ValidationError("update vectors must have equal length")
-        mat = np.stack(rows)
+    rows = [np.asarray(u, dtype=np.float64).ravel() for u in updates]
+    if len(rows) < 1:
+        raise ValidationError("need at least one update vector")
+    if len({r.shape for r in rows}) > 1:
+        raise ValidationError("update vectors must have equal length")
+    mat = np.stack(rows)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("update vectors must be finite")
     sq = np.sum(mat * mat, axis=1)

@@ -1,4 +1,9 @@
-"""Data pipeline: readings -> hourly series -> feature windows -> datasets."""
+"""Data pipeline: readings -> hourly series -> feature windows -> datasets.
+
+The synthetic generator lives in `fedcast.data.synthetic` and loads only
+when imported from there, so the commands that read real data never load
+it or the seeding it needs.
+"""
 
 from .cleaning import HourlySeries, MeterReadings, clean_readings
 from .features import (
@@ -15,11 +20,6 @@ from .sequences import (
     build_household_dataset,
     make_sequences,
     split_chronological,
-)
-from .synthetic import (
-    ARCHETYPES,
-    SyntheticPopulation,
-    generate_synthetic_households,
 )
 from .ingest import (
     ingest_meter_csv,
@@ -38,7 +38,6 @@ from .cache import (
 )
 
 __all__ = [
-    "ARCHETYPES",
     "BASE_COLUMNS",
     "DesignMatrix",
     "HourlySeries",
@@ -48,7 +47,6 @@ __all__ = [
     "PreparedData",
     "PreparedHousehold",
     "SequenceSet",
-    "SyntheticPopulation",
     "WEATHER_COLUMNS",
     "WeatherTable",
     "build_design_matrix",
@@ -56,7 +54,6 @@ __all__ = [
     "clean_readings",
     "dataset_digest",
     "fit_normalizer",
-    "generate_synthetic_households",
     "household_datasets",
     "ingest_meter_csv",
     "ingest_weather_csv",
@@ -69,3 +66,11 @@ __all__ = [
     "write_meter_csv",
     "write_weather_csv",
 ]
+
+
+def __getattr__(name):
+    # perfbench/run.py imports the generator from the package: load it then.
+    if name == "generate_synthetic_households":
+        from .synthetic import generate_synthetic_households
+        return generate_synthetic_households
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -91,9 +91,10 @@ class HouseholdDataset:
 
 def build_household_dataset(household_id: str, matrix: DesignMatrix, k: int,
                             energy_range: float,
-                            splits: tuple[int, int] | None = None) -> HouseholdDataset:
-    """Cut one household's normalised matrix into per-split sequence sets."""
-    train_end, val_end = splits if splits is not None else split_chronological(len(matrix), k)
+                            splits: tuple[int, int]) -> HouseholdDataset:
+    """Cut one household's normalised matrix at `splits` (train end, val end)
+    into per-split sequence sets."""
+    train_end, val_end = splits
     if not 0 < train_end < val_end < len(matrix):
         raise ValidationError("split boundaries out of order")
     parts = []

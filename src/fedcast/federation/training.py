@@ -20,7 +20,7 @@ import numpy as np
 
 from ..data.sequences import SequenceSet
 from ..errors import NumericalError, ValidationError
-from ..nn import AdamState, adam_step, compute_gradients, forward_batch
+from ..nn import adam_step, compute_gradients, forward_batch
 from .config import ScenarioConfig
 
 EVAL_BATCH = 1024
@@ -142,7 +142,10 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
     if not sessions:
         return []
     params = np.stack([np.asarray(s.params, dtype=np.float64) for s in sessions])
-    adam = AdamState.fresh(*params.shape, learning_rate)
+    # Adam's state: moments and step counts, one row per session.
+    first_moment = np.zeros_like(params)
+    second_moment = np.zeros_like(params)
+    steps = np.zeros(len(sessions), dtype=np.int64)
     per_stack = max(1, STACK_ROWS // batch_size)
     _, k, d = sessions[0].windows.shape
     stoppers = [None if s.val is None else EarlyStopper(patience)
@@ -167,22 +170,18 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
                         out=x[j * size:(j + 1) * size])
                 np.take(sessions[i].labels, idx, out=y[j * size:(j + 1) * size])
             rows = _rows(chunk)
+            state = p, m, v, t = (params[rows], first_moment[rows],
+                                  second_moment[rows], steps[rows])
             try:
-                grads, batch_losses = compute_gradients(x, y, params[rows])
+                grads, batch_losses = compute_gradients(x, y, p)
             except NumericalError as err:
                 err.session = limit = chunk[err.session]
                 failure = err
                 chunk = [i for i in chunk if i < limit]
                 continue
-            sub = AdamState(adam.first_moment[rows], adam.second_moment[rows],
-                            adam.step_count[rows], learning_rate)
-            stepped = params[rows]
-            adam_step(stepped, grads, sub)
+            adam_step(p, grads, m, v, t, learning_rate)
             if not isinstance(rows, slice):  # copies, not views: write back
-                params[rows] = stepped
-                adam.first_moment[rows] = sub.first_moment
-                adam.second_moment[rows] = sub.second_moment
-                adam.step_count[rows] = sub.step_count
+                params[rows], first_moment[rows], second_moment[rows], steps[rows] = state
             for j, i in enumerate(chunk):
                 losses[i].append(float(batch_losses[j]))
             return

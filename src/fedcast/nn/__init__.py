@@ -1,6 +1,6 @@
 """From-scratch neural core: two-layer LSTM forecaster, BPTT, Adam."""
 
-from .adam import AdamState, adam_step
+from .adam import adam_step
 from .lstm import (
     HIDDEN_SIZE,
     compute_gradients,
@@ -11,7 +11,6 @@ from .lstm import (
 )
 
 __all__ = [
-    "AdamState",
     "HIDDEN_SIZE",
     "adam_step",
     "compute_gradients",

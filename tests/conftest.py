@@ -9,7 +9,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 import pytest
 
-from fedcast.data import generate_synthetic_households, household_datasets, prepare_datasets
+from fedcast.data import household_datasets, prepare_datasets
+from fedcast.data.synthetic import generate_synthetic_households
 from fedcast.federation import ScenarioConfig
 
 

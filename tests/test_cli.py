@@ -132,6 +132,12 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(scenarios=[
         {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward",
          "hc_rounds": 2.0}]),
+    # sections that are not JSON objects
+    lambda raw: raw.update(overrides=["batch_size"]),
+    lambda raw: raw.update(overrides=None),
+    lambda raw: raw.update(scenarios=[5]),
+    lambda raw: raw.update(scenarios=[["kind"]]),
+    lambda raw: raw.update(scenarios=[{"kind": ["fl"]}]),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()
@@ -579,6 +585,7 @@ def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("raw,jobs,message", [
     (base_config(overrides={"batch_size": "32"}), 1, "batch_size"),
     (base_config(), 0, "--jobs"),
+    (5, 1, "JSON object"),
 ])
 def test_a_mistyped_config_or_jobs_is_a_usage_error(tmp_path, capsys, raw,
                                                     jobs, message):
@@ -640,8 +647,9 @@ UNUSED_BY_DATA_COMMANDS = ("fedcast.federation", "fedcast.nn",
 
 
 @pytest.mark.parametrize("command,unused", [
-    ("prepare", UNUSED_BY_DATA_COMMANDS),
-    ("run", ("concurrent.futures.process",)),
+    ("prepare", UNUSED_BY_DATA_COMMANDS + ("fedcast.data.synthetic",
+                                           "fedcast.seeding")),
+    ("run", ("concurrent.futures.process", "fedcast.data.synthetic")),
     ("synthesize", UNUSED_BY_DATA_COMMANDS),
 ])
 def test_a_command_loads_only_the_layers_it_runs(pipeline, tmp_path, command,

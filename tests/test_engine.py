@@ -96,6 +96,27 @@ def test_zero_epochs_return_the_start(tiny_datasets):
         assert r.records == [] and r.samples == 0
 
 
+def test_training_leaves_the_shared_start_unchanged(tiny_datasets, monkeypatch):
+    # All sessions share one start array.  Once the 40-window sessions run
+    # out of batches, the two 61-window ones step as rows 0 and 2: a chunk
+    # that is not contiguous, so it is stepped on copies and written back.
+    chunks = []
+    real = training._rows
+
+    def rows(chunk):
+        chunks.append(real(chunk))
+        return chunks[-1]
+    monkeypatch.setattr(training, "_rows", rows)
+    sessions = make_sessions(tiny_datasets, [61, 40, 61, 40], validated=False)
+    start = sessions[0].params
+    before = start.tobytes()
+    results = fit_epochs(sessions, 2, B, LR)
+    assert any(not isinstance(r, slice) for r in chunks)
+    assert all(s.params is start for s in sessions)
+    assert start.tobytes() == before
+    assert all(r.params.tobytes() != before for r in results)
+
+
 # -------------------------------------------------------- numerical failure
 
 def poisoned(ds, feature, step, gen):

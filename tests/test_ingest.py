@@ -9,12 +9,12 @@ import pytest
 import fedcast.data.ingest as ingest
 from fedcast.data import (
     MeterReadings,
-    generate_synthetic_households,
     ingest_meter_csv,
     ingest_weather_csv,
     write_meter_csv,
     write_weather_csv,
 )
+from fedcast.data.synthetic import generate_synthetic_households
 from fedcast.errors import DataError
 
 

@@ -5,7 +5,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from fedcast.data import ARCHETYPES, clean_readings, generate_synthetic_households
+from fedcast.data import clean_readings
+from fedcast.data.synthetic import ARCHETYPES, generate_synthetic_households
 from fedcast.errors import ValidationError
 
 
@@ -116,3 +117,8 @@ def test_a_fixed_offset_start_reads_profiles_in_local_time():
     for t in range(24):
         expected = profile["base24"][t] * profile["week7"][4]  # Friday
         assert readings.kwh[2 * t] == pytest.approx(expected / 2, abs=1e-15)
+
+
+def test_the_data_package_loads_the_generator_on_request():
+    from fedcast.data import generate_synthetic_households as from_package
+    assert from_package is generate_synthetic_households
