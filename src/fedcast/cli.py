@@ -366,6 +366,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:  # not JSON, or not UTF-8 text
+        raise DataError(f"{path}: not JSON ({err})")
+
+
 def cmd_report(args) -> int:
     from .reporting import build_comparison, emit_report, render_tables
 
@@ -378,8 +385,13 @@ def cmd_report(args) -> int:
         manifest = run / "manifest.json"
         if not results.is_file() or not manifest.is_file():
             raise DataError(f"{run}: not a run directory")
-        digests[str(run)] = json.loads(manifest.read_text())["data_digest"]
-        for report in json.loads(results.read_text())["entries"]:
+        payload, meta = _read_json(results), _read_json(manifest)
+        if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+            raise DataError(f"{results}: no list of entries")
+        if not isinstance(meta, dict) or not isinstance(meta.get("data_digest"), str):
+            raise DataError(f"{manifest}: no data digest")
+        digests[str(run)] = meta["data_digest"]
+        for report in payload["entries"]:
             entry_id = report["entry_id"]
             if entry_id in seen:
                 raise DataError(
@@ -413,7 +425,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="cache directory to write")
     p.add_argument("--k", default="6,12,24",
                    help="comma-separated window lengths (default 6,12,24)")
-    p.add_argument("--weather-variant", choices=("both", "with", "without"),
+    p.add_argument("--weather-variant", choices=("both", "without"),
                    default="both", help="which feature variants to prepare")
     p.set_defaults(func=cmd_prepare)
 

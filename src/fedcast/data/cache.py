@@ -33,7 +33,6 @@ VARIANT_WEATHER = "weather"
 
 @dataclass(frozen=True)
 class PreparedHousehold:
-    household_id: str
     hours: np.ndarray                     # (N,) int64
     matrices: dict                        # variant -> raw (unnormalised) DesignMatrix
     train_end: int
@@ -97,7 +96,6 @@ def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
                 raise DataError(
                     f"{hid}: split of {hi - lo} rows is too short for K={max_k}")
         households[hid] = PreparedHousehold(
-            household_id=hid,
             hours=series.hours,
             matrices=matrices,
             train_end=train_end,
@@ -205,7 +203,6 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
             matrices[variant] = DesignMatrix(
                 columns=normalizers[variant].columns, values=values, hours=hours)
         households[hid] = PreparedHousehold(
-            household_id=hid,
             hours=hours,
             matrices=matrices,
             train_end=int(entry["train_end"]),

@@ -45,7 +45,7 @@ class MeterReadings:
 class HourlySeries:
     """Gap-free hourly energy totals for one household."""
 
-    household_id: str | None
+    household_id: str
     hours: np.ndarray         # int64 unix hour indices, consecutive
     values: np.ndarray        # float64 kWh per hour
     filled_fraction: float    # share of grid slots that were forward-filled
@@ -61,58 +61,40 @@ def epoch_minutes(ts: datetime) -> int:
     return int(ts.timestamp() // 60)
 
 
-def clean_readings(readings: MeterReadings, household_id: str | None = None,
-                   window: tuple[datetime, datetime] | None = None) -> HourlySeries:
-    """Turn one household's interval readings into a gap-free hourly series.
-
-    `window`, when given, is the required (start, end) coverage; a first
-    reading after the window start is a leading gap and is rejected, because
-    there is nothing to forward-fill from.  A window start that falls on a
-    missing slot is filled from the last reading before it.
-    """
-    who = household_id or "<unknown household>"
+def clean_readings(readings: MeterReadings, household_id: str) -> HourlySeries:
+    """Turn one household's interval readings into a gap-free hourly series,
+    from its first reading to its last."""
     if len(readings) == 0:
-        raise DataError(f"{who}: no readings")
+        raise DataError(f"{household_id}: no readings")
 
     bad = ~np.isfinite(readings.kwh) | (readings.kwh < 0.0)
     if bad.any():
         stamp = datetime.fromtimestamp(int(readings.minutes[np.argmax(bad)]) * 60,
                                        tz=timezone.utc)
-        raise DataError(f"{who}: negative or non-finite reading at {stamp}")
+        raise DataError(f"{household_id}: negative or non-finite reading at {stamp}")
     # unique() keeps the first occurrence's index: duplicates keep the first
     minutes, first = np.unique(readings.minutes, return_index=True)
     if len(minutes) < 2:
-        raise DataError(f"{who}: need at least two distinct reading timestamps")
+        raise DataError(f"{household_id}: need at least two distinct reading timestamps")
     values = readings.kwh[first]
 
     gaps, gap_counts = np.unique(np.diff(minutes), return_counts=True)
     step = int(gaps[np.argmax(gap_counts)])  # modal gap, ties to the smaller
     if step not in _SUPPORTED_STEPS_MIN:
-        raise DataError(f"{who}: unsupported reading interval of {step} minutes")
+        raise DataError(f"{household_id}: unsupported reading interval of {step} minutes")
 
-    lo = 0
     start_minute, end_minute = int(minutes[0]), int(minutes[-1])
-    if window is not None:
-        win_start, win_end = (epoch_minutes(t) for t in window)
-        if start_minute > win_start:
-            raise DataError(
-                f"{who}: leading gap, first reading {start_minute - win_start} "
-                "minutes after the window start has nothing to forward-fill from")
-        lo = int(np.searchsorted(minutes, win_start))  # first reading in the window
-        start_minute, end_minute = win_start, max(end_minute, win_end)
-    offsets = minutes[lo:] - start_minute
+    offsets = minutes - start_minute
     off_grid = offsets % step != 0
     if off_grid.any():
-        stray = readings.minutes[np.sort(first[lo:][off_grid])[:3]].tolist()
-        raise DataError(f"{who}: readings off the {step}-minute grid: {stray}")
+        stray = readings.minutes[np.sort(first[off_grid])[:3]].tolist()
+        raise DataError(f"{household_id}: readings off the {step}-minute grid: {stray}")
 
     grid = np.arange(start_minute, end_minute + 1, step, dtype=np.int64)
     source = np.full(len(grid), -1, dtype=np.int64)
-    source[offsets // step] = np.arange(lo, len(minutes))
-    if source[0] < 0:
-        source[0] = lo - 1  # the window starts on a missing slot
+    source[offsets // step] = np.arange(len(minutes))
     np.maximum.accumulate(source, out=source)
-    filled = len(grid) - (len(minutes) - lo)
+    filled = len(grid) - len(minutes)
 
     per_hour = 60 // step
     hour_idx = grid // 60
@@ -121,7 +103,7 @@ def clean_readings(readings: MeterReadings, household_id: str | None = None,
     sums = np.bincount(hour_idx - first_hour, weights=values[source])
     complete = counts == per_hour
     if not complete.any():
-        raise DataError(f"{who}: no fully covered hour in the reading range")
+        raise DataError(f"{household_id}: no fully covered hour in the reading range")
     hours = (np.flatnonzero(complete) + first_hour).astype(np.int64)
     return HourlySeries(
         household_id=household_id,

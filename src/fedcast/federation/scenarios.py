@@ -532,9 +532,7 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
             return _localised(datasets, excluded, cfg)
         if cfg.kind in ("fl", "fl_hc"):
             return _base_run(datasets, excluded, cfg, memo)
-        if cfg.kind in _BASE_KIND:
-            return _run_lft(datasets, excluded, cfg, memo)
-        raise ValidationError(f"unknown scenario {cfg.kind!r}")
+        return _run_lft(datasets, excluded, cfg, memo)  # fl_lft, fl_hc_lft
     finally:
         release_arena()
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,6 +119,31 @@ def results_csv_lines(reports) -> list:
     return lines
 
 
+class _Metric(NamedTuple):
+    """What the RMSE table and the samples table differ in."""
+
+    name: str           # row-key prefix: {name}, {name}_mean, {name}_best, ...
+    field: str          # the report field a cell shows
+    cast: type
+    cell_format: str    # a cell and the row best
+    mean_format: str
+    vs_baseline: Callable[[float, float], float]  # (row value, localised value)
+    note: str           # the comparison's annotation on the mean and the best
+    title: str
+
+
+_METRICS = (
+    _Metric("rmse", "mean_rmse", float, ".4f", ".4f", pct_difference, " ({:+.1f}%)",
+            "Test RMSE (normalised), best sweep entry per variant; "
+            "* marks the row best; % vs localised:"),
+    _Metric("samples", "total_samples", int, "d", ".0f",
+            lambda value, base: savings_factor(float(base), float(value)), " ({:.1f}x)",
+            "Optimizer-visited samples; * marks the row best; "
+            "savings factor vs localised:"),
+)
+_STATS = ("mean", "best")  # the summary columns, compared against localised
+
+
 def build_comparison(reports) -> dict:
     """Cells, row means/bests, and baseline annotations for both tables."""
     best = select_best_entries(reports)
@@ -126,50 +152,34 @@ def build_comparison(reports) -> dict:
                  if any(key[0] == s for key in best)]
     rows = []
     for scenario in scenarios:
-        rmse_cells = []
-        sample_cells = []
-        for k, weather in variants:
-            rep = best.get((scenario, k, weather))
-            rmse_cells.append(None if rep is None else float(rep["mean_rmse"]))
-            sample_cells.append(None if rep is None else int(rep["total_samples"]))
-        present_rmse = [c for c in rmse_cells if c is not None]
-        present_samples = [c for c in sample_cells if c is not None]
-        if not present_rmse:
-            continue
-        rows.append({
-            "scenario": scenario,
-            "rmse": rmse_cells,
-            "rmse_mean": float(np.mean(present_rmse)),
-            "rmse_best": float(np.min(present_rmse)),
-            "rmse_best_variant": rmse_cells.index(np.min(present_rmse)),
-            "samples": sample_cells,
-            "samples_total_mean": float(np.mean(present_samples)),
-            "samples_best": int(np.min(present_samples)),
-            "samples_best_variant": sample_cells.index(np.min(present_samples)),
-        })
-    table = {"variants": variants, "rows": rows}
+        reps = [best.get((scenario, k, weather)) for k, weather in variants]
+        row = {"scenario": scenario}
+        for m in _METRICS:
+            cells = [None if rep is None else m.cast(rep[m.field]) for rep in reps]
+            present = [c for c in cells if c is not None]
+            row[m.name] = cells
+            row[f"{m.name}_mean"] = float(np.mean(present))
+            row[f"{m.name}_best"] = m.cast(np.min(present))
+            row[f"{m.name}_best_variant"] = cells.index(np.min(present))
+        rows.append(row)
     baseline = next((r for r in rows if r["scenario"] == "localised"), None)
     if baseline is not None:
         for row in rows:
-            row["rmse_mean_pct"] = pct_difference(row["rmse_mean"], baseline["rmse_mean"])
-            row["rmse_best_pct"] = pct_difference(row["rmse_best"], baseline["rmse_best"])
-            row["savings_mean"] = savings_factor(
-                baseline["samples_total_mean"], row["samples_total_mean"])
-            row["savings_best"] = savings_factor(
-                float(baseline["samples_best"]), float(row["samples_best"]))
-    return table
+            for m in _METRICS:
+                for stat in _STATS:
+                    key = f"{m.name}_{stat}"
+                    row[f"{key}_vs_localised"] = m.vs_baseline(row[key], baseline[key])
+    return {"variants": variants, "rows": rows}
 
 
 def verify_comparison(table: dict) -> None:
     """Recompute row means and bests from the cells; raise on any mismatch."""
     for row in table["rows"]:
-        present = [c for c in row["rmse"] if c is not None]
-        if abs(float(np.mean(present)) - row["rmse_mean"]) > 1e-12 \
-                or float(np.min(present)) != row["rmse_best"]:
-            raise ValidationError(f"inconsistent RMSE row for {row['scenario']}")
-        samples = [c for c in row["samples"] if c is not None]
-        if int(np.min(samples)) != row["samples_best"]:
-            raise ValidationError(f"inconsistent sample row for {row['scenario']}")
+        for m in _METRICS:
+            present = [c for c in row[m.name] if c is not None]
+            if abs(float(np.mean(present)) - row[f"{m.name}_mean"]) > 1e-12 \
+                    or m.cast(np.min(present)) != row[f"{m.name}_best"]:
+                raise ValidationError(f"inconsistent {m.name} row for {row['scenario']}")
 
 
 def _fmt_cell(value, best_index, index, fmt):
@@ -183,44 +193,24 @@ def render_tables(table: dict) -> str:
     """Plain-text RMSE and sample-count tables with baseline annotations."""
     variants = table["variants"]
     headers = ["scenario"] + [variant_label(k, w) for k, w in variants] + ["mean", "best"]
+    widths = [max(len(h), 12) for h in headers]
     out = []
-
-    def emit(title, rows):
-        widths = [max(len(h), 12) for h in headers]
-        out.append(title)
-        out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        for cells in rows:
-            out.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    for m in _METRICS:
+        out.append(m.title)
+        lines = [headers]
+        for row in table["rows"]:
+            cells = [SCENARIO_TITLES[row["scenario"]]]
+            cells += [_fmt_cell(v, row[f"{m.name}_best_variant"], i, m.cell_format)
+                      for i, v in enumerate(row[m.name])]
+            for stat, fmt in zip(_STATS, (m.mean_format, m.cell_format)):
+                key = f"{m.name}_{stat}"
+                text = f"{row[key]:{fmt}}"
+                if f"{key}_vs_localised" in row and row["scenario"] != "localised":
+                    text += m.note.format(row[f"{key}_vs_localised"])
+                cells.append(text)
+            lines.append(cells)
+        out += ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines]
         out.append("")
-
-    rmse_rows = []
-    sample_rows = []
-    for row in table["rows"]:
-        title = SCENARIO_TITLES[row["scenario"]]
-        cells = [title]
-        cells += [_fmt_cell(v, row["rmse_best_variant"], i, ".4f")
-                  for i, v in enumerate(row["rmse"])]
-        mean_txt = f"{row['rmse_mean']:.4f}"
-        best_txt = f"{row['rmse_best']:.4f}"
-        if "rmse_mean_pct" in row and row["scenario"] != "localised":
-            mean_txt += f" ({row['rmse_mean_pct']:+.1f}%)"
-            best_txt += f" ({row['rmse_best_pct']:+.1f}%)"
-        rmse_rows.append(cells + [mean_txt, best_txt])
-
-        cells = [title]
-        cells += [_fmt_cell(v, row["samples_best_variant"], i, "d")
-                  for i, v in enumerate(row["samples"])]
-        mean_txt = f"{row['samples_total_mean']:.0f}"
-        best_txt = f"{row['samples_best']:d}"
-        if "savings_mean" in row and row["scenario"] != "localised":
-            mean_txt += f" ({row['savings_mean']:.1f}x)"
-            best_txt += f" ({row['savings_best']:.1f}x)"
-        sample_rows.append(cells + [mean_txt, best_txt])
-
-    emit("Test RMSE (normalised), best sweep entry per variant; "
-         "* marks the row best; % vs localised:", rmse_rows)
-    emit("Optimizer-visited samples; * marks the row best; "
-         "savings factor vs localised:", sample_rows)
     return "\n".join(out)
 
 

@@ -5,9 +5,7 @@ plain per-reading and per-hour versions of the same steps: `clean_readings`
 walks the readings through a dict and forward-fills slot by slot,
 `build_design_matrix` decomposes one hour at a time with `calendar_fields`
 and joins weather with `lookup`.  Tests compare the array path with them
-byte for byte.  The one known difference: a window whose start falls on a
-missing slot leaves a NaN first slot here (nothing before the window is
-carried), where the package fills it from the last earlier reading.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -24,40 +22,31 @@ from fedcast.errors import DataError
 _SUPPORTED_STEPS_MIN = (30, 60)
 
 
-def clean_readings(readings, household_id: str | None = None,
-                   window: tuple[datetime, datetime] | None = None) -> HourlySeries:
+def clean_readings(readings, household_id: str) -> HourlySeries:
     """Turn raw interval readings into a gap-free hourly series."""
-    who = household_id or "<unknown household>"
     readings = list(readings)
     if not readings:
-        raise DataError(f"{who}: no readings")
+        raise DataError(f"{household_id}: no readings")
 
     seen = {}
     for r in readings:
         value = float(r.energy_kwh)
         if not np.isfinite(value) or value < 0.0:
-            raise DataError(f"{who}: negative or non-finite reading at {r.timestamp}")
+            raise DataError(
+                f"{household_id}: negative or non-finite reading at {r.timestamp}")
         minute = epoch_minutes(r.timestamp)
         if minute not in seen:  # duplicates keep the first occurrence
             seen[minute] = value
     minutes = sorted(seen)
     if len(minutes) < 2:
-        raise DataError(f"{who}: need at least two distinct reading timestamps")
+        raise DataError(f"{household_id}: need at least two distinct reading timestamps")
 
     gaps = Counter(b - a for a, b in zip(minutes, minutes[1:]))
     step = min(gaps, key=lambda g: (-gaps[g], g))  # modal gap, ties to smaller
     if step not in _SUPPORTED_STEPS_MIN:
-        raise DataError(f"{who}: unsupported reading interval of {step} minutes")
+        raise DataError(f"{household_id}: unsupported reading interval of {step} minutes")
 
     start_minute, end_minute = minutes[0], minutes[-1]
-    if window is not None:
-        win_start, win_end = (epoch_minutes(t) for t in window)
-        if start_minute > win_start:
-            raise DataError(
-                f"{who}: leading gap, first reading {start_minute - win_start} "
-                "minutes after the window start has nothing to forward-fill from")
-        start_minute, end_minute = win_start, max(end_minute, win_end)
-        seen = {m: v for m, v in seen.items() if win_start <= m <= end_minute}
 
     grid = np.arange(start_minute, end_minute + 1, step, dtype=np.int64)
     values = np.empty(len(grid), dtype=np.float64)
@@ -71,7 +60,8 @@ def clean_readings(readings, household_id: str | None = None,
         values[i] = last
     off_grid = [m for m in seen if (m - start_minute) % step != 0]
     if off_grid:
-        raise DataError(f"{who}: readings off the {step}-minute grid: {off_grid[:3]}")
+        raise DataError(
+            f"{household_id}: readings off the {step}-minute grid: {off_grid[:3]}")
 
     per_hour = 60 // step
     hour_idx = grid // 60
@@ -80,7 +70,7 @@ def clean_readings(readings, household_id: str | None = None,
     sums = np.bincount(hour_idx - first_hour, weights=values)
     complete = counts == per_hour
     if not complete.any():
-        raise DataError(f"{who}: no fully covered hour in the reading range")
+        raise DataError(f"{household_id}: no fully covered hour in the reading range")
     hours = (np.flatnonzero(complete) + first_hour).astype(np.int64)
     return HourlySeries(
         household_id=household_id,

@@ -13,13 +13,13 @@ from fedcast.errors import DataError
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)
 
 
-def half_hourly(values, start=T0):
-    return [Reading(start + timedelta(minutes=30 * i), v)
+def half_hourly(values):
+    return [Reading(T0 + timedelta(minutes=30 * i), v)
             for i, v in enumerate(values)]
 
 
-def clean(readings, *args, **kwargs):
-    return clean_readings(to_columns(readings), *args, **kwargs)
+def clean(readings, household_id):
+    return clean_readings(to_columns(readings), household_id)
 
 
 def test_half_hourly_pairs_sum_into_hours():
@@ -57,31 +57,6 @@ def test_cleaning_hourly_data_is_idempotent():
     assert np.array_equal(first.hours, second.hours)
     assert np.array_equal(first.values, second.values)
     assert second.filled_fraction == 0.0
-
-
-def test_leading_gap_with_window_is_rejected():
-    readings = half_hourly([0.2, 0.3, 0.1, 0.4], start=T0 + timedelta(hours=2))
-    with pytest.raises(DataError, match="leading gap"):
-        clean(readings, "h0", window=(T0, T0 + timedelta(hours=4)))
-
-
-def test_window_extends_the_tail_by_filling():
-    readings = half_hourly([0.2, 0.3, 0.1, 0.4])
-    series = clean(readings, "h0", window=(T0, T0 + timedelta(hours=3)))
-    # two real hours plus one fully forward-filled hour (2 slots of 0.4)
-    assert len(series) == 3
-    assert series.values[2] == pytest.approx(0.8)
-    assert series.filled_fraction > 0.0
-
-
-def test_window_starting_on_a_missing_slot_fills_from_the_reading_before():
-    readings = half_hourly([0.2, 0.3, 0.1, 0.4, 0.5, 0.6, 0.7, 0.8])
-    del readings[2]  # 01:00 is missing and the window starts there
-    series = clean(readings, "h0", window=(
-        T0 + timedelta(hours=1), T0 + timedelta(hours=3, minutes=30)))
-    assert series.hours[0] == int(T0.timestamp() // 3600) + 1
-    assert series.values == pytest.approx([0.3 + 0.4, 0.5 + 0.6, 0.7 + 0.8])
-    assert series.filled_fraction == pytest.approx(1 / 6)
 
 
 def test_columnar_and_record_inputs_clean_alike():

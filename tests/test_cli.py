@@ -26,7 +26,7 @@ from fedcast.cli import (
     resolve_config,
     run_identity,
 )
-from fedcast.data import write_cache
+from fedcast.data import MeterReadings, prepare_datasets, write_cache
 from fedcast.errors import DataError, NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
 from fedcast.seeding import ROUND, TRAIN, key_int
@@ -200,6 +200,20 @@ def test_prepare_manifest_lists_every_variant(pipeline):
     assert sorted(manifest["variants"]) == ["base", "weather"]
 
 
+def test_manifest_flags_a_heavily_filled_household(tiny_population, tmp_path):
+    households = dict(tiny_population.households)
+    readings = households["h000"]
+    keep = np.ones(len(readings), dtype=bool)
+    keep[1:-1:5] = False  # one interior slot in five is forward-filled
+    households["h000"] = MeterReadings(readings.minutes[keep], readings.kwh[keep])
+    manifest = write_cache(prepare_datasets(households, None, [6], False), tmp_path)
+    flags = manifest["flags"]
+    assert flags["h000"]["filled_fraction"] > 0.10
+    assert flags["h000"]["high_fill"] is True
+    for hid in sorted(households)[1:]:
+        assert flags[hid] == {"filled_fraction": 0.0, "high_fill": False}
+
+
 def test_run_directory_layout(pipeline):
     root, run_dir = pipeline
     for name in ("results.json", "results.csv", "tables.txt", "manifest.json"):
@@ -268,6 +282,21 @@ def test_report_rejects_duplicate_entries(pipeline, capsys):
     _, run_dir = pipeline
     assert main(["report", str(run_dir), str(run_dir)]) == 2
     assert "duplicate entry" in capsys.readouterr().err
+
+
+def test_report_refuses_runs_on_different_datasets(pipeline, tmp_path, capsys):
+    root, run_dir = pipeline
+    # the same households without the weather variant: another dataset
+    assert main(["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                 "--out", str(tmp_path / "cache"), "--k", "6",
+                 "--weather-variant", "without"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(scenarios=[{"kind": "localised"}])))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+    other, = (tmp_path / "runs").iterdir()
+    capsys.readouterr()
+    assert main(["report", str(run_dir), str(other)]) == 2
+    assert "runs were made from different datasets" in capsys.readouterr().err
 
 
 # ------------------------------------------------ groups of related entries
@@ -621,9 +650,37 @@ def test_prepare_without_inputs_fails_cleanly(tmp_path, capsys):
     assert "--weather" in capsys.readouterr().err
 
 
-def test_report_refuses_non_run_directories(tmp_path, capsys):
+def test_prepare_has_no_with_weather_variant(tmp_path, capsys):
+    # `with` prepared exactly what the default `both` does
+    with pytest.raises(SystemExit) as exit_:
+        main(["prepare", "--meters", str(tmp_path / "m.csv"),
+              "--out", str(tmp_path / "c"), "--weather-variant", "with"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'with'" in capsys.readouterr().err
+
+
+GOOD_RESULTS = json.dumps({"entries": []})
+GOOD_MANIFEST = json.dumps({"data_digest": "abc"})
+
+
+@pytest.mark.parametrize("results,manifest,message", [
+    (None, None, "not a run directory"),
+    ("nope", GOOD_MANIFEST, "results.json: not JSON"),
+    (GOOD_RESULTS, "nope", "manifest.json: not JSON"),
+    ("{}", GOOD_MANIFEST, "results.json: no list of entries"),
+    ('{"entries": 3}', GOOD_MANIFEST, "results.json: no list of entries"),
+    (GOOD_RESULTS, "[1]", "manifest.json: no data digest"),
+    (GOOD_RESULTS, '{"data_digest": 5}', "manifest.json: no data digest"),
+], ids=["empty", "results-not-json", "manifest-not-json", "results-no-entries",
+        "entries-not-a-list", "manifest-not-an-object", "digest-not-a-string"])
+def test_report_refuses_non_run_directories(tmp_path, capsys, results, manifest,
+                                            message):
+    for name, text in (("results.json", results), ("manifest.json", manifest)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
     assert main(["report", str(tmp_path)]) == 2
-    assert "not a run directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def _subprocess_env() -> dict:
@@ -632,6 +689,31 @@ def _subprocess_env() -> dict:
     src = str(Path(fedcast.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(pipeline, tmp_path):
+    # every other byte-identity test runs in this one interpreter, under
+    # one string-hash seed; set ordering must not leak into any output
+    root, _ = pipeline
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps(base_config(data="cache")))
+        env = dict(_subprocess_env(), PYTHONHASHSEED=hash_seed)
+        for argv in (["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                      "--weather", str(root / "synth" / "weather.csv"),
+                      "--out", str(out / "cache"), "--k", "6"],
+                     ["run", "--config", str(out / "config.json"),
+                      "--out", str(out / "runs"), "--jobs", "2"]):
+            proc = subprocess.run([sys.executable, "-m", "fedcast.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        run_dir, = (out / "runs").iterdir()
+        outputs.append([(out / "cache" / "manifest.json").read_bytes()]
+                       + [(run_dir / name).read_bytes()
+                          for name in ("results.json", "tables.txt")])
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_is_wired_up():

@@ -16,10 +16,10 @@ def unix_hour(*args):
     return int(datetime(*args, tzinfo=timezone.utc).timestamp() // 3600)
 
 
-def prepared(clean, build, readings, window, weather):
+def prepared(clean, build, readings, weather):
     """Hours, values, filled_fraction and matrices as bytes, or the error."""
     try:
-        series = clean(readings, "h7", window=window)
+        series = clean(readings, "h7")
         matrices = [build(series)]
         if weather is not None:
             matrices.append(build(series, weather))
@@ -59,12 +59,6 @@ def meter_inputs(draw):
     if draw(st.booleans()):
         readings = [readings[i] for i in rng.permutation(len(readings))]
 
-    window = None
-    if draw(st.booleans()):
-        first = readings[int(rng.integers(0, len(readings)))].timestamp
-        tail = timedelta(minutes=step * draw(st.integers(-n, n)))
-        window = (first, max(first, start + timedelta(minutes=step * (n - 1)) + tail))
-
     weather = None
     if draw(st.booleans()):
         lo = int(start.timestamp() // 3600) - 2
@@ -73,7 +67,7 @@ def meter_inputs(draw):
             hours = np.delete(hours, int(rng.integers(2, len(hours))))
         weather = WeatherTable(hours, rng.normal(8.0, 5.0, len(hours)).round(1),
                                rng.uniform(30.0, 100.0, len(hours)).round(1))
-    return readings, window, weather
+    return readings, weather
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,15 +75,14 @@ def meter_inputs(draw):
 @example((  # a leap year's end: day 365 of 2016 folds into week 51
     [Reading(datetime(2016, 12, 29, tzinfo=timezone.utc) + timedelta(minutes=30 * i),
              0.1 + i / 1000) for i in range(400)],
-    None,
     WeatherTable(np.arange(unix_hour(2016, 12, 28), unix_hour(2017, 1, 9)),
                  np.linspace(-3.0, 9.0, 288), np.full(288, 80.0))))
 def test_cleaning_and_features_match_the_oracle(case):
-    readings, window, weather = case
+    readings, weather = case
     expected = prepared(data_oracle.clean_readings, data_oracle.build_design_matrix,
-                        readings, window, weather)
+                        readings, weather)
     assert prepared(clean_readings, build_design_matrix,
-                    to_columns(readings), window, weather) == expected
+                    to_columns(readings), weather) == expected
 
 
 @settings(max_examples=100, deadline=None)

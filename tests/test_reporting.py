@@ -193,10 +193,10 @@ def test_comparison_rows_and_annotations():
     assert fl["rmse_best"] == 0.0187
     assert fl["rmse_best_variant"] == 0
     assert fl["samples_best"] == 56
-    assert fl["rmse_mean_pct"] == pytest.approx(
+    assert fl["rmse_mean_vs_localised"] == pytest.approx(
         pct_difference(fl["rmse_mean"], 0.02))
-    assert fl["savings_mean"] == pytest.approx(720 / 60)
-    assert loc["savings_mean"] == 1.0
+    assert fl["samples_mean_vs_localised"] == pytest.approx(720 / 60)
+    assert loc["samples_mean_vs_localised"] == 1.0
 
 
 def test_verify_comparison_catches_tampering():
@@ -204,6 +204,15 @@ def test_verify_comparison_catches_tampering():
     verify_comparison(table)  # sane table passes
     table["rows"][0]["rmse_mean"] += 1e-6
     with pytest.raises(ValidationError):
+        verify_comparison(table)
+
+
+@pytest.mark.parametrize("key,delta", [
+    ("rmse_best", 1e-6), ("samples_mean", 1.0), ("samples_best", 1)])
+def test_verify_comparison_checks_both_tables(key, delta):
+    table = build_comparison(two_scenario_reports())
+    table["rows"][1][key] += delta
+    with pytest.raises(ValidationError, match=f"inconsistent {key.split('_')[0]} row for fl"):
         verify_comparison(table)
 
 
