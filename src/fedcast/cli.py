@@ -151,24 +151,26 @@ def run_identity(seed: int, entries, data_digest: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# Worker-side caches: one load per process, reused across sweep entries.
+# Worker-side caches: one load per process and dataset, reused across sweep
+# entries.  They are keyed by the dataset digest, not the cache path, so a
+# cache re-prepared at the same path is loaded afresh.
 _PREP_CACHE: dict = {}
 _DATASET_CACHE: dict = {}
 
 
-def _entry_datasets(cache_dir: str, k: int, with_weather: bool) -> list:
+def _entry_datasets(cache_dir: str, digest: str, k: int, with_weather: bool) -> list:
     from .data import household_datasets, load_cache
 
-    key = (cache_dir, k, with_weather)
+    key = (digest, k, with_weather)
     if key not in _DATASET_CACHE:
-        if cache_dir not in _PREP_CACHE:
-            _PREP_CACHE[cache_dir], _ = load_cache(cache_dir)
+        if digest not in _PREP_CACHE:
+            _PREP_CACHE[digest], _ = load_cache(cache_dir)
         _DATASET_CACHE[key] = household_datasets(
-            _PREP_CACHE[cache_dir], k, with_weather)
+            _PREP_CACHE[digest], k, with_weather)
     return _DATASET_CACHE[key]
 
 
-def _run_group(cache_dir: str, group: list):
+def _run_group(cache_dir: str, digest: str, group: list):
     """Run one group of related entries in order, sharing one memo.
 
     Returns (done, failure): (entry_id, report, models) for each entry that
@@ -180,7 +182,7 @@ def _run_group(cache_dir: str, group: list):
     memo = {}
     done = []
     for cfg in group:
-        datasets = _entry_datasets(cache_dir, cfg.k, cfg.with_weather)
+        datasets = _entry_datasets(cache_dir, digest, cfg.k, cfg.with_weather)
         try:
             report, models = run_scenario(datasets, cfg, memo)
         except FedcastError as err:
@@ -289,7 +291,7 @@ def cmd_run(args) -> int:
     digest = dataset_digest(cache_manifest)
     # Serial groups and forked workers reuse this load instead of reading
     # and verifying the cache again.
-    _PREP_CACHE[str(data_dir)] = prep
+    _PREP_CACHE[digest] = prep
 
     run_id = run_identity(seed, entries, digest)
     out = Path(args.out) / run_id
@@ -304,7 +306,8 @@ def cmd_run(args) -> int:
                                                 ProcessPoolExecutor)
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            submitted = [(group, pool.submit(_run_group, str(data_dir), group))
+            submitted = [(group, pool.submit(_run_group, str(data_dir), digest,
+                                             group))
                          for group in sorted(groups, key=len, reverse=True)]
             for group, future in submitted:
                 try:
@@ -320,7 +323,7 @@ def cmd_run(args) -> int:
             if any(failure and failure[0] < group[0].entry_id
                    for _, failure in outcomes):
                 break
-            outcomes.append(_run_group(str(data_dir), group))
+            outcomes.append(_run_group(str(data_dir), digest, group))
     done = sorted((item for items, _ in outcomes for item in items),
                   key=lambda item: item[0])
     failures = sorted((failure for _, failure in outcomes if failure),
@@ -333,8 +336,11 @@ def cmd_run(args) -> int:
             break
         files += _write_entry_outputs(out, entry_id, report, models)
         reports.append(report)
+    # A run directory holds one outcome: a rerun removes the other one's files.
     if failures:
         err = failures[0][1]
+        for name in ("results.json", "results.csv", "tables.txt", "manifest.json"):
+            (out / name).unlink(missing_ok=True)
         # Flush what we have for post-mortem before reporting failure.
         with atomic_write(out / "failure.json") as fh:
             json.dump({"error": str(err), "error_class": type(err).__name__,
@@ -344,6 +350,7 @@ def cmd_run(args) -> int:
             fh.write("\n")
         raise err
 
+    (out / "failure.json").unlink(missing_ok=True)
     emit_report(reports, out, run_meta={
         "seed": seed, "run_id": run_id, "data_digest": digest})
     files += ["results.json", "results.csv", "tables.txt"]
@@ -392,6 +399,14 @@ def cmd_report(args) -> int:
             raise DataError(f"{manifest}: no data digest")
         digests[str(run)] = meta["data_digest"]
         for report in payload["entries"]:
+            if not isinstance(report, dict):
+                raise DataError(f"{results}: an entry is not an object")
+            missing = [key for key in ("entry_id", "seed", "scenario", "k",
+                                       "weather", "mean_rmse", "best_client_rmse",
+                                       "total_samples")
+                       if key not in report]
+            if missing:
+                raise DataError(f"{results}: an entry has no {', '.join(missing)}")
             entry_id = report["entry_id"]
             if entry_id in seen:
                 raise DataError(

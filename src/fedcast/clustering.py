@@ -43,24 +43,15 @@ def pairwise_euclidean(updates) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MergeStep:
-    """One accepted merge: the two member sets joined and the linkage distance."""
-
-    left: frozenset
-    right: frozenset
-    distance: float
-
-
-@dataclass(frozen=True)
 class ClusterAssignment:
-    """Final flat partition plus the merge history that produced it.
+    """Final flat partition plus the linkage distance of each accepted merge.
 
     Cluster ids are contiguous from 0 and ordered by each cluster's smallest
-    member index.
+    member index; `merge_distances` are in merge order.
     """
 
     labels: tuple
-    merges: tuple
+    merge_distances: tuple
 
     def clusters(self) -> list:
         """Member indices per cluster id, each list ascending."""
@@ -105,7 +96,7 @@ def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
     members: list = [{i} for i in range(n)]
     sizes = np.ones(n)
     alive = [True] * n
-    merges: list[MergeStep] = []
+    merge_distances = []
 
     while sum(alive) > 1:
         best = None  # (cost, min_left, min_right, i, j)
@@ -124,7 +115,7 @@ def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
             break
         if min(members[j]) < min(members[i]):
             i, j = j, i
-        merges.append(MergeStep(frozenset(members[i]), frozenset(members[j]), cost))
+        merge_distances.append(float(cost))
         ni, nj = sizes[i], sizes[j]
         for k in range(n):
             if not alive[k] or k in (i, j):
@@ -145,7 +136,8 @@ def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
         alive[j] = False
 
     final_members = [members[i] for i in range(n) if alive[i]]
-    return ClusterAssignment(_labels_from_members(final_members), tuple(merges))
+    return ClusterAssignment(_labels_from_members(final_members),
+                             tuple(merge_distances))
 
 
 def cluster_quality(labels_a, labels_b) -> float:

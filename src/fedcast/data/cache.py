@@ -201,7 +201,7 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
         for variant in variants:
             values = np.load(cache / entry["files"][variant])
             matrices[variant] = DesignMatrix(
-                columns=normalizers[variant].columns, values=values, hours=hours)
+                columns=normalizers[variant].columns, values=values)
         households[hid] = PreparedHousehold(
             hours=hours,
             matrices=matrices,

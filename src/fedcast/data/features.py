@@ -47,13 +47,10 @@ class DesignMatrix:
 
     columns: tuple
     values: np.ndarray  # (N, len(columns)) float64
-    hours: np.ndarray   # (N,) int64 unix hour of each row
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise ValidationError("values must be (N, len(columns))")
-        if len(self.hours) != len(self.values):
-            raise ValidationError("hours must align with rows")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -96,4 +93,4 @@ def build_design_matrix(hourly: HourlySeries,
                 f"(household {hourly.household_id})")
         out[:, 5] = weather.air_temp_c[pos]
         out[:, 6] = weather.rel_humidity_pct[pos]
-    return DesignMatrix(columns=columns, values=out, hours=hours.copy())
+    return DesignMatrix(columns=columns, values=out)

@@ -83,4 +83,4 @@ def normalize(matrix: DesignMatrix, params: NormalizationParams) -> DesignMatrix
     if matrix.columns != params.columns:
         raise ValidationError("matrix columns do not match the normalizer")
     values = (matrix.values - params.mins) * params.scales
-    return DesignMatrix(columns=matrix.columns, values=values, hours=matrix.hours)
+    return DesignMatrix(columns=matrix.columns, values=values)

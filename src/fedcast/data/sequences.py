@@ -19,14 +19,13 @@ SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 
 
 class SequenceSet:
-    """Windows, labels, and label hours for one split."""
+    """Windows and their labels for one split."""
 
-    def __init__(self, windows: np.ndarray, labels: np.ndarray, time_index: np.ndarray):
-        if windows.ndim != 3 or not (len(windows) == len(labels) == len(time_index)):
-            raise ValidationError("windows, labels, and time_index must align")
+    def __init__(self, windows: np.ndarray, labels: np.ndarray):
+        if windows.ndim != 3 or len(windows) != len(labels):
+            raise ValidationError("windows and labels must align")
         self.windows = windows
         self.labels = labels
-        self.time_index = time_index
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -51,12 +50,11 @@ def split_chronological(n_rows: int, k: int) -> tuple[int, int]:
     return n_train, n_train + n_val
 
 
-def make_sequences(values: np.ndarray, hours: np.ndarray, k: int) -> SequenceSet:
+def make_sequences(values: np.ndarray, k: int) -> SequenceSet:
     """All K-row windows of a split; exactly len(values) - k of them."""
     values = np.array(values, dtype=np.float64)  # owned: windows view into it
-    hours = np.asarray(hours, dtype=np.int64)
-    if values.ndim != 2 or len(values) != len(hours):
-        raise ValidationError("values must be (N, D) aligned with hours")
+    if values.ndim != 2:
+        raise ValidationError("values must be (N, D)")
     n = len(values)
     if n <= k:
         raise ValidationError(f"split of {n} rows yields no window of length {k}")
@@ -65,7 +63,7 @@ def make_sequences(values: np.ndarray, hours: np.ndarray, k: int) -> SequenceSet
     windows = np.lib.stride_tricks.sliding_window_view(values, (k, values.shape[1]))
     windows = windows[:-1, 0]
     labels = values[k:, 0].copy()
-    return SequenceSet(windows, labels, hours[k:].copy())
+    return SequenceSet(windows, labels)
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,6 @@ def build_household_dataset(household_id: str, matrix: DesignMatrix, k: int,
         raise ValidationError("split boundaries out of order")
     parts = []
     for lo, hi in ((0, train_end), (train_end, val_end), (val_end, len(matrix))):
-        parts.append(make_sequences(matrix.values[lo:hi], matrix.hours[lo:hi], k))
+        parts.append(make_sequences(matrix.values[lo:hi], k))
     with_weather = len(matrix.columns) > 5
     return HouseholdDataset(household_id, k, with_weather, energy_range, *parts)

@@ -56,7 +56,7 @@ import numpy as np
 from ..clustering import agglomerate, pairwise_euclidean
 from ..data.sequences import SequenceSet
 from ..errors import NumericalError, ValidationError
-from ..nn import init_model, release_arena
+from ..nn import init_model
 from ..seeding import CLUSTERING, FINE_TUNE, INIT, ROUND, SELECT, TRAIN, key_int, stream
 from .config import ScenarioConfig
 from .training import (
@@ -156,8 +156,8 @@ def _mean(values) -> float:
 
 
 def _pool(sets) -> SequenceSet:
-    return SequenceSet(*(np.concatenate([getattr(s, name) for s in sets])
-                         for name in ("windows", "labels", "time_index")))
+    return SequenceSet(np.concatenate([s.windows for s in sets]),
+                       np.concatenate([s.labels for s in sets]))
 
 
 def _model_of(report: dict, models: dict) -> dict:
@@ -413,7 +413,7 @@ def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     assignment = agglomerate(distances, cfg.hc_linkage, cfg.hc_threshold)
     report["cluster_assignment"] = {
         ds.household_id: int(label) for ds, label in zip(datasets, assignment.labels)}
-    report["merge_distances"] = [float(m.distance) for m in assignment.merges]
+    report["merge_distances"] = list(assignment.merge_distances)
 
     models, clusters = {}, []
     for cluster_id, member_idx in enumerate(assignment.clusters()):
@@ -522,19 +522,14 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     docstring); pass one dict for a whole group from `group_entries`.
     """
     memo = {} if memo is None else memo
-    # The LSTM scratch arena is sized by this entry's largest call; free it
-    # so it does not stay mapped through the next entry's data phase.
-    try:
-        datasets, excluded = _check_datasets(datasets, cfg)
-        if cfg.kind == "centralised":
-            return _centralised(datasets, excluded, cfg)
-        if cfg.kind == "localised":
-            return _localised(datasets, excluded, cfg)
-        if cfg.kind in ("fl", "fl_hc"):
-            return _base_run(datasets, excluded, cfg, memo)
-        return _run_lft(datasets, excluded, cfg, memo)  # fl_lft, fl_hc_lft
-    finally:
-        release_arena()
+    datasets, excluded = _check_datasets(datasets, cfg)
+    if cfg.kind == "centralised":
+        return _centralised(datasets, excluded, cfg)
+    if cfg.kind == "localised":
+        return _localised(datasets, excluded, cfg)
+    if cfg.kind in ("fl", "fl_hc"):
+        return _base_run(datasets, excluded, cfg, memo)
+    return _run_lft(datasets, excluded, cfg, memo)  # fl_lft, fl_hc_lft
 
 
 def recount_samples(report: dict) -> int:

@@ -7,7 +7,6 @@ from .lstm import (
     forward_batch,
     init_model,
     param_count,
-    release_arena,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "forward_batch",
     "init_model",
     "param_count",
-    "release_arena",
 ]

@@ -61,11 +61,10 @@ These buffers, the per-tick scratch, which the backward pass reuses, and
 the weight-gradient sums and products (`np.matmul(..., out=)`, not a fresh
 array per tick) are carved (`_carve`) from one module-level float64 arena
 that grows to the largest call's total and is reused, so repeated calls
-map no fresh pages.  A carved view holds its data only until the next
-carve, by any call, so nothing carved is returned, and the arena is not
-for use by threads.  `federation.run_scenario` frees it (`release_arena`)
-when an entry ends, so its buffers do not stay mapped through the next
-entry's data phase.
+map no fresh pages.  The arena lives as long as the process, bounded by
+the largest call, which the peak already pays.  A carved view holds its
+data only until the next carve, by any call, so nothing carved is
+returned, and the arena is not for use by threads.
 """
 
 from __future__ import annotations
@@ -165,12 +164,6 @@ def _carve(*shapes) -> list:
         _arena = np.empty(starts[-1])
     return [_arena[start:start + size].reshape(shape)
             for start, size, shape in zip(starts, sizes, shapes)]
-
-
-def release_arena() -> None:
-    """Free the scratch arena; the next call allocates it afresh."""
-    global _arena
-    _arena = np.empty(0)
 
 
 def _gate_major(z: np.ndarray) -> np.ndarray:

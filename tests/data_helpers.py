@@ -40,13 +40,11 @@ class SequenceSample:
 
     window: np.ndarray  # (K, D)
     label: float
-    time_index: int     # unix hour of the labelled row
 
 
 def sample_at(seq_set, i: int) -> SequenceSample:
-    """The i-th window of a SequenceSet with its label and label hour."""
-    return SequenceSample(seq_set.windows[i], float(seq_set.labels[i]),
-                          int(seq_set.time_index[i]))
+    """The i-th window of a SequenceSet with its label."""
+    return SequenceSample(seq_set.windows[i], float(seq_set.labels[i]))
 
 
 @dataclass(frozen=True)

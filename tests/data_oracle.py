@@ -129,4 +129,4 @@ def build_design_matrix(hourly: HourlySeries, weather=None) -> DesignMatrix:
                     f"weather has no observation for {stamp.isoformat()} "
                     f"(household {hourly.household_id})")
             out[i, 5], out[i, 6] = obs
-    return DesignMatrix(columns=columns, values=out, hours=hourly.hours.copy())
+    return DesignMatrix(columns=columns, values=out)

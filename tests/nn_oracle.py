@@ -20,8 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedcast.errors import ValidationError
-from fedcast.nn import HIDDEN_SIZE, compute_gradients, forward_batch, param_count
+from fedcast.nn import HIDDEN_SIZE, compute_gradients, forward_batch, lstm, param_count
 from fedcast.nn.lstm import _blocks
+
+
+def reset_arena() -> None:
+    """Drop the kernel's scratch arena, so the next call carves a fresh one."""
+    lstm._arena = np.empty(0)
 
 
 def sigmoid(x):

@@ -16,7 +16,7 @@ import pytest
 
 from fedcast.cli import main
 from fedcast.clustering import agglomerate, cluster_quality, pairwise_euclidean
-from fedcast.data import household_datasets, prepare_datasets
+from fedcast.data import household_datasets, normalize, prepare_datasets
 from fedcast.data.synthetic import generate_synthetic_households
 from fedcast.federation import ScenarioConfig, fedavg_aggregate, recount_samples, run_scenario
 from fedcast.nn import compute_gradients, forward_batch, init_model
@@ -147,22 +147,31 @@ def test_criterion_4_reporting_arithmetic_anchors():
 
 def test_criterion_5_pipeline_counts_on_180_days():
     """A 180-day hourly fixture splits 3024/864/432 and yields rows-K
-    windows per split, with strictly ordered time indexes."""
+    windows per split, with strictly ordered hours and every label inside
+    its own split."""
     pop = generate_synthetic_households(3, archetypes=3, noise=0.05,
                                         seed=5, days=180)
     prep = prepare_datasets(pop.households, None, [6, 12, 24], with_weather=False)
+    energy = {}
     for hid in prep.household_ids:
         house = prep.households[hid]
         assert house.n_rows == 4320
         assert house.train_end == 3024
         assert house.val_end == 3024 + 864
+        # rows are strictly increasing hours, so the splits cut at train_end
+        # and val_end follow one another in time
+        assert np.all(np.diff(house.hours) > 0)
+        energy[hid] = normalize(house.matrices["base"],
+                                prep.normalizers["base"]).values[:, 0]
     for k in (6, 12, 24):
         for ds in household_datasets(prep, k, False):
             assert len(ds.train) == 3024 - k
             assert len(ds.val) == 864 - k
             assert len(ds.test) == 432 - k
-            assert ds.train.time_index.max() < ds.val.time_index.min()
-            assert ds.val.time_index.max() < ds.test.time_index.min()
+            rows = energy[ds.household_id]
+            assert np.array_equal(ds.train.labels, rows[k:3024])
+            assert np.array_equal(ds.val.labels, rows[3024 + k:3024 + 864])
+            assert np.array_equal(ds.test.labels, rows[3024 + 864 + k:])
     _line("5", True, "3 households: splits 3024/864/432, "
           "windows rows-K for K in {6,12,24}, splits ordered")
 

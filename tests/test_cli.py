@@ -28,7 +28,14 @@ from fedcast.cli import (
 )
 from fedcast.data import MeterReadings, prepare_datasets, write_cache
 from fedcast.errors import DataError, NumericalError, ValidationError
-from fedcast.federation import group_entries, scenarios
+from fedcast.federation import (
+    CLIENT_FRACTION_GRID,
+    HC_ROUNDS_GRID,
+    HC_THRESHOLD_GRID,
+    LOCAL_EPOCHS_GRID,
+    group_entries,
+    scenarios,
+)
 from fedcast.seeding import ROUND, TRAIN, key_int
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
@@ -150,6 +157,19 @@ def test_an_integral_float_k_stands_for_its_integer():
     _, entries = resolve_config(base_config(k=12.0))
     assert {cfg.k for cfg in entries} == {12}
     assert all(type(cfg.k) is int for cfg in entries)
+
+
+def test_the_readme_config_sweeps_the_canonical_grids():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    raw = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    _, entries = resolve_config(raw)
+    # 2 K values x 2 weather variants x (1 + 1 + 9 + 9 + 1 + 1) sections
+    assert len(entries) == 88
+    sections = {section["kind"]: section for section in raw["scenarios"]}
+    assert tuple(sections["fl"]["client_fraction"]) == CLIENT_FRACTION_GRID
+    assert tuple(sections["fl"]["local_epochs"]) == LOCAL_EPOCHS_GRID
+    assert tuple(sections["fl_hc"]["hc_threshold"]) == HC_THRESHOLD_GRID
+    assert tuple(sections["fl_hc"]["hc_rounds"]) == HC_ROUNDS_GRID
 
 
 def test_run_identity_depends_on_all_parts():
@@ -299,6 +319,40 @@ def test_report_refuses_runs_on_different_datasets(pipeline, tmp_path, capsys):
     assert "runs were made from different datasets" in capsys.readouterr().err
 
 
+def test_a_cache_re_prepared_in_place_is_loaded_afresh(pipeline, tmp_path):
+    # a second run in one process, on a cache re-prepared at the same path
+    # from another population, trains on the new data like a fresh process
+    root, _ = pipeline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(data="cache")))
+
+    def prepare(synth):
+        assert main(["prepare", "--meters", str(synth / "meters.csv"),
+                     "--out", str(tmp_path / "cache"), "--k", "6",
+                     "--weather-variant", "without"]) == 0
+
+    def run(out):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        run_dir, = out.iterdir()
+        return run_dir
+
+    prepare(root / "synth")
+    run(tmp_path / "first")
+    assert main(["synthesize", "--n", "3", "--days", "10", "--seed", "8",
+                 "--out", str(tmp_path / "synth")]) == 0
+    prepare(tmp_path / "synth")
+    in_process = run(tmp_path / "second")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcast.cli", "run", "--config", str(config),
+         "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    fresh, = (tmp_path / "fresh").iterdir()
+    assert in_process.name == fresh.name
+    assert (in_process / "results.json").read_bytes() == \
+        (fresh / "results.json").read_bytes()
+
+
 # ------------------------------------------------ groups of related entries
 
 GROUPED = [
@@ -421,14 +475,14 @@ def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
     assert not (run_dir / "results.json").exists()
 
 
-def _die_in_the_clustered_group(cache_dir, group):
+def _die_in_the_clustered_group(cache_dir, digest, group):
     """`_run_group` whose worker dies once the parent holds the other result.
 
     Module-level, so the pool can pickle it by name; forked workers inherit
     the patched `fedcast.cli._run_group` and the marker path.
     """
     if group[0].kind != "fl_hc":
-        return _run_group(cache_dir, group)
+        return _run_group(cache_dir, digest, group)
     marker = Path(os.environ["FEDCAST_TEST_MARKER"])
     deadline = time.monotonic() + 60
     while not marker.exists() and time.monotonic() < deadline:
@@ -439,12 +493,21 @@ def _die_in_the_clustered_group(cache_dir, group):
 class _MarkingPool(ProcessPoolExecutor):
     """Touches the marker once the unclustered group's result is in."""
 
-    def submit(self, fn, cache_dir, group):
-        future = super().submit(fn, cache_dir, group)
+    def submit(self, fn, cache_dir, digest, group):
+        future = super().submit(fn, cache_dir, digest, group)
         if group[0].kind != "fl_hc":
             marker = Path(os.environ["FEDCAST_TEST_MARKER"])
             future.add_done_callback(lambda _: marker.touch())
         return future
+
+
+def _kill_the_clustered_group(monkeypatch, marker):
+    """Make the next `run --jobs 2` of GROUPED lose its fl_hc group's worker."""
+    monkeypatch.setenv("FEDCAST_TEST_MARKER", str(marker))
+    monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
+    # `cmd_run` imports the pool from its module when --jobs is above 1
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
+                        _MarkingPool)
 
 
 def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
@@ -452,11 +515,7 @@ def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
     # a worker killed outright breaks the pool: the finished group's entries
     # sorted before the lost group are written, then failure.json, exit 4
     root, _ = pipeline
-    monkeypatch.setenv("FEDCAST_TEST_MARKER", str(tmp_path / "fl-group-done"))
-    monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
-    # `cmd_run` imports the pool from its module when --jobs is above 1
-    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
-                        _MarkingPool)
+    _kill_the_clustered_group(monkeypatch, tmp_path / "fl-group-done")
     code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
     assert code == 4
     assert "error: a worker process died" in capsys.readouterr().err
@@ -470,6 +529,36 @@ def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
         failure["completed"]
     assert not (run_dir / "results.json").exists()
     assert not (run_dir / "manifest.json").exists()
+
+
+RESULT_FILES = ("results.json", "results.csv", "tables.txt", "manifest.json")
+
+
+def test_a_successful_rerun_removes_the_failure(pipeline, tmp_path, monkeypatch):
+    root, _ = pipeline
+    _kill_the_clustered_group(monkeypatch, tmp_path / "fl-group-done")
+    code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
+    assert code == 4 and (run_dir / "failure.json").is_file()
+    monkeypatch.undo()
+    code, rerun_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
+    assert code == 0 and rerun_dir == run_dir
+    assert not (run_dir / "failure.json").exists()
+    assert all((run_dir / name).is_file() for name in RESULT_FILES)
+
+
+def test_a_failed_rerun_removes_the_results(pipeline, tmp_path, monkeypatch,
+                                            capsys):
+    root, _ = pipeline
+    code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
+    assert code == 0
+    _kill_the_clustered_group(monkeypatch, tmp_path / "fl-group-done")
+    code, rerun_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=2)
+    assert code == 4 and rerun_dir == run_dir
+    assert (run_dir / "failure.json").is_file()
+    assert not any((run_dir / name).exists() for name in RESULT_FILES)
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 2
+    assert "not a run directory" in capsys.readouterr().err
 
 
 def _fail_in_phase_3(monkeypatch, failures):
@@ -671,8 +760,13 @@ GOOD_MANIFEST = json.dumps({"data_digest": "abc"})
     ('{"entries": 3}', GOOD_MANIFEST, "results.json: no list of entries"),
     (GOOD_RESULTS, "[1]", "manifest.json: no data digest"),
     (GOOD_RESULTS, '{"data_digest": 5}', "manifest.json: no data digest"),
+    ('{"entries": [1]}', GOOD_MANIFEST, "results.json: an entry is not an object"),
+    ('{"entries": [{}]}', GOOD_MANIFEST, "results.json: an entry has no entry_id"),
+    ('{"entries": [{"entry_id": "x"}]}', GOOD_MANIFEST,
+     "results.json: an entry has no seed"),
 ], ids=["empty", "results-not-json", "manifest-not-json", "results-no-entries",
-        "entries-not-a-list", "manifest-not-an-object", "digest-not-a-string"])
+        "entries-not-a-list", "manifest-not-an-object", "digest-not-a-string",
+        "entry-not-an-object", "entry-without-fields", "entry-without-seed"])
 def test_report_refuses_non_run_directories(tmp_path, capsys, results, manifest,
                                             message):
     for name, text in (("results.json", results), ("manifest.json", manifest)):

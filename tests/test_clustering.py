@@ -46,14 +46,14 @@ def test_two_well_separated_groups(linkage):
 def test_huge_threshold_gives_one_cluster(linkage):
     result = agglomerate(pairwise_euclidean(TWO_GROUPS), linkage, float("inf"))
     assert n_clusters(result) == 1
-    assert len(result.merges) == len(TWO_GROUPS) - 1
+    assert len(result.merge_distances) == len(TWO_GROUPS) - 1
 
 
 @pytest.mark.parametrize("linkage", LINKAGES)
 def test_threshold_below_min_distance_gives_singletons(linkage):
     result = agglomerate(pairwise_euclidean(TWO_GROUPS), linkage, 0.01)
     assert result.labels == (0, 1, 2, 3, 4, 5)
-    assert result.merges == ()
+    assert result.merge_distances == ()
 
 
 def test_cluster_ids_are_ordered_by_smallest_member():
@@ -82,7 +82,7 @@ def test_first_ward_merge_happens_at_plain_distance():
     points = [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]
     result = agglomerate(pairwise_euclidean(points), "ward", 1.5)
     assert result.labels == (0, 0, 1)
-    assert result.merges[0].distance == pytest.approx(1.0)
+    assert result.merge_distances[0] == pytest.approx(1.0)
 
 
 def test_single_linkage_is_connected_components():

@@ -27,7 +27,7 @@ def prepared(clean, build, readings, weather):
         return "error", str(err)
     return (series.hours.tobytes(), series.values.tobytes(),
             float(series.filled_fraction).hex(),
-            [(m.columns, m.hours.tobytes(), m.values.tobytes()) for m in matrices])
+            [(m.columns, m.values.tobytes()) for m in matrices])
 
 
 @st.composite

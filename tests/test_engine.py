@@ -132,7 +132,7 @@ def poisoned(ds, feature, step, gen):
     windows[:, :, feature] = 0.0
     windows[index, :, feature] = 1e200
     labels[index] = 1e153  # squared, still finite: the loss stays finite
-    train = SequenceSet(windows, labels, ds.train.time_index)
+    train = SequenceSet(windows, labels)
     return replace(ds, train=train)
 
 

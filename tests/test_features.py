@@ -70,7 +70,6 @@ def test_base_matrix_layout():
     matrix = build_design_matrix(series)
     assert matrix.columns == BASE_COLUMNS
     assert matrix.values.shape == (30, 5)
-    assert np.array_equal(matrix.hours, series.hours)
     assert np.all(matrix.values[:, 0] == 0.5)
     assert matrix.values[0, 1] == 2013
     row = design_row(matrix, 0)

@@ -24,7 +24,7 @@ from fedcast.federation import (
 )
 from fedcast.federation import scenarios, training
 from fedcast.federation.scenarios import _init_flat
-from fedcast.nn import compute_gradients, init_model, lstm
+from fedcast.nn import init_model
 from fedcast.seeding import ROUND, TRAIN, key_int, stream
 from nn_oracle import train_serially
 
@@ -367,30 +367,6 @@ def test_variant_mismatch_is_rejected(tiny_datasets):
     cfg = small_config("localised", k=12)
     with pytest.raises(ValidationError):
         run_scenario(tiny_datasets, cfg)
-
-
-def test_run_scenario_returns_or_raises_with_the_lstm_arena_released(
-        tiny_datasets, monkeypatch):
-    sizes = []
-
-    def measured(*args):
-        result = compute_gradients(*args)
-        sizes.append(lstm._arena.size)
-        return result
-
-    monkeypatch.setattr(training, "compute_gradients", measured)
-    run_scenario(tiny_datasets, small_config("localised"))
-    assert min(sizes) > 0 and lstm._arena.size == 0
-
-    def failing(*args):
-        measured(*args)
-        raise NumericalError("loss is not finite", session=0)
-
-    sizes.clear()
-    monkeypatch.setattr(training, "compute_gradients", failing)
-    with pytest.raises(NumericalError):
-        run_scenario(tiny_datasets, small_config("fl"))
-    assert sizes and sizes[-1] > 0 and lstm._arena.size == 0
 
 
 def test_duplicated_training_data_matches_single_client(tiny_datasets):

@@ -16,7 +16,6 @@ from fedcast.nn import (
     init_model,
     lstm,
     param_count,
-    release_arena,
 )
 from data_helpers import sample_at
 from nn_oracle import (
@@ -24,6 +23,7 @@ from nn_oracle import (
     layerwise_forward,
     layerwise_gradients,
     mse_loss,
+    reset_arena,
     stack_samples,
 )
 
@@ -159,7 +159,7 @@ def arena_inputs(i):
 
 
 def fresh_arena_gradients(i):
-    release_arena()
+    reset_arena()
     return compute_gradients(*arena_inputs(i))
 
 
@@ -169,7 +169,7 @@ def assert_same_result(a, b):
 
 def test_a_reused_arena_gives_fresh_arena_gradients():
     fresh = [fresh_arena_gradients(i) for i in range(len(ARENA_CALLS))]
-    release_arena()
+    reset_arena()
     kept, copies = [], []
     for i in [*range(len(ARENA_CALLS)), *reversed(range(len(ARENA_CALLS)))]:
         windows, targets, params = arena_inputs(i)
@@ -185,7 +185,7 @@ def test_a_reused_arena_gives_fresh_arena_gradients():
 
 def test_a_call_that_raises_mid_pass_leaves_the_next_call_exact():
     expected = [fresh_arena_gradients(i) for i in (1, 3)]
-    release_arena()
+    reset_arena()
     windows, targets, params = arena_inputs(3)
     params[1, 7] = np.nan  # poisons every forward buffer of model 1
     with pytest.raises(NumericalError) as err:
@@ -267,7 +267,7 @@ def test_sliding_window_forwards_match_the_oracle(d):
     for k in (6, 12, 24):
         for n in (1, 37, 420, 1024):
             gen = np.random.default_rng([d, k, n])
-            seq = make_sequences(gen.normal(size=(n + k, d)), np.arange(n + k), k)
+            seq = make_sequences(gen.normal(size=(n + k, d)), k)
             params = init_model(d, gen) * gen.choice([1.0, 4.0])
             assert len(seq.windows) == n
             assert forward_batch(seq.windows, params).tobytes() == \

@@ -17,7 +17,6 @@ from fedcast.nn import (
     forward_batch,
     init_model,
     param_count,
-    release_arena,
 )
 from fedcast.seeding import INIT, stream
 from nn_oracle import (
@@ -28,6 +27,7 @@ from nn_oracle import (
     lstm_cell_forward,
     model_forward,
     mse_loss,
+    reset_arena,
     unflatten,
 )
 
@@ -149,7 +149,7 @@ def test_mse_loss_basics():
 def test_predictions_do_not_depend_on_what_the_arena_held(tiny_datasets):
     # growing and shrinking calls, on arrays and on the sliding-window views
     # training reads, with gradient calls between them: each prediction is
-    # the one a freshly released arena gives, and later calls leave it alone
+    # the one a fresh arena gives, and later calls leave it alone
     gen = np.random.default_rng(9)
     cases = [(gen.normal(size=(n, k, d)), init_model(d, gen, hidden=hidden))
              for n, k, d, hidden in [(5, 6, 3, 4), (40, 12, 5, 20), (1, 1, 1, 1),
@@ -159,9 +159,9 @@ def test_predictions_do_not_depend_on_what_the_arena_held(tiny_datasets):
     cases += [(train.windows, vec), (train.windows[2:9], vec)]
     fresh = []
     for windows, params in cases:
-        release_arena()
+        reset_arena()
         fresh.append(forward_batch(windows, params))
-    release_arena()
+    reset_arena()
     kept = []
     for j in [*range(len(cases)), *reversed(range(len(cases)))]:
         windows, params = cases[j]

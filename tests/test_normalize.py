@@ -14,8 +14,7 @@ COLS = ("energy_kwh", "a", "b")
 
 def matrix(values):
     values = np.asarray(values, dtype=np.float64)
-    return DesignMatrix(columns=COLS, values=values,
-                        hours=np.arange(len(values), dtype=np.int64))
+    return DesignMatrix(columns=COLS, values=values)
 
 
 def test_fit_uses_training_rows_of_every_household():
@@ -85,8 +84,7 @@ def test_shared_energy_scale_across_households(tiny_prepared):
 def test_mismatched_columns_are_rejected():
     m = matrix([[1.0, 0.0, 5.0], [2.0, 1.0, 5.0]])
     params = fit_normalizer([m], [2])
-    other = DesignMatrix(columns=("x", "y"), values=np.zeros((2, 2)),
-                         hours=np.arange(2, dtype=np.int64))
+    other = DesignMatrix(columns=("x", "y"), values=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         normalize(other, params)
     with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from data_helpers import sample_at
-from fedcast.data import make_sequences, split_chronological
+from fedcast.data import make_sequences, normalize, split_chronological
 from fedcast.errors import ValidationError
 
 
@@ -48,31 +48,33 @@ def test_too_short_series_is_rejected():
 def test_window_count_and_labels():
     n, k, d = 30, 6, 3
     values = np.arange(n * d, dtype=np.float64).reshape(n, d)
-    hours = np.arange(100, 100 + n, dtype=np.int64)
-    seqs = make_sequences(values, hours, k)
+    seqs = make_sequences(values, k)
     assert len(seqs) == n - k
     assert seqs.windows.shape == (n - k, k, d)
     # window i is rows i..i+k-1 and its label is row i+k's first column
     assert np.array_equal(seqs.windows[0], values[:k])
     assert np.array_equal(seqs.windows[5], values[5:5 + k])
     assert np.array_equal(seqs.labels, values[k:, 0])
-    assert np.array_equal(seqs.time_index, hours[k:])
 
 
 def test_windows_own_their_memory():
     values = np.ones((10, 2))
-    seqs = make_sequences(values, np.arange(10, dtype=np.int64), 3)
+    seqs = make_sequences(values, 3)
     values[:] = 0.0
     assert np.all(seqs.windows == 1.0)
 
 
-def test_time_index_is_monotonic(tiny_datasets):
+def test_splits_label_consecutive_hours_in_order(tiny_prepared, tiny_datasets):
+    params = tiny_prepared.normalizers["base"]
     for ds in tiny_datasets:
-        for split in (ds.train, ds.val, ds.test):
-            assert np.all(np.diff(split.time_index) > 0)
-        # splits do not overlap in time
-        assert ds.train.time_index[-1] < ds.val.time_index[0]
-        assert ds.val.time_index[-1] < ds.test.time_index[0]
+        house = tiny_prepared.households[ds.household_id]
+        energy = normalize(house.matrices["base"], params).values[:, 0]
+        assert np.all(np.diff(house.hours) > 0)
+        # each split labels the rows after its first K, and splits do not
+        # overlap in time
+        bounds = (0, house.train_end, house.val_end, house.n_rows)
+        for split, lo, hi in zip((ds.train, ds.val, ds.test), bounds, bounds[1:]):
+            assert np.array_equal(split.labels, energy[lo + ds.k:hi])
 
 
 def test_per_split_window_counts(tiny_prepared, tiny_datasets):
@@ -92,10 +94,10 @@ def test_sample_addressing(tiny_datasets):
     sample = sample_at(ds.train, 3)
     assert sample.window.shape == (ds.k, ds.feature_dim)
     assert sample.label == ds.train.labels[3]
-    assert sample.time_index == int(ds.train.time_index[3])
+    assert np.array_equal(sample.window, ds.train.windows[3])
 
 
 def test_window_shorter_than_split_is_required():
     values = np.ones((4, 2))
     with pytest.raises(ValidationError):
-        make_sequences(values, np.arange(4, dtype=np.int64), 4)
+        make_sequences(values, 4)
