@@ -7,6 +7,7 @@ process dies mid-write.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,3 +30,12 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as JSON with sorted keys, indented, ending in a
+    newline: identical objects give identical bytes.  A non-finite float
+    raises ValueError, and `path` is then left as it was."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .errors import DataError, FedcastError, NumericalError, ValidationError
 
 # Each command imports the layers it runs when it runs: `prepare` and
@@ -47,18 +47,6 @@ from .errors import DataError, FedcastError, NumericalError, ValidationError
 
 SEED_ENV = "FEDCAST_SEED"
 
-# Config keys per scenario kind; each expands into a sweep grid when given
-# as a list.
-_SCENARIO_KEYS = {
-    "centralised": (),
-    "localised": (),
-    "fl": ("client_fraction", "local_epochs"),
-    "fl_lft": ("client_fraction", "local_epochs"),
-    "fl_hc": ("client_fraction", "local_epochs", "hc_threshold", "hc_linkage",
-              "hc_rounds"),
-    "fl_hc_lft": ("client_fraction", "local_epochs", "hc_threshold",
-                  "hc_linkage", "hc_rounds"),
-}
 _OVERRIDE_KEYS = ("batch_size", "learning_rate", "patience", "epochs_cap",
                   "fl_rounds_cap", "flhc_rounds_cap", "lft_epochs_cap")
 
@@ -73,7 +61,7 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     Scalar fields stand for singleton grids; list fields sweep.  The
     environment variable FEDCAST_SEED overrides the config seed.
     """
-    from .federation import ScenarioConfig
+    from .federation.config import SCENARIO_KEYS, ScenarioConfig
 
     if not isinstance(raw, dict):
         raise ValidationError("the config must be a JSON object")
@@ -96,8 +84,6 @@ def resolve_config(raw: dict) -> tuple[int, list]:
             seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"{SEED_ENV}={env_seed!r} is not an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
 
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
@@ -111,8 +97,6 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     k_values = [int(k) if isinstance(k, float) and k.is_integer() else k
                 for k in _aslist(raw.get("k", 12))]
     weather_values = _aslist(raw.get("weather", False))
-    if not all(isinstance(w, bool) for w in weather_values):
-        raise ValidationError("weather must be true, false, or a list of those")
 
     entries = []
     for section in raw["scenarios"]:
@@ -121,9 +105,9 @@ def resolve_config(raw: dict) -> tuple[int, list]:
         if "kind" not in section:
             raise ValidationError("every scenario section needs a 'kind'")
         kind = section["kind"]
-        if not isinstance(kind, str) or kind not in _SCENARIO_KEYS:
+        if not isinstance(kind, str) or kind not in SCENARIO_KEYS:
             raise ValidationError(f"unknown scenario {kind!r}")
-        allowed = _SCENARIO_KEYS[kind]
+        allowed = SCENARIO_KEYS[kind]
         bad = set(section) - {"kind"} - set(allowed)
         if bad:
             raise ValidationError(f"{kind}: unexpected keys {sorted(bad)}")
@@ -197,9 +181,7 @@ def _write_entry_outputs(out: Path, entry_id: str, report: dict,
     log_rel = f"logs/{entry_id}.json"
     log_path = out / log_rel
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(log_path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(log_path, report)
     files.append(log_rel)
     for name in sorted(models):
         rel = f"models/{entry_id}/{name}.npy"
@@ -209,6 +191,19 @@ def _write_entry_outputs(out: Path, entry_id: str, report: dict,
             np.save(fh, np.asarray(models[name], dtype=np.float64))
         files.append(rel)
     return files
+
+
+def _keep_only(out: Path, files: list) -> None:
+    """Remove every file under `out` but `files` (paths relative to it), and
+    the directories that leaves empty: a run directory holds one outcome."""
+    keep = {out / rel for rel in files}
+    for root, _, names in os.walk(out, topdown=False):
+        for name in names:
+            path = Path(root, name)
+            if path not in keep:
+                path.unlink()
+        if root != str(out) and not os.listdir(root):
+            os.rmdir(root)
 
 
 def cmd_prepare(args) -> int:
@@ -260,10 +255,8 @@ def cmd_synthesize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_meter_csv(out / "meters.csv", pop.households)
     write_weather_csv(out / "weather.csv", pop.weather)
-    with atomic_write(out / "archetypes.json") as fh:
-        json.dump({"names": list(pop.archetype_names),
-                   "assignment": pop.archetype_of}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "archetypes.json", {"names": list(pop.archetype_names),
+                                         "assignment": pop.archetype_of})
     print(f"wrote {len(pop.households)} households to {out}")
     return 0
 
@@ -336,21 +329,16 @@ def cmd_run(args) -> int:
             break
         files += _write_entry_outputs(out, entry_id, report, models)
         reports.append(report)
-    # A run directory holds one outcome: a rerun removes the other one's files.
     if failures:
         err = failures[0][1]
-        for name in ("results.json", "results.csv", "tables.txt", "manifest.json"):
-            (out / name).unlink(missing_ok=True)
         # Flush what we have for post-mortem before reporting failure.
-        with atomic_write(out / "failure.json") as fh:
-            json.dump({"error": str(err), "error_class": type(err).__name__,
-                       "param_index": getattr(err, "param_index", None),
-                       "completed": [r["entry_id"] for r in reports]},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "failure.json", {
+            "error": str(err), "error_class": type(err).__name__,
+            "param_index": getattr(err, "param_index", None),
+            "completed": [r["entry_id"] for r in reports]})
+        _keep_only(out, files + ["failure.json"])
         raise err
 
-    (out / "failure.json").unlink(missing_ok=True)
     emit_report(reports, out, run_meta={
         "seed": seed, "run_id": run_id, "data_digest": digest})
     files += ["results.json", "results.csv", "tables.txt"]
@@ -365,9 +353,8 @@ def cmd_run(args) -> int:
         "files": sorted(files) + ["manifest.json"],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    with atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
+    _keep_only(out, manifest["files"])
     print(f"run {run_id}: {len(entries)} entries -> {out}")
     print((out / "tables.txt").read_text(), end="")
     return 0
@@ -381,7 +368,7 @@ def _read_json(path: Path):
 
 
 def cmd_report(args) -> int:
-    from .reporting import build_comparison, emit_report, render_tables
+    from .reporting import build_comparison, emit_report, entry_problem, render_tables
 
     reports = []
     digests = {}
@@ -399,14 +386,9 @@ def cmd_report(args) -> int:
             raise DataError(f"{manifest}: no data digest")
         digests[str(run)] = meta["data_digest"]
         for report in payload["entries"]:
-            if not isinstance(report, dict):
-                raise DataError(f"{results}: an entry is not an object")
-            missing = [key for key in ("entry_id", "seed", "scenario", "k",
-                                       "weather", "mean_rmse", "best_client_rmse",
-                                       "total_samples")
-                       if key not in report]
-            if missing:
-                raise DataError(f"{results}: an entry has no {', '.join(missing)}")
+            problem = entry_problem(report)
+            if problem:
+                raise DataError(f"{results}: {problem}")
             entry_id = report["entry_id"]
             if entry_id in seen:
                 raise DataError(

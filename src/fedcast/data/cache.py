@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import atomic_write
+from ..atomic import atomic_write, write_json
 from ..errors import DataError, ValidationError
 from .cleaning import clean_readings
 from .features import DesignMatrix, WeatherTable, build_design_matrix
@@ -171,9 +171,7 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
         "flags": prep.flags(),
         "digests": digests,
     }
-    with atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 

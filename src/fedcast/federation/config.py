@@ -14,15 +14,27 @@ from numbers import Integral, Real
 from ..clustering import LINKAGES as HC_LINKAGES
 from ..errors import ValidationError
 
-SCENARIO_KINDS = ("centralised", "localised", "fl", "fl_hc", "fl_lft", "fl_hc_lft")
+# The scenario kinds, each with the config keys it takes; a run config sweeps
+# a key given as a list.
+_FL_KEYS = ("client_fraction", "local_epochs")
+_HC_KEYS = _FL_KEYS + ("hc_threshold", "hc_linkage", "hc_rounds")
+SCENARIO_KEYS = {
+    "centralised": (),
+    "localised": (),
+    "fl": _FL_KEYS,
+    "fl_hc": _HC_KEYS,
+    "fl_lft": _FL_KEYS,
+    "fl_hc_lft": _HC_KEYS,
+}
+SCENARIO_KINDS = tuple(SCENARIO_KEYS)
+_FL_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items()
+                  if "client_fraction" in keys)
+_HC_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items() if "hc_rounds" in keys)
 
 CLIENT_FRACTION_GRID = (0.1, 0.2, 0.3)
 LOCAL_EPOCHS_GRID = (1, 3, 5)
 HC_THRESHOLD_GRID = (0.8, 1.4, 2.0)
 HC_ROUNDS_GRID = (3, 5, 10)
-
-_HC_KINDS = ("fl_hc", "fl_hc_lft")
-_FL_KINDS = ("fl", "fl_lft") + _HC_KINDS
 
 # Fields that must hold an integer and fields that must hold a number; a bool
 # is neither.  An unset (None) clustering setting is checked by kind instead.
@@ -63,6 +75,9 @@ class ScenarioConfig:
                     continue
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValidationError(f"{name} must be {noun}, got {value!r}")
+        if not isinstance(self.with_weather, bool):
+            raise ValidationError(
+                f"with_weather must be true or false, got {self.with_weather!r}")
         if self.k < 1:
             raise ValidationError("window length K must be >= 1")
         if self.seed < 0:

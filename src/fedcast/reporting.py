@@ -17,13 +17,13 @@ and row best with annotations against the localised baseline.
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .errors import ValidationError
 
 SCENARIO_ORDER = ("centralised", "localised", "fl", "fl_hc", "fl_lft", "fl_hc_lft")
@@ -72,6 +72,53 @@ def _variant_key(variant):
 
 def _entry_sort_key(report: dict):
     return report["entry_id"]
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _val_score(value) -> bool:
+    if isinstance(value, dict):
+        return bool(value) and all(map(_finite, value.values()))
+    return value is None or _finite(value)
+
+
+# What the tables read of each entry, and what each field must hold.  Only
+# best_val_rmse, the validation score that picks a sweep's winner, may be
+# absent.  A bool counts as neither an integer nor a number.
+_ENTRY_FIELDS = (
+    ("entry_id", "a string", lambda v: isinstance(v, str)),
+    ("seed", "an integer >= 0", lambda v: _integer(v) and v >= 0),
+    ("scenario", f"one of {SCENARIO_ORDER}", lambda v: v in SCENARIO_ORDER),
+    ("k", "an integer >= 1", lambda v: _integer(v) and v >= 1),
+    ("weather", "true or false", lambda v: isinstance(v, bool)),
+    ("mean_rmse", "a finite number >= 0", lambda v: _finite(v) and v >= 0),
+    ("best_client_rmse", "a finite number >= 0", lambda v: _finite(v) and v >= 0),
+    ("total_samples", "an integer >= 0", lambda v: _integer(v) and v >= 0),
+    ("best_val_rmse", "null, a finite number, or a non-empty object of them",
+     _val_score),
+)
+
+
+def entry_problem(report) -> str | None:
+    """What makes `report` unfit for the tables, or None if it is fit."""
+    if not isinstance(report, dict):
+        return "an entry is not an object"
+    missing = [name for name, _, _ in _ENTRY_FIELDS
+               if name not in report and name != "best_val_rmse"]
+    if missing:
+        return f"an entry has no {', '.join(missing)}"
+    for name, noun, fits in _ENTRY_FIELDS:
+        value = report.get(name)
+        if not fits(value):
+            return f"an entry's {name} is {value!r}, not {noun}"
+    return None
 
 
 def _best_metric(report: dict) -> float:
@@ -226,9 +273,7 @@ def emit_report(reports, out_dir, run_meta: dict | None = None) -> dict:
     payload = {"entries": reports}
     if run_meta:
         payload.update(run_meta)
-    with atomic_write(out / "results.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(out / "results.json", payload)
     with atomic_write(out / "results.csv") as fh:
         fh.write("\n".join(results_csv_lines(reports)) + "\n")
     table = build_comparison(reports)

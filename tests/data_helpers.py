@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fedcast.data import WEATHER_COLUMNS, MeterReadings
-from fedcast.data.cleaning import epoch_minutes
+from fedcast.data.cleaning import MeterReadings, epoch_minutes
+from fedcast.data.features import WEATHER_COLUMNS
 from fedcast.errors import ValidationError
 
 

@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from fedcast.data import BASE_COLUMNS, WEATHER_COLUMNS, DesignMatrix, HourlySeries
-from fedcast.data.cleaning import epoch_minutes
+from fedcast.data.cleaning import HourlySeries, epoch_minutes
+from fedcast.data.features import BASE_COLUMNS, WEATHER_COLUMNS, DesignMatrix
 from fedcast.errors import DataError
 
 _SUPPORTED_STEPS_MIN = (30, 60)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedcast.errors import ValidationError
-from fedcast.nn import HIDDEN_SIZE, compute_gradients, forward_batch, lstm, param_count
-from fedcast.nn.lstm import _blocks
+from fedcast.nn import compute_gradients, forward_batch, lstm
+from fedcast.nn.lstm import HIDDEN_SIZE, _blocks, param_count
 
 
 def reset_arena() -> None:

@@ -16,9 +16,11 @@ import pytest
 
 from fedcast.cli import main
 from fedcast.clustering import agglomerate, cluster_quality, pairwise_euclidean
-from fedcast.data import household_datasets, normalize, prepare_datasets
+from fedcast.data import household_datasets, prepare_datasets
+from fedcast.data.normalize import normalize
 from fedcast.data.synthetic import generate_synthetic_households
-from fedcast.federation import ScenarioConfig, fedavg_aggregate, recount_samples, run_scenario
+from fedcast.federation import ScenarioConfig, recount_samples, run_scenario
+from fedcast.federation.scenarios import fedavg_aggregate
 from fedcast.nn import compute_gradients, forward_batch, init_model
 from fedcast.reporting import pct_difference, savings_factor
 from clustering_oracle import agglomerate_bruteforce, n_clusters

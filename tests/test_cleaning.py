@@ -7,7 +7,7 @@ import pytest
 
 import data_oracle
 from data_helpers import Reading, series_to_readings, to_columns
-from fedcast.data import clean_readings
+from fedcast.data.cleaning import clean_readings
 from fedcast.errors import DataError
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)

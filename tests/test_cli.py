@@ -26,15 +26,15 @@ from fedcast.cli import (
     resolve_config,
     run_identity,
 )
-from fedcast.data import MeterReadings, prepare_datasets, write_cache
+from fedcast.data import prepare_datasets, write_cache
+from fedcast.data.cleaning import MeterReadings
 from fedcast.errors import DataError, NumericalError, ValidationError
-from fedcast.federation import (
+from fedcast.federation import group_entries, scenarios
+from fedcast.federation.config import (
     CLIENT_FRACTION_GRID,
     HC_ROUNDS_GRID,
     HC_THRESHOLD_GRID,
     LOCAL_EPOCHS_GRID,
-    group_entries,
-    scenarios,
 )
 from fedcast.seeding import ROUND, TRAIN, key_int
 
@@ -544,6 +544,9 @@ def test_a_successful_rerun_removes_the_failure(pipeline, tmp_path, monkeypatch)
     assert code == 0 and rerun_dir == run_dir
     assert not (run_dir / "failure.json").exists()
     assert all((run_dir / name).is_file() for name in RESULT_FILES)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*")
+                  if p.is_file()) == sorted(manifest["files"])
 
 
 def test_a_failed_rerun_removes_the_results(pipeline, tmp_path, monkeypatch,
@@ -556,6 +559,9 @@ def test_a_failed_rerun_removes_the_results(pipeline, tmp_path, monkeypatch,
     assert code == 4 and rerun_dir == run_dir
     assert (run_dir / "failure.json").is_file()
     assert not any((run_dir / name).exists() for name in RESULT_FILES)
+    completed = json.loads((run_dir / "failure.json").read_text())["completed"]
+    assert sorted(p.stem for p in (run_dir / "logs").iterdir()) == completed
+    assert sorted(p.name for p in (run_dir / "models").iterdir()) == completed
     capsys.readouterr()
     assert main(["report", str(run_dir)]) == 2
     assert "not a run directory" in capsys.readouterr().err
@@ -750,6 +756,15 @@ def test_prepare_has_no_with_weather_variant(tmp_path, capsys):
 
 GOOD_RESULTS = json.dumps({"entries": []})
 GOOD_MANIFEST = json.dumps({"data_digest": "abc"})
+GOOD_ENTRY = {"entry_id": "fl__k12-w__f0.1_e3", "seed": 0, "scenario": "fl",
+              "k": 12, "weather": False, "mean_rmse": 0.1,
+              "best_client_rmse": 0.05, "total_samples": 10,
+              "best_val_rmse": 0.2}
+
+
+def results_with(**fields):
+    """results.json holding GOOD_ENTRY with `fields` changed."""
+    return json.dumps({"entries": [dict(GOOD_ENTRY, **fields)]})
 
 
 @pytest.mark.parametrize("results,manifest,message", [
@@ -764,9 +779,30 @@ GOOD_MANIFEST = json.dumps({"data_digest": "abc"})
     ('{"entries": [{}]}', GOOD_MANIFEST, "results.json: an entry has no entry_id"),
     ('{"entries": [{"entry_id": "x"}]}', GOOD_MANIFEST,
      "results.json: an entry has no seed"),
+    (results_with(entry_id=["x"]), GOOD_MANIFEST,
+     "results.json: an entry's entry_id is ['x'], not a string"),
+    (results_with(mean_rmse=float("nan")), GOOD_MANIFEST,
+     "results.json: an entry's mean_rmse is nan"),
+    (results_with(weather="no"), GOOD_MANIFEST,
+     "results.json: an entry's weather is 'no', not true or false"),
+    (results_with(scenario="nope"), GOOD_MANIFEST,
+     "results.json: an entry's scenario is 'nope', not one of"),
+    (results_with(mean_rmse="0.1"), GOOD_MANIFEST,
+     "results.json: an entry's mean_rmse is '0.1', not a finite number"),
+    (results_with(total_samples="10"), GOOD_MANIFEST,
+     "results.json: an entry's total_samples is '10', not an integer"),
+    (results_with(k="12"), GOOD_MANIFEST,
+     "results.json: an entry's k is '12', not an integer"),
+    (results_with(seed=True), GOOD_MANIFEST,
+     "results.json: an entry's seed is True, not an integer"),
+    (results_with(best_val_rmse={"h0": "x"}), GOOD_MANIFEST,
+     "results.json: an entry's best_val_rmse is {'h0': 'x'}"),
 ], ids=["empty", "results-not-json", "manifest-not-json", "results-no-entries",
         "entries-not-a-list", "manifest-not-an-object", "digest-not-a-string",
-        "entry-not-an-object", "entry-without-fields", "entry-without-seed"])
+        "entry-not-an-object", "entry-without-fields", "entry-without-seed",
+        "entry-id-a-list", "rmse-nan", "weather-a-string", "unknown-scenario",
+        "rmse-a-string", "samples-a-string", "k-a-string", "seed-a-bool",
+        "val-score-not-numbers"])
 def test_report_refuses_non_run_directories(tmp_path, capsys, results, manifest,
                                             message):
     for name, text in (("results.json", results), ("manifest.json", manifest)):
@@ -827,16 +863,20 @@ UNUSED_BY_DATA_COMMANDS = ("fedcast.federation", "fedcast.nn",
                                            "fedcast.seeding")),
     ("run", ("concurrent.futures.process", "fedcast.data.synthetic")),
     ("synthesize", UNUSED_BY_DATA_COMMANDS),
+    ("report", ("fedcast.federation", "fedcast.nn", "fedcast.clustering",
+                "fedcast.data", "fedcast.seeding", "concurrent.futures.process")),
 ])
 def test_a_command_loads_only_the_layers_it_runs(pipeline, tmp_path, command,
                                                  unused):
-    root, _ = pipeline
+    root, run_dir = pipeline
     if command == "prepare":
         argv = ["prepare", "--meters", str(root / "synth" / "meters.csv"),
                 "--weather", str(root / "synth" / "weather.csv"),
                 "--out", str(tmp_path / "cache"), "--k", "6"]
     elif command == "synthesize":
         argv = ["synthesize", "--n", "3", "--days", "2", "--out", str(tmp_path)]
+    elif command == "report":
+        argv = ["report", str(run_dir)]
     else:
         argv = ["run", "--config", str(root / "config.json"),
                 "--out", str(tmp_path), "--jobs", "1"]

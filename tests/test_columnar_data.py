@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import data_oracle
 from data_helpers import Reading, to_columns
-from fedcast.data import HourlySeries, WeatherTable, build_design_matrix, clean_readings
+from fedcast.data.cleaning import HourlySeries, clean_readings
+from fedcast.data.features import WeatherTable, build_design_matrix
 from fedcast.errors import DataError
 
 

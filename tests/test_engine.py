@@ -14,7 +14,9 @@ import pytest
 from conftest import small_config
 from fedcast.data.sequences import SequenceSet
 from fedcast.errors import NumericalError
-from fedcast.federation import Session, fedavg_round, fit_epochs, training
+from fedcast.federation import training
+from fedcast.federation.scenarios import fedavg_round
+from fedcast.federation.training import Session, fit_epochs
 from fedcast.nn import init_model
 from fedcast.seeding import ROUND, TRAIN, key_int, stream
 from nn_oracle import train_serially

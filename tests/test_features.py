@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcast.data import (
+from fedcast.data.cleaning import MeterReadings, clean_readings, epoch_minutes
+from fedcast.data.features import (
     BASE_COLUMNS,
     WEATHER_COLUMNS,
-    MeterReadings,
     WeatherTable,
     build_design_matrix,
-    clean_readings,
 )
 from data_helpers import design_row
 from data_oracle import calendar_fields
-from fedcast.data.cleaning import epoch_minutes
 from fedcast.errors import DataError
 
 

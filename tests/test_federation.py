@@ -11,19 +11,15 @@ import pytest
 from conftest import small_config
 from fedcast.data import household_datasets, prepare_datasets
 from fedcast.errors import NumericalError, ValidationError
-from fedcast.federation import (
-    EarlyStopper,
-    Session,
+from fedcast.federation import recount_samples, run_scenario, scenarios, training
+from fedcast.federation.scenarios import (
+    _init_flat,
     fedavg_aggregate,
     fedavg_round,
     fine_tune,
-    fit_epochs,
-    recount_samples,
-    run_scenario,
     sample_clients,
 )
-from fedcast.federation import scenarios, training
-from fedcast.federation.scenarios import _init_flat
+from fedcast.federation.training import EarlyStopper, Session, fit_epochs
 from fedcast.nn import init_model
 from fedcast.seeding import ROUND, TRAIN, key_int, stream
 from nn_oracle import train_serially

@@ -9,14 +9,8 @@ import pytest
 
 from fedcast.data.sequences import make_sequences
 from fedcast.errors import NumericalError, ValidationError
-from fedcast.nn import (
-    HIDDEN_SIZE,
-    compute_gradients,
-    forward_batch,
-    init_model,
-    lstm,
-    param_count,
-)
+from fedcast.nn import compute_gradients, forward_batch, init_model, lstm
+from fedcast.nn.lstm import HIDDEN_SIZE, param_count
 from data_helpers import sample_at
 from nn_oracle import (
     gradient,

@@ -11,13 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcast.errors import ValidationError
-from fedcast.nn import (
-    HIDDEN_SIZE,
-    compute_gradients,
-    forward_batch,
-    init_model,
-    param_count,
-)
+from fedcast.nn import compute_gradients, forward_batch, init_model
+from fedcast.nn.lstm import HIDDEN_SIZE, param_count
 from fedcast.seeding import INIT, stream
 from nn_oracle import (
     ForecastModel,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from data_helpers import degenerate, denormalize_column
-from fedcast.data import DesignMatrix, NormalizationParams, fit_normalizer, normalize
+from fedcast.data.features import DesignMatrix
+from fedcast.data.normalize import NormalizationParams, fit_normalizer, normalize
 from fedcast.errors import ValidationError
 
 COLS = ("energy_kwh", "a", "b")

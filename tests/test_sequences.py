@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from data_helpers import sample_at
-from fedcast.data import make_sequences, normalize, split_chronological
+from fedcast.data.normalize import normalize
+from fedcast.data.sequences import make_sequences, split_chronological
 from fedcast.errors import ValidationError
 
 

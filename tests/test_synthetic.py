@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from fedcast.data import clean_readings
+from fedcast.data.cleaning import clean_readings
 from fedcast.data.synthetic import ARCHETYPES, generate_synthetic_households
 from fedcast.errors import ValidationError
 
