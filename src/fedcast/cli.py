@@ -111,6 +111,9 @@ def resolve_config(raw: dict) -> tuple[int, list]:
         bad = set(section) - {"kind"} - set(allowed)
         if bad:
             raise ValidationError(f"{kind}: unexpected keys {sorted(bad)}")
+        for key in allowed:
+            if section.get(key) == []:
+                raise ValidationError(f"{kind}: {key} sweeps an empty list")
         grids = [[(key, v) for v in _aslist(section[key])]
                  for key in allowed if key in section]
         for combo in itertools.product(*grids):

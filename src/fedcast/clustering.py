@@ -9,13 +9,18 @@ Euclidean distance of the two points.
 
 Ties (exactly equal linkage distances) are broken lexicographically by the
 pair (smallest member of the left cluster, smallest member of the right
-cluster), which keeps the dendrogram deterministic.
+cluster), which keeps the dendrogram deterministic.  A merge keeps the lower
+row of the working matrix, so row i always holds the cluster whose smallest
+member is i, and that tie order is simply the first minimum in row-major
+order over the live pairs i < j: one `np.argmin` per merge.  The
+Lance-Williams update is one vector expression over columns i and j that
+does, element by element, the IEEE operations of the scalar recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 
@@ -74,15 +79,6 @@ def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray:
     return d
 
 
-def _labels_from_members(members: list) -> tuple:
-    order = sorted(range(len(members)), key=lambda i: min(members[i]))
-    labels = {}
-    for cluster_id, slot in enumerate(order):
-        for m in members[slot]:
-            labels[m] = cluster_id
-    return tuple(labels[i] for i in range(sum(len(m) for m in members)))
-
-
 def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
     """Merge clusters while the minimum linkage distance is <= threshold."""
     if linkage not in LINKAGES:
@@ -91,53 +87,40 @@ def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
         raise ValidationError("threshold must be positive")
     d = _validate_distance_matrix(dist)
     n = d.shape[0]
-    # Working matrix: squared distances for ward, plain otherwise.
+    # Working matrix: squared distances for ward, plain otherwise.  Row i
+    # holds the cluster whose smallest member is i.
     work = d ** 2 if linkage == "ward" else d.copy()
-    members: list = [{i} for i in range(n)]
     sizes = np.ones(n)
-    alive = [True] * n
+    live = np.ones(n, dtype=bool)
+    owner = np.arange(n)  # the row of each point's cluster
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     merge_distances = []
 
-    while sum(alive) > 1:
-        best = None  # (cost, min_left, min_right, i, j)
-        idx = [i for i in range(n) if alive[i]]
-        for a_pos, i in enumerate(idx):
-            for j in idx[a_pos + 1:]:
-                cost = sqrt(work[i, j]) if linkage == "ward" else work[i, j]
-                lo, hi = min(members[i]), min(members[j])
-                if lo > hi:
-                    lo, hi = hi, lo
-                key = (cost, lo, hi)
-                if best is None or key < best[:3]:
-                    best = (cost, lo, hi, i, j)
-        cost, _, _, i, j = best
-        if cost > threshold:
+    while live.sum() > 1:
+        cost = np.where(upper & live & live[:, None], work, np.inf)
+        if linkage == "ward":
+            cost = np.sqrt(cost)
+        i, j = divmod(int(np.argmin(cost)), n)
+        if cost[i, j] > threshold:
             break
-        if min(members[j]) < min(members[i]):
-            i, j = j, i
-        merge_distances.append(float(cost))
-        ni, nj = sizes[i], sizes[j]
-        for k in range(n):
-            if not alive[k] or k in (i, j):
-                continue
-            if linkage == "single":
-                new = min(work[k, i], work[k, j])
-            elif linkage == "complete":
-                new = max(work[k, i], work[k, j])
-            elif linkage == "average":
-                new = (ni * work[k, i] + nj * work[k, j]) / (ni + nj)
-            else:  # ward, on squared distances
-                nk = sizes[k]
-                new = ((ni + nk) * work[k, i] + (nj + nk) * work[k, j]
-                       - nk * work[i, j]) / (ni + nj + nk)
-            work[i, k] = work[k, i] = new
-        members[i] = members[i] | members[j]
+        merge_distances.append(float(cost[i, j]))
+        ni, nj, nk = sizes[i], sizes[j], sizes[live]
+        a, b = work[live, i], work[live, j]
+        if linkage == "single":
+            new = np.minimum(a, b)
+        elif linkage == "complete":
+            new = np.maximum(a, b)
+        elif linkage == "average":
+            new = (ni * a + nj * b) / (ni + nj)
+        else:  # ward, on squared distances
+            new = ((ni + nk) * a + (nj + nk) * b - nk * work[i, j]) / (ni + nj + nk)
+        work[i, live] = work[live, i] = new
         sizes[i] = ni + nj
-        alive[j] = False
+        live[j] = False
+        owner[owner == j] = i
 
-    final_members = [members[i] for i in range(n) if alive[i]]
-    return ClusterAssignment(_labels_from_members(final_members),
-                             tuple(merge_distances))
+    labels = np.unique(owner, return_inverse=True)[1]
+    return ClusterAssignment(tuple(labels.tolist()), tuple(merge_distances))
 
 
 def cluster_quality(labels_a, labels_b) -> float:

@@ -44,6 +44,12 @@ _INTEGER_FIELDS = ("k", "seed", "local_epochs", "hc_rounds", "batch_size",
 _NUMBER_FIELDS = ("client_fraction", "hc_threshold", "learning_rate")
 
 
+def _short(x) -> str:
+    """`x` to 6 significant digits when that reads back as `x`, else in full."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
@@ -119,9 +125,10 @@ class ScenarioConfig:
         """Stable, human-readable identity of this config inside a run."""
         parts = [self.kind, self.variant_label]
         if self.kind in _FL_KINDS:
-            parts.append(f"f{self.client_fraction:g}_e{self.local_epochs}")
+            parts.append(f"f{_short(self.client_fraction)}_e{self.local_epochs}")
         if self.kind in _HC_KINDS:
-            parts.append(f"n{self.hc_rounds}_t{self.hc_threshold:g}_{self.hc_linkage}")
+            parts.append(
+                f"n{self.hc_rounds}_t{_short(self.hc_threshold)}_{self.hc_linkage}")
         return "__".join(parts)
 
     def to_dict(self) -> dict:

@@ -33,7 +33,7 @@ Phases:
                          (localised, and `fine_tune`)
 
 `run_scenario` checks the datasets once per entry and hands every regime
-the usable ones in ascending id order, with the ids of excluded clients.
+them in ascending id order.
 All training goes through `training.fit_epochs`, which steps a list of
 independent sessions in lockstep: the households of a localised run, the
 clients of one federated round, the clustering burst, and the clients
@@ -118,7 +118,7 @@ def fedavg_aggregate(updates) -> np.ndarray:
 
 
 def _check_datasets(datasets, cfg: ScenarioConfig):
-    """Sort, verify variant consistency, and split off unusable clients."""
+    """Sort by id; check variant consistency and that every split has windows."""
     if not datasets:
         raise ValidationError("no client datasets")
     by_id = {}
@@ -126,7 +126,6 @@ def _check_datasets(datasets, cfg: ScenarioConfig):
         if ds.household_id in by_id:
             raise ValidationError(f"duplicate client id {ds.household_id!r}")
         by_id[ds.household_id] = ds
-    usable, excluded = [], []
     feature_dim = None
     for hid in sorted(by_id):
         ds = by_id[hid]
@@ -138,13 +137,10 @@ def _check_datasets(datasets, cfg: ScenarioConfig):
             feature_dim = ds.feature_dim
         elif ds.feature_dim != feature_dim:
             raise ValidationError("clients disagree on feature width")
-        if min(len(ds.train), len(ds.val), len(ds.test)) == 0:
-            excluded.append(hid)
-        else:
-            usable.append(ds)
-    if not usable:
-        raise ValidationError("every client was excluded for missing data")
-    return usable, excluded
+        for split in ("train", "val", "test"):
+            if len(getattr(ds, split)) == 0:
+                raise ValidationError(f"{hid}: the {split} split has no windows")
+    return [by_id[hid] for hid in sorted(by_id)]
 
 
 def _init_flat(cfg: ScenarioConfig, feature_dim: int) -> np.ndarray:
@@ -168,7 +164,7 @@ def _model_of(report: dict, models: dict) -> dict:
     return dict.fromkeys(report["clients"], models["global"])
 
 
-def _base_report(cfg: ScenarioConfig, datasets, excluded) -> dict:
+def _base_report(cfg: ScenarioConfig, datasets) -> dict:
     return {
         "entry_id": cfg.entry_id,
         "scenario": cfg.kind,
@@ -177,7 +173,7 @@ def _base_report(cfg: ScenarioConfig, datasets, excluded) -> dict:
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "clients": [ds.household_id for ds in datasets],
-        "excluded": list(excluded),
+        "excluded": [],  # no client is left out: each has every split
         "rounds": [],
         "total_samples": 0,
     }
@@ -225,7 +221,7 @@ def _train_locally(starts: dict, datasets, cfg: ScenarioConfig, epochs: int,
     return records, by_id
 
 
-def _centralised(datasets, excluded, cfg: ScenarioConfig):
+def _centralised(datasets, cfg: ScenarioConfig):
     """One model over the pooled training data of every household.
 
     The reported RMSE is pooled over all test sequences rather than averaged
@@ -237,7 +233,7 @@ def _centralised(datasets, excluded, cfg: ScenarioConfig):
     result = train_session(_init_flat(cfg, datasets[0].feature_dim),
                            train.windows, train.labels, val, cfg.epochs_cap,
                            cfg, stream(cfg.seed, TRAIN, *map(key_int, ids)))
-    report = _base_report(cfg, datasets, excluded)
+    report = _base_report(cfg, datasets)
     report["initial_val_rmse"] = result.initial_metric
     report["rounds"] = _epoch_records(result, ids)
     report["best_val_rmse"] = result.best_metric
@@ -248,10 +244,10 @@ def _centralised(datasets, excluded, cfg: ScenarioConfig):
             {"global": result.params})
 
 
-def _localised(datasets, excluded, cfg: ScenarioConfig):
+def _localised(datasets, cfg: ScenarioConfig):
     """One independent model per household on its own data only."""
     start = _init_flat(cfg, datasets[0].feature_dim)
-    report = _base_report(cfg, datasets, excluded)
+    report = _base_report(cfg, datasets)
     report["rounds"], results = _train_locally(
         {ds.household_id: start for ds in datasets}, datasets, cfg, cfg.epochs_cap)
     report["best_val_rmse"] = {hid: r.best_metric for hid, r in results.items()}
@@ -339,13 +335,13 @@ def _federate(start: np.ndarray, datasets, cfg: ScenarioConfig, rounds,
     return params, stopper, records
 
 
-def _fl(datasets, excluded, cfg: ScenarioConfig):
+def _fl(datasets, cfg: ScenarioConfig):
     """Federated averaging with per-round uniform client sampling.
 
     Early stopping and the returned snapshot follow the mean validation
     RMSE of all clients (see `_federate`).
     """
-    report = _base_report(cfg, datasets, excluded)
+    report = _base_report(cfg, datasets)
     _, stopper, report["rounds"] = _federate(
         _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
         range(1, cfg.fl_rounds_cap + 1), {}, patience=cfg.patience)
@@ -394,7 +390,7 @@ def _cluster_federation(start: np.ndarray, datasets, cluster_id: int,
     }, records
 
 
-def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict):
+def _fl_hc(datasets, cfg: ScenarioConfig, memo: dict):
     """Federated averaging, update clustering, then per-cluster federation.
 
     Phase 1 runs hc_rounds plain federated rounds.  Phase 2 has every client
@@ -406,7 +402,7 @@ def _fl_hc(datasets, excluded, cfg: ScenarioConfig, memo: dict):
     """
     if len(datasets) < 2:
         raise ValidationError("clustering needs at least two clients")
-    report = _base_report(cfg, datasets, excluded)
+    report = _base_report(cfg, datasets)
     report["initial_val_rmse"], params, report["rounds"], distances = _memoised(
         memo, _warmup_key(cfg), lambda: _warm_up(datasets, cfg))
 
@@ -473,11 +469,11 @@ def _base_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, kind=_BASE_KIND[cfg.kind])
 
 
-def _base_run(datasets, excluded, cfg: ScenarioConfig, memo: dict):
+def _base_run(datasets, cfg: ScenarioConfig, memo: dict):
     """An fl or fl_hc entry's (report, models), trained once per memo."""
     if cfg.kind == "fl":
-        return _memoised(memo, cfg, lambda: _fl(datasets, excluded, cfg))
-    return _memoised(memo, cfg, lambda: _fl_hc(datasets, excluded, cfg, memo))
+        return _memoised(memo, cfg, lambda: _fl(datasets, cfg))
+    return _memoised(memo, cfg, lambda: _fl_hc(datasets, cfg, memo))
 
 
 def group_entries(cfgs) -> list:
@@ -499,12 +495,11 @@ def group_entries(cfgs) -> list:
     return list(groups.values())
 
 
-def _run_lft(datasets, excluded, cfg: ScenarioConfig, memo: dict):
-    base_report, base_models = _base_run(datasets, excluded, _base_config(cfg),
-                                         memo)
+def _run_lft(datasets, cfg: ScenarioConfig, memo: dict):
+    base_report, base_models = _base_run(datasets, _base_config(cfg), memo)
     records, results = fine_tune(_model_of(base_report, base_models), datasets,
                                  cfg)
-    report = _base_report(cfg, datasets, excluded)
+    report = _base_report(cfg, datasets)
     report["base"] = base_report
     report["base_samples"] = base_report["total_samples"]
     report["rounds"] = records
@@ -522,14 +517,14 @@ def run_scenario(datasets, cfg: ScenarioConfig, memo: dict | None = None):
     docstring); pass one dict for a whole group from `group_entries`.
     """
     memo = {} if memo is None else memo
-    datasets, excluded = _check_datasets(datasets, cfg)
+    datasets = _check_datasets(datasets, cfg)
     if cfg.kind == "centralised":
-        return _centralised(datasets, excluded, cfg)
+        return _centralised(datasets, cfg)
     if cfg.kind == "localised":
-        return _localised(datasets, excluded, cfg)
+        return _localised(datasets, cfg)
     if cfg.kind in ("fl", "fl_hc"):
-        return _base_run(datasets, excluded, cfg, memo)
-    return _run_lft(datasets, excluded, cfg, memo)  # fl_lft, fl_hc_lft
+        return _base_run(datasets, cfg, memo)
+    return _run_lft(datasets, cfg, memo)  # fl_lft, fl_hc_lft
 
 
 def recount_samples(report: dict) -> int:

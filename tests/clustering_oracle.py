@@ -4,6 +4,11 @@
 implementation: it recomputes every linkage distance from the raw vectors
 and cluster memberships at every merge instead of updating a distance
 matrix, and serves as the oracle in tests.
+
+`agglomerate_scan` runs the same Lance-Williams recurrence as
+`fedcast.clustering.agglomerate`, one scalar at a time, with member sets and
+an explicit (cost, lo, hi) tie key: the package's vectorised merge loop must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +18,73 @@ from math import sqrt
 
 import numpy as np
 
-from fedcast.clustering import LINKAGES, _labels_from_members
+from fedcast.clustering import LINKAGES
 from fedcast.errors import ValidationError
+
+
+def _labels_from_members(members: list) -> tuple:
+    order = sorted(range(len(members)), key=lambda i: min(members[i]))
+    labels = {}
+    for cluster_id, slot in enumerate(order):
+        for m in members[slot]:
+            labels[m] = cluster_id
+    return tuple(labels[i] for i in range(sum(len(m) for m in members)))
+
+
+def agglomerate_scan(dist, linkage: str, threshold: float) -> tuple:
+    """(labels, merge_distances) from a pure-python O(n^3) pair scan.
+
+    Every merge scans all live pairs for the smallest key (cost, smallest
+    member of one cluster, smallest member of the other) and updates the
+    survivor's distances one scalar at a time.
+    """
+    d = np.asarray(dist, dtype=np.float64)
+    n = d.shape[0]
+    work = d ** 2 if linkage == "ward" else d.copy()
+    members: list = [{i} for i in range(n)]
+    sizes = np.ones(n)
+    alive = [True] * n
+    merge_distances = []
+
+    while sum(alive) > 1:
+        best = None  # (cost, min_left, min_right, i, j)
+        idx = [i for i in range(n) if alive[i]]
+        for a_pos, i in enumerate(idx):
+            for j in idx[a_pos + 1:]:
+                cost = sqrt(work[i, j]) if linkage == "ward" else work[i, j]
+                lo, hi = min(members[i]), min(members[j])
+                if lo > hi:
+                    lo, hi = hi, lo
+                key = (cost, lo, hi)
+                if best is None or key < best[:3]:
+                    best = (cost, lo, hi, i, j)
+        cost, _, _, i, j = best
+        if cost > threshold:
+            break
+        if min(members[j]) < min(members[i]):
+            i, j = j, i
+        merge_distances.append(float(cost))
+        ni, nj = sizes[i], sizes[j]
+        for k in range(n):
+            if not alive[k] or k in (i, j):
+                continue
+            if linkage == "single":
+                new = min(work[k, i], work[k, j])
+            elif linkage == "complete":
+                new = max(work[k, i], work[k, j])
+            elif linkage == "average":
+                new = (ni * work[k, i] + nj * work[k, j]) / (ni + nj)
+            else:  # ward, on squared distances
+                nk = sizes[k]
+                new = ((ni + nk) * work[k, i] + (nj + nk) * work[k, j]
+                       - nk * work[i, j]) / (ni + nj + nk)
+            work[i, k] = work[k, i] = new
+        members[i] = members[i] | members[j]
+        sizes[i] = ni + nj
+        alive[j] = False
+
+    final_members = [members[i] for i in range(n) if alive[i]]
+    return _labels_from_members(final_members), tuple(merge_distances)
 
 
 def _bruteforce_cost(linkage, a: set, b: set, vectors, dist):

@@ -85,6 +85,19 @@ def test_clustered_grid_expansion():
                for cfg in entries)
 
 
+def test_grid_values_equal_to_six_digits_are_distinct_entries():
+    raw = base_config(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": [1.4, 1.0000001, 1.0000002],
+         "hc_rounds": 3, "hc_linkage": "ward"},
+    ])
+    _, entries = resolve_config(raw)
+    assert [cfg.entry_id for cfg in entries] == [
+        "fl_hc__k6-w__f0.1_e3__n3_t1.0000001_ward",
+        "fl_hc__k6-w__f0.1_e3__n3_t1.0000002_ward",
+        "fl_hc__k6-w__f0.1_e3__n3_t1.4_ward",
+    ]
+
+
 def test_scalars_are_singleton_grids():
     _, entries = resolve_config(base_config())
     assert len(entries) == 2
@@ -145,6 +158,9 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(scenarios=[5]),
     lambda raw: raw.update(scenarios=[["kind"]]),
     lambda raw: raw.update(scenarios=[{"kind": ["fl"]}]),
+    # an empty sweep list would drop its section without a word
+    lambda raw: raw.update(scenarios=[
+        {"kind": "centralised"}, {"kind": "fl", "client_fraction": []}]),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()

@@ -18,7 +18,7 @@ from fedcast.clustering import (
     pairwise_euclidean,
 )
 from fedcast.errors import ValidationError
-from clustering_oracle import agglomerate_bruteforce, n_clusters
+from clustering_oracle import agglomerate_bruteforce, agglomerate_scan, n_clusters
 
 TWO_GROUPS = [
     [0.0, 0.0], [0.1, 0.0], [0.0, 0.1],   # around the origin
@@ -74,6 +74,25 @@ def test_matches_bruteforce_reference(linkage, seed):
     fast = agglomerate(pairwise_euclidean(vectors), linkage, threshold)
     slow = agglomerate_bruteforce(vectors, linkage, threshold)
     assert fast.labels == slow
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+@pytest.mark.parametrize("lattice", [False, True], ids=["normal", "lattice"])
+def test_matches_the_recurrence_scan_bitwise(linkage, lattice):
+    # lattice points share many exactly equal distances, so the tie order
+    # (cost, lo, hi) decides most merges
+    gen = np.random.default_rng(17 + lattice)
+    for n in range(2, 41):
+        if lattice:
+            vectors = gen.integers(0, 3, size=(n, 2)).astype(np.float64)
+        else:
+            vectors = gen.normal(0.0, 1.0, size=(n, 4))
+        dist = pairwise_euclidean(vectors)
+        for threshold in (0.3, 1.0, 2.5, float("inf")):
+            fast = agglomerate(dist, linkage, threshold)
+            labels, merge_distances = agglomerate_scan(dist, linkage, threshold)
+            assert fast.labels == labels
+            assert fast.merge_distances == merge_distances
 
 
 def test_first_ward_merge_happens_at_plain_distance():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import small_config
 from fedcast.data import household_datasets, prepare_datasets
+from fedcast.data.sequences import SequenceSet
 from fedcast.errors import NumericalError, ValidationError
 from fedcast.federation import recount_samples, run_scenario, scenarios, training
 from fedcast.federation.scenarios import (
@@ -363,6 +364,14 @@ def test_variant_mismatch_is_rejected(tiny_datasets):
     cfg = small_config("localised", k=12)
     with pytest.raises(ValidationError):
         run_scenario(tiny_datasets, cfg)
+
+
+def test_an_empty_validation_split_is_rejected(tiny_datasets):
+    first = tiny_datasets[0]
+    empty = SequenceSet(first.val.windows[:0], first.val.labels[:0])
+    datasets = [replace(first, val=empty)] + tiny_datasets[1:]
+    with pytest.raises(ValidationError, match=f"{first.household_id}: the val split"):
+        run_scenario(datasets, small_config("localised"))
 
 
 def test_duplicated_training_data_matches_single_client(tiny_datasets):
