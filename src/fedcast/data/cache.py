@@ -176,38 +176,50 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
 
 
 def load_cache(cache_dir) -> tuple[PreparedData, dict]:
-    """Read a cache directory back; verifies file digests."""
+    """Read a cache directory back; verifies file digests.  A manifest that
+    is not an object holding the fields read here raises DataError."""
     cache = Path(cache_dir)
     manifest_path = cache / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"{cache}: not a prepared-data directory (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as err:  # not JSON, or not UTF-8 text
+        raise DataError(f"{cache}: manifest.json is not JSON ({err})")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{cache}: manifest.json is not a JSON object")
     if manifest.get("format") != CACHE_FORMAT:
         raise DataError(f"{cache}: unsupported cache format {manifest.get('format')!r}")
-    variants = tuple(manifest["variants"])
-    normalizers = {v: NormalizationParams.from_dict(manifest["normalizers"][v])
-                   for v in variants}
-    households = {}
-    for entry in manifest["households"]:
-        hid = entry["household_id"]
-        for rel, digest in ((r, manifest["digests"][r]) for r in entry["files"].values()):
-            actual = _sha256(cache / rel)
-            if actual != digest:
-                raise DataError(f"{cache}: digest mismatch for {rel}")
-        hours = np.load(cache / entry["files"]["hours"])
-        matrices = {}
-        for variant in variants:
-            values = np.load(cache / entry["files"][variant])
-            matrices[variant] = DesignMatrix(
-                columns=normalizers[variant].columns, values=values)
-        households[hid] = PreparedHousehold(
-            hours=hours,
-            matrices=matrices,
-            train_end=int(entry["train_end"]),
-            val_end=int(entry["val_end"]),
-            filled_fraction=float(entry["filled_fraction"]),
-        )
-    prep = PreparedData(households, tuple(manifest["k_values"]), variants, normalizers)
+    try:
+        digests = manifest["digests"]
+        variants = tuple(manifest["variants"])
+        normalizers = {v: NormalizationParams.from_dict(manifest["normalizers"][v])
+                       for v in variants}
+        households = {}
+        for entry in manifest["households"]:
+            hid = entry["household_id"]
+            for rel in entry["files"].values():
+                if _sha256(cache / rel) != digests[rel]:
+                    raise DataError(f"{cache}: digest mismatch for {rel}")
+            hours = np.load(cache / entry["files"]["hours"])
+            matrices = {}
+            for variant in variants:
+                values = np.load(cache / entry["files"][variant])
+                matrices[variant] = DesignMatrix(
+                    columns=normalizers[variant].columns, values=values)
+            households[hid] = PreparedHousehold(
+                hours=hours,
+                matrices=matrices,
+                train_end=int(entry["train_end"]),
+                val_end=int(entry["val_end"]),
+                filled_fraction=float(entry["filled_fraction"]),
+            )
+        prep = PreparedData(households, tuple(manifest["k_values"]), variants,
+                            normalizers)
+    except KeyError as err:
+        raise DataError(f"{cache}: manifest.json has no field {err}")
+    except (AttributeError, TypeError, ValueError) as err:
+        raise DataError(f"{cache}: malformed manifest.json ({err})")
     return prep, manifest
 
 
@@ -224,6 +236,6 @@ def household_datasets(prep: PreparedData, k: int, with_weather: bool) -> list:
         house = prep.households[hid]
         matrix = normalize(house.matrices[variant], params)
         out.append(build_household_dataset(
-            hid, matrix, k, params.energy_range,
+            hid, matrix, k, with_weather, params.energy_range,
             splits=(house.train_end, house.val_end)))
     return out

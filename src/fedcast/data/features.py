@@ -55,10 +55,6 @@ class DesignMatrix:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.values.shape[1]
-
 
 def build_design_matrix(hourly: HourlySeries,
                         weather: WeatherTable | None = None) -> DesignMatrix:

@@ -88,15 +88,14 @@ class HouseholdDataset:
 
 
 def build_household_dataset(household_id: str, matrix: DesignMatrix, k: int,
-                            energy_range: float,
+                            with_weather: bool, energy_range: float,
                             splits: tuple[int, int]) -> HouseholdDataset:
     """Cut one household's normalised matrix at `splits` (train end, val end)
-    into per-split sequence sets."""
+    into per-split sequence sets of the (K, weather) variant."""
     train_end, val_end = splits
     if not 0 < train_end < val_end < len(matrix):
         raise ValidationError("split boundaries out of order")
     parts = []
     for lo, hi in ((0, train_end), (train_end, val_end), (val_end, len(matrix))):
         parts.append(make_sequences(matrix.values[lo:hi], k))
-    with_weather = len(matrix.columns) > 5
     return HouseholdDataset(household_id, k, with_weather, energy_range, *parts)

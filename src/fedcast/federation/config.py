@@ -13,6 +13,7 @@ from numbers import Integral, Real
 
 from ..clustering import LINKAGES as HC_LINKAGES
 from ..errors import ValidationError
+from ..reporting import variant_label
 
 # The scenario kinds, each with the config keys it takes; a run config sweeps
 # a key given as a list.
@@ -117,13 +118,9 @@ class ScenarioConfig:
             raise ValidationError(f"{self.kind} takes no clustering settings")
 
     @property
-    def variant_label(self) -> str:
-        return f"k{self.k}{'+w' if self.with_weather else '-w'}"
-
-    @property
     def entry_id(self) -> str:
         """Stable, human-readable identity of this config inside a run."""
-        parts = [self.kind, self.variant_label]
+        parts = [self.kind, variant_label(self.k, self.with_weather)]
         if self.kind in _FL_KINDS:
             parts.append(f"f{_short(self.client_fraction)}_e{self.local_epochs}")
         if self.kind in _HC_KINDS:

@@ -16,9 +16,9 @@ Regimes, and the phases each composes:
                  then independent federated training per cluster
                  (`_warm_up`, `agglomerate`, `_cluster_federation` per cluster)
     fl_lft       fl followed by per-client fine-tuning of the global model
-                 (`fine_tune`)
+                 (`_run_lft`, through `_train_locally`)
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
-                 (`fine_tune`)
+                 (`_run_lft`, through `_train_locally`)
 
 Phases:
     _federate            the one federated loop: a `fedavg_round` per round,
@@ -30,7 +30,7 @@ Phases:
                          stopping, then the burst and its update distances
     _cluster_federation  fl_hc phase 3 for one cluster
     _train_locally       validated per-client training from given starts
-                         (localised, and `fine_tune`)
+                         (localised, and the fine-tuning of `_run_lft`)
 
 `run_scenario` checks the datasets once per entry and hands every regime
 them in ascending id order.
@@ -70,7 +70,6 @@ from .training import (
 __all__ = [
     "fedavg_aggregate",
     "fedavg_round",
-    "fine_tune",
     "group_entries",
     "recount_samples",
     "run_scenario",
@@ -427,22 +426,6 @@ def _fl_hc(datasets, cfg: ScenarioConfig, memo: dict):
     return _finish(report, _model_of(report, models), datasets), models
 
 
-def fine_tune(base_params_by_client: dict, datasets, cfg: ScenarioConfig):
-    """Per-client fine-tuning of a supplied base model on local data.
-
-    `datasets` are checked and in ascending id order.  Each client trains up
-    to lft_epochs_cap epochs with early stopping on its own validation RMSE.
-    The base parameters are evaluated first and win ties, so fine-tuning can
-    never worsen a client's validation RMSE.  Returns (round records,
-    SessionResults by client id).
-    """
-    for ds in datasets:
-        if ds.household_id not in base_params_by_client:
-            raise ValidationError(f"no base parameters for client {ds.household_id!r}")
-    return _train_locally(base_params_by_client, datasets, cfg,
-                          cfg.lft_epochs_cap, FINE_TUNE, phase="fine_tune")
-
-
 def _memoised(memo: dict, key, compute):
     """compute() once per key of `memo`; every caller gets its own deep copy.
 
@@ -496,9 +479,14 @@ def group_entries(cfgs) -> list:
 
 
 def _run_lft(datasets, cfg: ScenarioConfig, memo: dict):
+    """Fine-tune each client's fl or fl_hc base model on its own data, up to
+    lft_epochs_cap epochs with early stopping on its validation RMSE.  The
+    base parameters are scored first and win ties, so fine-tuning never
+    worsens a client's validation RMSE."""
     base_report, base_models = _base_run(datasets, _base_config(cfg), memo)
-    records, results = fine_tune(_model_of(base_report, base_models), datasets,
-                                 cfg)
+    records, results = _train_locally(
+        _model_of(base_report, base_models), datasets, cfg, cfg.lft_epochs_cap,
+        FINE_TUNE, phase="fine_tune")
     report = _base_report(cfg, datasets)
     report["base"] = base_report
     report["base_samples"] = base_report["total_samples"]

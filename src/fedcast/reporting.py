@@ -143,18 +143,16 @@ def select_best_entries(reports) -> dict:
     return {key: rep for key, (rank, rep) in winners.items()}
 
 
-def results_csv_lines(reports) -> list:
-    """One line per (scenario, variant) using each sweep's winning entry."""
-    best = select_best_entries(reports)
-    variants = sorted({key[1:] for key in best}, key=_variant_key)
+def results_csv_lines(table: dict) -> list:
+    """One line per (scenario, variant): the winning entries of a
+    `build_comparison` table, in its row and column order."""
     lines = [RESULTS_CSV_HEADER]
-    for scenario in SCENARIO_ORDER:
-        for k, weather in variants:
-            rep = best.get((scenario, k, weather))
+    for row in table["rows"]:
+        for (k, weather), rep in zip(table["variants"], row["winners"]):
             if rep is None:
                 continue
             lines.append(",".join([
-                scenario,
+                row["scenario"],
                 variant_label(k, weather),
                 str(k),
                 str(weather).lower(),
@@ -192,7 +190,8 @@ _STATS = ("mean", "best")  # the summary columns, compared against localised
 
 
 def build_comparison(reports) -> dict:
-    """Cells, row means/bests, and baseline annotations for both tables."""
+    """Each row's winning entry per variant (None where it has none), and
+    the cells, row means/bests and baseline annotations of both tables."""
     best = select_best_entries(reports)
     variants = sorted({key[1:] for key in best}, key=_variant_key)
     scenarios = [s for s in SCENARIO_ORDER
@@ -200,7 +199,7 @@ def build_comparison(reports) -> dict:
     rows = []
     for scenario in scenarios:
         reps = [best.get((scenario, k, weather)) for k, weather in variants]
-        row = {"scenario": scenario}
+        row = {"scenario": scenario, "winners": reps}
         for m in _METRICS:
             cells = [None if rep is None else m.cast(rep[m.field]) for rep in reps]
             present = [c for c in cells if c is not None]
@@ -274,9 +273,9 @@ def emit_report(reports, out_dir, run_meta: dict | None = None) -> dict:
     if run_meta:
         payload.update(run_meta)
     write_json(out / "results.json", payload)
-    with atomic_write(out / "results.csv") as fh:
-        fh.write("\n".join(results_csv_lines(reports)) + "\n")
     table = build_comparison(reports)
+    with atomic_write(out / "results.csv") as fh:
+        fh.write("\n".join(results_csv_lines(table)) + "\n")
     verify_comparison(table)
     with atomic_write(out / "tables.txt") as fh:
         fh.write(render_tables(table))

@@ -7,6 +7,7 @@ in a couple of seconds.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -26,7 +27,13 @@ from fedcast.cli import (
     resolve_config,
     run_identity,
 )
-from fedcast.data import prepare_datasets, write_cache
+from fedcast.data import (
+    dataset_digest,
+    ingest_meter_csv,
+    load_cache,
+    prepare_datasets,
+    write_cache,
+)
 from fedcast.data.cleaning import MeterReadings
 from fedcast.errors import DataError, NumericalError, ValidationError
 from fedcast.federation import group_entries, scenarios
@@ -369,6 +376,71 @@ def test_a_cache_re_prepared_in_place_is_loaded_afresh(pipeline, tmp_path):
         (fresh / "results.json").read_bytes()
 
 
+# ------------------------------------------------------ caches a run refuses
+
+def _with_manifest(rewrite):
+    """A copy of the pipeline's cache whose manifest.json reads
+    rewrite(its text)."""
+    def make(root, cache):
+        shutil.copytree(root / "cache", cache)
+        manifest = cache / "manifest.json"
+        manifest.write_text(rewrite(manifest.read_text()))
+    return make
+
+
+def _tamper_with_a_matrix(root, cache):
+    shutil.copytree(root / "cache", cache)
+    path = cache / "households" / "h000" / "matrix_base.npy"
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def _drop_the_manifest(root, cache):
+    shutil.copytree(root / "cache", cache)
+    (cache / "manifest.json").unlink()
+
+
+def _prepare_without_weather(root, cache):
+    assert main(["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                 "--out", str(cache), "--k", "6",
+                 "--weather-variant", "without"]) == 0
+
+
+@pytest.mark.parametrize("make_cache,config,message", [
+    (_with_manifest(lambda text: text[:len(text) // 2]), {},
+     "{cache}: manifest.json is not JSON"),
+    (_with_manifest(lambda text: '{"format": 1}'), {},
+     "{cache}: manifest.json has no field 'digests'"),
+    (_with_manifest(lambda text: "[1, 2]"), {},
+     "{cache}: manifest.json is not a JSON object"),
+    (_with_manifest(lambda text: text.replace('"format": 1', '"format": 2')), {},
+     "{cache}: unsupported cache format 2"),
+    (_tamper_with_a_matrix, {},
+     "{cache}: digest mismatch for households/h000/matrix_base.npy"),
+    (_drop_the_manifest, {},
+     "{cache}: not a prepared-data directory (no manifest.json)"),
+    (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": 12},
+     "K=12 was not prepared (have (6,))"),
+    (_prepare_without_weather, {"weather": True},
+     "weather variant requested but cache has none"),
+], ids=["truncated-manifest", "manifest-without-fields", "manifest-not-an-object",
+        "format-2", "tampered-matrix", "no-manifest", "unprepared-k",
+        "no-weather-variant"])
+def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
+        pipeline, tmp_path, capsys, make_cache, config, message):
+    root, _ = pipeline
+    cache = tmp_path / "cache"
+    make_cache(root, cache)
+    (tmp_path / "config.json").write_text(
+        json.dumps(base_config(data=str(cache), **config)))
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: " + message.format(cache=cache))
+
+
 # ------------------------------------------------ groups of related entries
 
 GROUPED = [
@@ -648,6 +720,59 @@ def test_a_phase_3_failure_raises_the_serial_error(pipeline, tmp_path, monkeypat
         "completed": ["centralised__k6-w"]}
 
 
+def test_a_serial_run_starts_no_group_after_a_failed_entry(pipeline, tmp_path,
+                                                           monkeypatch, capsys):
+    # groups run in entry_id order: once fl fails, the localised group,
+    # whose entries all sort after it, could add no output and is not started
+    root, _ = pipeline
+    started = []
+    real = fedcast.federation.run_scenario
+
+    def run_scenario(datasets, cfg, memo=None):
+        started.append(cfg.entry_id)
+        if cfg.kind == "fl":
+            raise DataError("fl failed")
+        return real(datasets, cfg, memo)
+    monkeypatch.setattr(fedcast.federation, "run_scenario", run_scenario)
+    raw = base_config(scenarios=[{"kind": "localised"}, {"kind": "centralised"},
+                                 {"kind": "fl", "client_fraction": 0.5}])
+    code, run_dir = run_into(root, tmp_path, raw)
+    assert code == 2 and "fl failed" in capsys.readouterr().err
+    assert started == ["centralised__k6-w", "fl__k6-w__f0.5_e3"]
+    assert json.loads((run_dir / "failure.json").read_text())["completed"] == [
+        "centralised__k6-w"]
+
+
+def test_a_worker_without_the_parents_load_reads_the_cache_itself(
+        pipeline, monkeypatch):
+    # a spawned or forkserver worker starts with empty caches and loads the
+    # cache itself; its results equal those of the load `cmd_run` shares
+    root, _ = pipeline
+    cache = str(root / "cache")
+    prep, manifest = load_cache(cache)
+    digest = dataset_digest(manifest)
+    _, entries = resolve_config(grouped_config(GROUPED[:2]))
+    (group,) = group_entries(entries)
+
+    def run_with(prep_cache):
+        monkeypatch.setattr(cli, "_PREP_CACHE", prep_cache)
+        monkeypatch.setattr(cli, "_DATASET_CACHE", {})
+        done, failure = _run_group(cache, digest, group)
+        assert failure is None
+        return [(entry_id, json.dumps(report, sort_keys=True),
+                 {name: vec.tobytes() for name, vec in models.items()})
+                for entry_id, report, models in done]
+
+    shared = run_with({digest: prep})
+    worker_caches = {}
+    alone = run_with(worker_caches)
+    assert list(worker_caches) == [digest]
+    assert worker_caches[digest] is not prep
+    assert [entry_id for entry_id, _, _ in alone] == [
+        "fl__k6-w__f0.5_e1", "fl_lft__k6-w__f0.5_e1"]
+    assert alone == shared
+
+
 # --------------------------------------------------------- crash-safe outputs
 
 def test_a_write_that_raises_leaves_no_file(tmp_path):
@@ -759,6 +884,16 @@ def test_prepare_without_inputs_fails_cleanly(tmp_path, capsys):
     assert main(["prepare", "--meters", str(tmp_path / "none.csv"),
                  "--out", str(tmp_path / "c"), "--k", "6"]) == 2
     assert "--weather" in capsys.readouterr().err
+
+
+def test_a_meter_file_of_only_its_header_prepares_nothing(tmp_path, capsys):
+    meters = tmp_path / "meters.csv"
+    meters.write_text("household_id,timestamp,kwh\n")
+    assert ingest_meter_csv(meters) == ({}, 0)
+    assert main(["prepare", "--meters", str(meters), "--out", str(tmp_path / "c"),
+                 "--k", "6", "--weather-variant", "without"]) == 2
+    assert capsys.readouterr().err == "error: no households in the input\n"
+    assert not (tmp_path / "c").exists()
 
 
 def test_prepare_has_no_with_weather_variant(tmp_path, capsys):

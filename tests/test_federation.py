@@ -17,7 +17,6 @@ from fedcast.federation.scenarios import (
     _init_flat,
     fedavg_aggregate,
     fedavg_round,
-    fine_tune,
     sample_clients,
 )
 from fedcast.federation.training import EarlyStopper, Session, fit_epochs
@@ -323,12 +322,6 @@ def test_fine_tuning_respects_the_epoch_cap(tiny_datasets):
         per_client.setdefault(rec["client"], []).append(rec["epoch"])
     for epochs in per_client.values():
         assert len(epochs) <= 2
-
-
-def test_fine_tune_requires_base_parameters(tiny_datasets):
-    cfg = small_config("fl_lft")
-    with pytest.raises(ValidationError):
-        fine_tune({}, tiny_datasets, cfg)
 
 
 @pytest.mark.parametrize("kind,extra", [

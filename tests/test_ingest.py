@@ -112,9 +112,11 @@ def test_malformed_weather_rows_are_skipped(tmp_path):
         "timestamp,air_temp_c,rel_humidity_pct\n"
         "2013-01-01T00:00:00,5.0,60\n"
         "2013-01-01T01:00:00,5.0,140\n"  # humidity out of range
-        "2013-01-01T02:00:00,oops,60\n")
+        "2013-01-01T02:00:00,oops,60\n"
+        "yesterday,5.0,60\n"             # unparseable timestamps
+        "2013-13-01T00:00:00,5.0,60\n")
     table, skipped = ingest_weather_csv(path)
-    assert skipped == 2
+    assert skipped == 4
     assert len(table) == 1
 
 

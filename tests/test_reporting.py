@@ -9,6 +9,7 @@ import pytest
 from fedcast.errors import ValidationError
 from fedcast.reporting import (
     RESULTS_CSV_HEADER,
+    VARIANT_ORDER,
     build_comparison,
     emit_report,
     pct_difference,
@@ -156,7 +157,7 @@ def test_csv_lines_one_row_per_winner():
         make_report("fl", mean_rmse=0.0191, best_val=0.019, samples=14,
                     entry_id="fl__other", seed=3),
     ]
-    lines = results_csv_lines(reports)
+    lines = results_csv_lines(build_comparison(reports))
     assert lines[0] == RESULTS_CSV_HEADER
     assert len(lines) == 3  # header + one winner per scenario
     loc, fl = lines[1], lines[2]
@@ -168,7 +169,7 @@ def test_csv_lines_one_row_per_winner():
 def test_csv_scenario_order_is_canonical():
     reports = [make_report(s) for s in
                ("fl_hc_lft", "fl", "centralised", "localised")]
-    lines = results_csv_lines(reports)
+    lines = results_csv_lines(build_comparison(reports))
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["centralised", "localised", "fl", "fl_hc_lft"]
 
@@ -197,6 +198,18 @@ def test_comparison_rows_and_annotations():
         pct_difference(fl["rmse_mean"], 0.02))
     assert fl["samples_mean_vs_localised"] == pytest.approx(720 / 60)
     assert loc["samples_mean_vs_localised"] == 1.0
+
+
+def test_an_unusual_k_sorts_after_the_canonical_variants():
+    variants = [(8, False), (8, True), *VARIANT_ORDER]
+    table = build_comparison([make_report("fl", k=k, weather=w)
+                              for k, w in variants])
+    assert table["variants"] == [*VARIANT_ORDER, (8, True), (8, False)]
+    lines = results_csv_lines(table)
+    assert [line.split(",")[1] for line in lines[1:]] == [
+        "k6+w", "k12+w", "k24+w", "k6-w", "k12-w", "k24-w", "k8+w", "k8-w"]
+    header = render_tables(table).splitlines()[1].split()
+    assert header[-4:] == ["k8+w", "k8-w", "mean", "best"]
 
 
 def test_verify_comparison_catches_tampering():
