@@ -138,26 +138,22 @@ def run_identity(seed: int, entries, data_digest: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# Worker-side caches: one load per process and dataset, reused across sweep
-# entries.  They are keyed by the dataset digest, not the cache path, so a
-# cache re-prepared at the same path is loaded afresh.
-_PREP_CACHE: dict = {}
-_DATASET_CACHE: dict = {}
+# (dataset digest, K, weather) -> the households' datasets, built once per
+# process; the digest keys it, so a cache re-prepared in place is rebuilt.
+_DATASETS: dict = {}
 
 
-def _entry_datasets(cache_dir: str, digest: str, k: int, with_weather: bool) -> list:
-    from .data import household_datasets, load_cache
+def _build_datasets(prep, digest: str, variants) -> None:
+    """Build each (K, weather) variant not yet in `_DATASETS`.  The pool runs
+    it as each worker's initializer: forked workers find the table full."""
+    from .data import household_datasets
 
-    key = (digest, k, with_weather)
-    if key not in _DATASET_CACHE:
-        if digest not in _PREP_CACHE:
-            _PREP_CACHE[digest], _ = load_cache(cache_dir)
-        _DATASET_CACHE[key] = household_datasets(
-            _PREP_CACHE[digest], k, with_weather)
-    return _DATASET_CACHE[key]
+    for k, weather in variants:
+        if (digest, k, weather) not in _DATASETS:
+            _DATASETS[digest, k, weather] = household_datasets(prep, k, weather)
 
 
-def _run_group(cache_dir: str, digest: str, group: list):
+def _run_group(digest: str, group: list):
     """Run one group of related entries in order, sharing one memo.
 
     Returns (done, failure): (entry_id, report, models) for each entry that
@@ -169,9 +165,9 @@ def _run_group(cache_dir: str, digest: str, group: list):
     memo = {}
     done = []
     for cfg in group:
-        datasets = _entry_datasets(cache_dir, digest, cfg.k, cfg.with_weather)
         try:
-            report, models = run_scenario(datasets, cfg, memo)
+            report, models = run_scenario(
+                _DATASETS[digest, cfg.k, cfg.with_weather], cfg, memo)
         except FedcastError as err:
             return done, (cfg.entry_id, err)
         done.append((cfg.entry_id, report, models))
@@ -285,13 +281,11 @@ def cmd_run(args) -> int:
         data_dir = (config_path.parent / data_dir).resolve()
     prep, cache_manifest = load_cache(data_dir)
     digest = dataset_digest(cache_manifest)
-    # Serial groups and forked workers reuse this load instead of reading
-    # and verifying the cache again.
-    _PREP_CACHE[digest] = prep
+    # A variant the cache lacks is refused here, before anything trains.
+    variants = sorted({(cfg.k, cfg.with_weather) for cfg in entries})
+    _build_datasets(prep, digest, variants)
 
     run_id = run_identity(seed, entries, digest)
-    out = Path(args.out) / run_id
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
     # Entries that share a base or a warm-up run as one group in one worker.
@@ -301,9 +295,10 @@ def cmd_run(args) -> int:
         from concurrent.futures.process import (BrokenProcessPool,
                                                 ProcessPoolExecutor)
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            submitted = [(group, pool.submit(_run_group, str(data_dir), digest,
-                                             group))
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=_build_datasets,
+                                 initargs=(prep, digest, variants)) as pool:
+            submitted = [(group, pool.submit(_run_group, digest, group))
                          for group in sorted(groups, key=len, reverse=True)]
             for group, future in submitted:
                 try:
@@ -319,12 +314,14 @@ def cmd_run(args) -> int:
             if any(failure and failure[0] < group[0].entry_id
                    for _, failure in outcomes):
                 break
-            outcomes.append(_run_group(str(data_dir), digest, group))
+            outcomes.append(_run_group(digest, group))
     done = sorted((item for items, _ in outcomes for item in items),
                   key=lambda item: item[0])
     failures = sorted((failure for _, failure in outcomes if failure),
                       key=lambda failure: failure[0])
 
+    out = Path(args.out) / run_id
+    out.mkdir(parents=True, exist_ok=True)
     files = []
     reports = []
     for entry_id, report, models in done:
@@ -408,7 +405,9 @@ def cmd_report(args) -> int:
     if args.out:
         emit_report(reports, args.out, run_meta=meta)
         print(f"aggregated {len(reports)} entries -> {args.out}")
-    print(render_tables(build_comparison(reports)), end="")
+        print((Path(args.out) / "tables.txt").read_text(), end="")
+    else:
+        print(render_tables(build_comparison(reports)), end="")
     return 0
 
 

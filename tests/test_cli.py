@@ -6,6 +6,7 @@ in a couple of seconds.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -28,9 +29,7 @@ from fedcast.cli import (
     run_identity,
 )
 from fedcast.data import (
-    dataset_digest,
     ingest_meter_csv,
-    load_cache,
     prepare_datasets,
     write_cache,
 )
@@ -422,11 +421,13 @@ def _prepare_without_weather(root, cache):
      "{cache}: not a prepared-data directory (no manifest.json)"),
     (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": 12},
      "K=12 was not prepared (have (6,))"),
+    (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": [6, 12]},
+     "K=12 was not prepared (have (6,))"),
     (_prepare_without_weather, {"weather": True},
      "weather variant requested but cache has none"),
 ], ids=["truncated-manifest", "manifest-without-fields", "manifest-not-an-object",
         "format-2", "tampered-matrix", "no-manifest", "unprepared-k",
-        "no-weather-variant"])
+        "one-k-unprepared", "no-weather-variant"])
 def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
         pipeline, tmp_path, capsys, make_cache, config, message):
     root, _ = pipeline
@@ -439,6 +440,8 @@ def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
                  "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith(
         "error: " + message.format(cache=cache))
+    # refused before any entry trains: no run directory is made
+    assert not (tmp_path / "runs").exists()
 
 
 # ------------------------------------------------ groups of related entries
@@ -468,6 +471,29 @@ def run_into(root, out, raw, jobs=1):
     run_dirs = [p for p in (out / "runs").iterdir() if p.is_dir()]
     assert len(run_dirs) == 1
     return code, run_dirs[0]
+
+
+class _ForkPool(ProcessPoolExecutor):
+    """Forked workers, which inherit the test's monkeypatches whatever the
+    default start method."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, mp_context=multiprocessing.get_context("fork"),
+                         **kwargs)
+
+
+class _ForkserverPool(ProcessPoolExecutor):
+    """Workers that inherit nothing from the parent, as under Python 3.14's
+    default start method on Linux."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(
+            *args, mp_context=multiprocessing.get_context("forkserver"), **kwargs)
+
+
+def _use_pool(monkeypatch, pool):
+    # `cmd_run` imports the pool from its module when --jobs is above 1
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", pool)
 
 
 def entry_files(run_dir, entry_id):
@@ -550,6 +576,7 @@ def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
             raise DataError("no usable clusters")
         return real(dist, linkage, threshold)
     monkeypatch.setattr(scenarios, "agglomerate", agglomerate)
+    _use_pool(monkeypatch, _ForkPool)
     code, run_dir = run_into(root, tmp_path, grouped_config(GROUPED), jobs=jobs)
     assert code == 2
     assert "no usable clusters" in capsys.readouterr().err
@@ -563,14 +590,14 @@ def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
     assert not (run_dir / "results.json").exists()
 
 
-def _die_in_the_clustered_group(cache_dir, digest, group):
+def _die_in_the_clustered_group(digest, group):
     """`_run_group` whose worker dies once the parent holds the other result.
 
     Module-level, so the pool can pickle it by name; forked workers inherit
     the patched `fedcast.cli._run_group` and the marker path.
     """
     if group[0].kind != "fl_hc":
-        return _run_group(cache_dir, digest, group)
+        return _run_group(digest, group)
     marker = Path(os.environ["FEDCAST_TEST_MARKER"])
     deadline = time.monotonic() + 60
     while not marker.exists() and time.monotonic() < deadline:
@@ -578,11 +605,11 @@ def _die_in_the_clustered_group(cache_dir, digest, group):
     os._exit(1)
 
 
-class _MarkingPool(ProcessPoolExecutor):
+class _MarkingPool(_ForkPool):
     """Touches the marker once the unclustered group's result is in."""
 
-    def submit(self, fn, cache_dir, digest, group):
-        future = super().submit(fn, cache_dir, digest, group)
+    def submit(self, fn, digest, group):
+        future = super().submit(fn, digest, group)
         if group[0].kind != "fl_hc":
             marker = Path(os.environ["FEDCAST_TEST_MARKER"])
             future.add_done_callback(lambda _: marker.touch())
@@ -593,9 +620,7 @@ def _kill_the_clustered_group(monkeypatch, marker):
     """Make the next `run --jobs 2` of GROUPED lose its fl_hc group's worker."""
     monkeypatch.setenv("FEDCAST_TEST_MARKER", str(marker))
     monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
-    # `cmd_run` imports the pool from its module when --jobs is above 1
-    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
-                        _MarkingPool)
+    _use_pool(monkeypatch, _MarkingPool)
 
 
 def test_a_dead_worker_writes_failure_json(pipeline, tmp_path, monkeypatch,
@@ -707,6 +732,7 @@ def test_a_phase_3_failure_raises_the_serial_error(pipeline, tmp_path, monkeypat
     # household h00c.  Patience 2 lets every cluster reach round 3.
     root, _ = pipeline
     _fail_in_phase_3(monkeypatch, failures)
+    _use_pool(monkeypatch, _ForkPool)
     raw = base_config(scenarios=SINGLETONS, overrides=dict(
         SMALL_OVERRIDES, patience=2, flhc_rounds_cap=4))
     code, run_dir = run_into(root, tmp_path, raw, jobs=jobs)
@@ -743,34 +769,19 @@ def test_a_serial_run_starts_no_group_after_a_failed_entry(pipeline, tmp_path,
         "centralised__k6-w"]
 
 
-def test_a_worker_without_the_parents_load_reads_the_cache_itself(
-        pipeline, monkeypatch):
-    # a spawned or forkserver worker starts with empty caches and loads the
-    # cache itself; its results equal those of the load `cmd_run` shares
+def test_workers_that_inherit_nothing_match_a_serial_run(pipeline, tmp_path,
+                                                         monkeypatch):
+    # a forkserver worker starts without the parent's datasets and builds
+    # them from the prepared data the pool hands it
     root, _ = pipeline
-    cache = str(root / "cache")
-    prep, manifest = load_cache(cache)
-    digest = dataset_digest(manifest)
-    _, entries = resolve_config(grouped_config(GROUPED[:2]))
-    (group,) = group_entries(entries)
-
-    def run_with(prep_cache):
-        monkeypatch.setattr(cli, "_PREP_CACHE", prep_cache)
-        monkeypatch.setattr(cli, "_DATASET_CACHE", {})
-        done, failure = _run_group(cache, digest, group)
-        assert failure is None
-        return [(entry_id, json.dumps(report, sort_keys=True),
-                 {name: vec.tobytes() for name, vec in models.items()})
-                for entry_id, report, models in done]
-
-    shared = run_with({digest: prep})
-    worker_caches = {}
-    alone = run_with(worker_caches)
-    assert list(worker_caches) == [digest]
-    assert worker_caches[digest] is not prep
-    assert [entry_id for entry_id, _, _ in alone] == [
-        "fl__k6-w__f0.5_e1", "fl_lft__k6-w__f0.5_e1"]
-    assert alone == shared
+    code, serial = run_into(root, tmp_path / "serial", grouped_config(GROUPED))
+    assert code == 0
+    _use_pool(monkeypatch, _ForkserverPool)
+    code, parallel = run_into(root, tmp_path / "forkserver",
+                              grouped_config(GROUPED), jobs=2)
+    assert code == 0
+    for name in ("results.json", "results.csv", "tables.txt"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 # --------------------------------------------------------- crash-safe outputs
