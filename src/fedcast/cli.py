@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import shutil
 import sys
 import time
 from datetime import datetime
@@ -175,34 +176,15 @@ def _run_group(digest: str, group: list):
 
 
 def _write_entry_outputs(out: Path, entry_id: str, report: dict,
-                         models: dict) -> list:
-    files = []
-    log_rel = f"logs/{entry_id}.json"
-    log_path = out / log_rel
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(log_path, report)
-    files.append(log_rel)
+                         models: dict) -> None:
+    (out / "logs").mkdir(exist_ok=True)
+    write_json(out / "logs" / f"{entry_id}.json", report)
     for name in sorted(models):
-        rel = f"models/{entry_id}/{name}.npy"
-        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        path = out / "models" / entry_id / f"{name}.npy"
+        path.parent.mkdir(parents=True, exist_ok=True)
         # a file handle, so np.save adds no ".npy" to the temporary name
-        with atomic_write(out / rel, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             np.save(fh, np.asarray(models[name], dtype=np.float64))
-        files.append(rel)
-    return files
-
-
-def _keep_only(out: Path, files: list) -> None:
-    """Remove every file under `out` but `files` (paths relative to it), and
-    the directories that leaves empty: a run directory holds one outcome."""
-    keep = {out / rel for rel in files}
-    for root, _, names in os.walk(out, topdown=False):
-        for name in names:
-            path = Path(root, name)
-            if path not in keep:
-                path.unlink()
-        if root != str(out) and not os.listdir(root):
-            os.rmdir(root)
 
 
 def cmd_prepare(args) -> int:
@@ -284,6 +266,8 @@ def cmd_run(args) -> int:
     # A variant the cache lacks is refused here, before anything trains.
     variants = sorted({(cfg.k, cfg.with_weather) for cfg in entries})
     _build_datasets(prep, digest, variants)
+    # An --out that cannot hold run directories is refused before training.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
 
     run_id = run_identity(seed, entries, digest)
     started = time.time()
@@ -315,33 +299,28 @@ def cmd_run(args) -> int:
                    for _, failure in outcomes):
                 break
             outcomes.append(_run_group(digest, group))
-    done = sorted((item for items, _ in outcomes for item in items),
+    failure = min((f for _, f in outcomes if f), key=lambda f: f[0], default=None)
+    done = sorted((item for items, _ in outcomes for item in items
+                   if failure is None or item[0] < failure[0]),
                   key=lambda item: item[0])
-    failures = sorted((failure for _, failure in outcomes if failure),
-                      key=lambda failure: failure[0])
 
+    # One outcome per run directory: an earlier run's files go first.
     out = Path(args.out) / run_id
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    reports = []
+    if out.exists():
+        shutil.rmtree(out)
+    out.mkdir()
     for entry_id, report, models in done:
-        if failures and entry_id > failures[0][0]:
-            break
-        files += _write_entry_outputs(out, entry_id, report, models)
-        reports.append(report)
-    if failures:
-        err = failures[0][1]
-        # Flush what we have for post-mortem before reporting failure.
+        _write_entry_outputs(out, entry_id, report, models)
+    if failure:
+        err = failure[1]
         write_json(out / "failure.json", {
             "error": str(err), "error_class": type(err).__name__,
             "param_index": getattr(err, "param_index", None),
-            "completed": [r["entry_id"] for r in reports]})
-        _keep_only(out, files + ["failure.json"])
+            "completed": [entry_id for entry_id, _, _ in done]})
         raise err
 
-    emit_report(reports, out, run_meta={
+    emit_report([report for _, report, _ in done], out, run_meta={
         "seed": seed, "run_id": run_id, "data_digest": digest})
-    files += ["results.json", "results.csv", "tables.txt"]
 
     manifest = {
         "tool_version": __version__,
@@ -350,11 +329,12 @@ def cmd_run(args) -> int:
         "data_digest": digest,
         "config": {"data": str(data_dir),
                    "entries": [cfg.to_dict() for cfg in entries]},
-        "files": sorted(files) + ["manifest.json"],
+        "files": sorted(path.relative_to(out).as_posix()
+                        for path in out.rglob("*") if path.is_file())
+                 + ["manifest.json"],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
     write_json(out / "manifest.json", manifest)
-    _keep_only(out, manifest["files"])
     print(f"run {run_id}: {len(entries)} entries -> {out}")
     print((out / "tables.txt").read_text(), end="")
     return 0
@@ -370,6 +350,9 @@ def _read_json(path: Path):
 def cmd_report(args) -> int:
     from .reporting import build_comparison, emit_report, entry_problem, render_tables
 
+    if args.out and any((Path(args.out) / name).exists()
+                        for name in ("manifest.json", "failure.json")):
+        raise DataError(f"--out {args.out} is a run directory")
     reports = []
     digests = {}
     seen = {}

@@ -8,6 +8,7 @@ epochs, so those two fields are validated rather than free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
@@ -37,8 +38,8 @@ LOCAL_EPOCHS_GRID = (1, 3, 5)
 HC_THRESHOLD_GRID = (0.8, 1.4, 2.0)
 HC_ROUNDS_GRID = (3, 5, 10)
 
-# Fields that must hold an integer and fields that must hold a number; a bool
-# is neither.  An unset (None) clustering setting is checked by kind instead.
+# Fields that must hold an integer and fields that must hold a finite number
+# (a bool is neither); an unset (None) clustering setting is checked by kind.
 _INTEGER_FIELDS = ("k", "seed", "local_epochs", "hc_rounds", "batch_size",
                    "patience", "epochs_cap", "fl_rounds_cap", "flhc_rounds_cap",
                    "lft_epochs_cap")
@@ -75,12 +76,13 @@ class ScenarioConfig:
             raise ValidationError(
                 f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
         for names, kind, noun in ((_INTEGER_FIELDS, Integral, "an integer"),
-                                  (_NUMBER_FIELDS, Real, "a number")):
+                                  (_NUMBER_FIELDS, Real, "a finite number")):
             for name in names:
                 value = getattr(self, name)
                 if value is None and name.startswith("hc_"):
                     continue
-                if isinstance(value, bool) or not isinstance(value, kind):
+                if isinstance(value, bool) or not isinstance(value, kind) \
+                        or not -math.inf < value < math.inf:
                     raise ValidationError(f"{name} must be {noun}, got {value!r}")
         if not isinstance(self.with_weather, bool):
             raise ValidationError(

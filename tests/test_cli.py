@@ -167,6 +167,11 @@ def test_seed_env_override(monkeypatch):
     # an empty sweep list would drop its section without a word
     lambda raw: raw.update(scenarios=[
         {"kind": "centralised"}, {"kind": "fl", "client_fraction": []}]),
+    # JSON's Infinity would train, then fail to serialise
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": float("inf"), "hc_linkage": "ward",
+         "hc_rounds": 2}]),
+    lambda raw: raw.update(overrides={"learning_rate": float("inf")}),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()
@@ -318,6 +323,22 @@ def test_report_aggregates_a_run(pipeline, tmp_path, capsys):
     assert agg["source_runs"] == [str(run_dir)]
     assert agg["seeds"] == [5]
     assert len(agg["entries"]) == 2
+
+
+@pytest.mark.parametrize("outcome", ["results", "failure"])
+def test_report_writes_into_no_run_directory(pipeline, tmp_path, capsys, outcome):
+    _, run_dir = pipeline
+    target = tmp_path / "run"
+    if outcome == "results":
+        shutil.copytree(run_dir, target)
+    else:
+        target.mkdir()
+        (target / "failure.json").write_text("{}")
+    before = {p: p.read_bytes() for p in target.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: --out {target} is a run directory\n"
+    assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == before
 
 
 def test_report_rejects_duplicate_entries(pipeline, capsys):
@@ -767,6 +788,27 @@ def test_a_serial_run_starts_no_group_after_a_failed_entry(pipeline, tmp_path,
     assert started == ["centralised__k6-w", "fl__k6-w__f0.5_e3"]
     assert json.loads((run_dir / "failure.json").read_text())["completed"] == [
         "centralised__k6-w"]
+
+
+def test_an_out_that_is_a_file_is_refused_before_training(pipeline, tmp_path,
+                                                          monkeypatch, capsys):
+    root, _ = pipeline
+    started = []
+    real = fedcast.federation.run_scenario
+
+    def run_scenario(datasets, cfg, memo=None):
+        started.append(cfg.entry_id)
+        return real(datasets, cfg, memo)
+    monkeypatch.setattr(fedcast.federation, "run_scenario", run_scenario)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(data=str(root / "cache"))))
+    out = tmp_path / "runs"
+    out.write_text("not a directory")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started == []
+    assert out.read_text() == "not a directory"
 
 
 def test_workers_that_inherit_nothing_match_a_serial_run(pipeline, tmp_path,

@@ -100,6 +100,28 @@ def test_every_malformed_meter_row_kind(tmp_path, monkeypatch, block_rows):
     }
 
 
+def test_a_utc_suffix_and_seven_fraction_digits_parse(tmp_path):
+    # the London extract's stamp form and a "Z" suffix, both of which
+    # datetime.fromisoformat reads only from Python 3.11 on
+    meters = tmp_path / "meters.csv"
+    meters.write_text(
+        "household_id,timestamp,kwh\n"
+        "h0,2013-01-01T00:00:00Z,0.5\n"
+        "h0,2013-01-01 00:30:00.0000000,0.25\n")
+    readings, skipped = ingest_meter_csv(meters)
+    assert skipped == 0
+    t0 = datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+    assert readings["h0"].minutes.tolist() == [t0, t0 + 30]
+    weather = tmp_path / "weather.csv"
+    weather.write_text(
+        "timestamp,air_temp_c,rel_humidity_pct\n"
+        "2013-01-01T00:00:00Z,5.0,60\n"
+        "2013-01-01 01:00:00.0000000,6.0,70\n")
+    table, skipped = ingest_weather_csv(weather)
+    assert skipped == 0
+    assert table.hours.tolist() == [t0 // 60, t0 // 60 + 1]
+
+
 def test_a_file_of_only_malformed_rows_gives_no_households(tmp_path):
     path = tmp_path / "meters.csv"
     path.write_text("household_id,timestamp,kwh\nh0,never,1\n,2013-01-01,1\n")
