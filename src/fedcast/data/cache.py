@@ -20,7 +20,7 @@ import numpy as np
 from ..atomic import atomic_write, write_json
 from ..errors import DataError, ValidationError
 from .cleaning import clean_readings
-from .features import DesignMatrix, WeatherTable, build_design_matrix
+from .features import BASE_COLUMNS, WEATHER_COLUMNS, WeatherTable, build_design_matrix
 from .normalize import NormalizationParams, fit_normalizer, normalize
 from .sequences import build_household_dataset, split_chronological
 
@@ -29,12 +29,13 @@ HIGH_FILL_THRESHOLD = 0.10
 
 VARIANT_BASE = "base"
 VARIANT_WEATHER = "weather"
+_COLUMNS = {VARIANT_BASE: BASE_COLUMNS, VARIANT_WEATHER: WEATHER_COLUMNS}
 
 
 @dataclass(frozen=True)
 class PreparedHousehold:
     hours: np.ndarray                     # (N,) int64
-    matrices: dict                        # variant -> raw (unnormalised) DesignMatrix
+    matrices: dict                        # variant -> raw (unnormalised) (N, D) array
     train_end: int
     val_end: int
     filled_fraction: float
@@ -103,13 +104,10 @@ def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
             filled_fraction=series.filled_fraction,
         )
 
-    normalizers = {}
     ordered = [households[hid] for hid in sorted(households)]
-    for variant in variants:
-        normalizers[variant] = fit_normalizer(
-            [h.matrices[variant] for h in ordered],
-            [h.train_end for h in ordered],
-        )
+    normalizers = {v: fit_normalizer([h.matrices[v] for h in ordered],
+                                     [h.train_end for h in ordered], _COLUMNS[v])
+                   for v in variants}
     return PreparedData(households, k_values, variants, normalizers)
 
 
@@ -137,11 +135,9 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
         house = prep.households[hid]
         hdir = out / "households" / hid
         hdir.mkdir(parents=True, exist_ok=True)
-        files = {"hours": f"households/{hid}/hours.npy"}
-        arrays = {"hours": house.hours}
-        for variant in prep.variants:
-            files[variant] = f"households/{hid}/matrix_{variant}.npy"
-            arrays[variant] = house.matrices[variant].values
+        files = {"hours": f"households/{hid}/hours.npy",
+                 **{v: f"households/{hid}/matrix_{v}.npy" for v in prep.variants}}
+        arrays = {"hours": house.hours, **house.matrices}
         for key, rel in files.items():
             # a file handle, so np.save adds no ".npy" to the temporary name
             with atomic_write(out / rel, "wb") as fh:
@@ -204,9 +200,11 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
             hours = np.load(cache / entry["files"]["hours"])
             matrices = {}
             for variant in variants:
-                values = np.load(cache / entry["files"][variant])
-                matrices[variant] = DesignMatrix(
-                    columns=normalizers[variant].columns, values=values)
+                rel = entry["files"][variant]
+                matrices[variant] = np.load(cache / rel)
+                width = len(normalizers[variant].columns)
+                if matrices[variant].shape[1:] != (width,):
+                    raise DataError(f"{cache}: {rel} is not an (N, {width}) matrix")
             households[hid] = PreparedHousehold(
                 hours=hours,
                 matrices=matrices,

@@ -1,9 +1,10 @@
 """Feature rows: hourly energy plus calendar and optional weather context.
 
-Each design-matrix row describes one hour: the energy total, the calendar
-decomposition of the hour's timestamp, and, when requested, air temperature
-and relative humidity joined on the exact hour.  Column 0 is always the
-energy value, which doubles as the forecasting target.
+A design matrix is an (N, D) float64 array, one row per hour: the energy
+total, the calendar decomposition of the hour's timestamp, and, when
+requested, air temperature and relative humidity joined on the exact hour,
+in `BASE_COLUMNS` or `WEATHER_COLUMNS` order.  Column 0 is always the energy
+value, which doubles as the forecasting target.
 
 The matrix is built a column at a time: the calendar fields come from
 `datetime64` arithmetic on the whole hour array, and weather is joined by
@@ -12,7 +13,6 @@ a binary search of the hours into the table's sorted hour column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,24 +41,10 @@ class WeatherTable:
         return len(self.hours)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Feature rows for one household in chronological order."""
-
-    columns: tuple
-    values: np.ndarray  # (N, len(columns)) float64
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
-            raise ValidationError("values must be (N, len(columns))")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def build_design_matrix(hourly: HourlySeries,
-                        weather: WeatherTable | None = None) -> DesignMatrix:
-    """Assemble the per-hour feature rows, joining weather on the exact hour.
+                        weather: WeatherTable | None = None) -> np.ndarray:
+    """Assemble the per-hour feature rows in chronological order, joining
+    weather on the exact hour.
 
     Calendar columns: year, week of year (whole 7-day blocks from January
     1st, clamped to 51 so a year's trailing 1-2 days fold into the last
@@ -89,4 +75,4 @@ def build_design_matrix(hourly: HourlySeries,
                 f"(household {hourly.household_id})")
         out[:, 5] = weather.air_temp_c[pos]
         out[:, 6] = weather.rel_humidity_pct[pos]
-    return DesignMatrix(columns=columns, values=out)
+    return out

@@ -4,7 +4,8 @@ One set of per-column (min, max) pairs is fitted over the training rows of
 every household together, so in particular the energy column is scaled
 identically for all households and model parameters remain comparable and
 averageable across clients.  Constant columns (min == max) are mapped to
-0.0 and reported, since they carry no information.
+0.0 and reported, since they carry no information.  Matrices are (N, D)
+arrays; only `NormalizationParams.columns` names their columns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .features import DesignMatrix
 
 
 @dataclass(frozen=True)
@@ -55,32 +55,33 @@ class NormalizationParams:
                    np.asarray(d["maxs"], dtype=np.float64))
 
 
-def fit_normalizer(matrices, train_ends) -> NormalizationParams:
+def _check_width(matrix: np.ndarray, columns: tuple):
+    if matrix.shape[1:] != (len(columns),):
+        raise ValidationError(f"a {matrix.shape} matrix lacks the columns {columns}")
+
+
+def fit_normalizer(matrices, train_ends, columns) -> NormalizationParams:
     """Fit per-column (min, max) over the training rows of all households.
 
-    `train_ends[i]` is the exclusive end of the training split in
-    `matrices[i]`; later rows are left out so nothing leaks from validation
-    or test data into the scaling.
+    Every matrix is an (N, len(columns)) array.  `train_ends[i]` is the
+    exclusive end of the training split in `matrices[i]`; later rows are
+    left out so nothing leaks from validation or test data into the scaling.
     """
     matrices = list(matrices)
     train_ends = list(train_ends)
     if not matrices or len(matrices) != len(train_ends):
         raise ValidationError("need one train_end per matrix")
-    columns = matrices[0].columns
     segments = []
     for m, end in zip(matrices, train_ends):
-        if m.columns != columns:
-            raise ValidationError("all matrices must share the same columns")
+        _check_width(m, columns)
         if not 0 < end <= len(m):
             raise ValidationError("train_end out of range")
-        segments.append(m.values[:end])
+        segments.append(m[:end])
     stacked = np.concatenate(segments, axis=0)
-    return NormalizationParams(columns, stacked.min(axis=0), stacked.max(axis=0))
+    return NormalizationParams(tuple(columns), stacked.min(axis=0), stacked.max(axis=0))
 
 
-def normalize(matrix: DesignMatrix, params: NormalizationParams) -> DesignMatrix:
+def normalize(matrix: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Map each column through (v - min) / (max - min); constants go to 0."""
-    if matrix.columns != params.columns:
-        raise ValidationError("matrix columns do not match the normalizer")
-    values = (matrix.values - params.mins) * params.scales
-    return DesignMatrix(columns=matrix.columns, values=values)
+    _check_width(matrix, params.columns)
+    return (matrix - params.mins) * params.scales

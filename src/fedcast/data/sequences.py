@@ -2,8 +2,9 @@
 
 Rows are split 70/20/10 into train/validation/test by floor division with
 the remainder going to training, and K-row windows are cut inside each split
-only, so no window straddles a boundary.  A window's label is the energy
-value (column 0) of the row immediately after it.
+only, so no window straddles a boundary.  Rows are those of an (N, D) design
+matrix in `BASE_COLUMNS` or `WEATHER_COLUMNS` order, and a window's label is
+the energy value (column 0) of the row immediately after it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .features import DesignMatrix
 
 SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 
@@ -87,15 +87,13 @@ class HouseholdDataset:
         return self.train.windows.shape[2]
 
 
-def build_household_dataset(household_id: str, matrix: DesignMatrix, k: int,
+def build_household_dataset(household_id: str, matrix: np.ndarray, k: int,
                             with_weather: bool, energy_range: float,
                             splits: tuple[int, int]) -> HouseholdDataset:
-    """Cut one household's normalised matrix at `splits` (train end, val end)
-    into per-split sequence sets of the (K, weather) variant."""
+    """Cut one household's normalised (N, D) matrix at `splits` (train end,
+    val end) into per-split sequence sets of the (K, weather) variant."""
     train_end, val_end = splits
     if not 0 < train_end < val_end < len(matrix):
         raise ValidationError("split boundaries out of order")
-    parts = []
-    for lo, hi in ((0, train_end), (train_end, val_end), (val_end, len(matrix))):
-        parts.append(make_sequences(matrix.values[lo:hi], k))
+    parts = [make_sequences(rows, k) for rows in np.split(matrix, splits)]
     return HouseholdDataset(household_id, k, with_weather, energy_range, *parts)

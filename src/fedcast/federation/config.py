@@ -28,7 +28,6 @@ SCENARIO_KEYS = {
     "fl_lft": _FL_KEYS,
     "fl_hc_lft": _HC_KEYS,
 }
-SCENARIO_KINDS = tuple(SCENARIO_KEYS)
 _FL_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items()
                   if "client_fraction" in keys)
 _HC_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items() if "hc_rounds" in keys)
@@ -72,9 +71,9 @@ class ScenarioConfig:
     lft_epochs_cap: int = 25
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in SCENARIO_KEYS:
             raise ValidationError(
-                f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
+                f"unknown scenario {self.kind!r}; expected one of {tuple(SCENARIO_KEYS)}")
         for names, kind, noun in ((_INTEGER_FIELDS, Integral, "an integer"),
                                   (_NUMBER_FIELDS, Real, "a finite number")):
             for name in names:

@@ -9,28 +9,28 @@ the records alone; `recount_samples` does exactly that.
 Regimes, and the phases each composes:
     centralised  one model on all households' pooled training data
                  (`train_session` on the pooled sets)
-    localised    one independent model per household (`_train_locally`)
+    localised    one independent model per household (`_train_clients`)
     fl           federated averaging over sampled clients (`_federate` with
                  early stopping)
     fl_hc        federated averaging, then clustering of client updates,
                  then independent federated training per cluster
                  (`_warm_up`, `agglomerate`, `_cluster_federation` per cluster)
     fl_lft       fl followed by per-client fine-tuning of the global model
-                 (`_run_lft`, through `_train_locally`)
+                 (`_run_lft`, through `_train_clients`)
     fl_hc_lft    fl_hc followed by per-client fine-tuning of cluster models
-                 (`_run_lft`, through `_train_locally`)
+                 (`_run_lft`, through `_train_clients`)
 
 Phases:
     _federate            the one federated loop: a `fedavg_round` per round,
                          every global model scored on the clients' validation
                          sets; it serves fl, the warm-up and each cluster
-    _train_clients       local_epochs of unvalidated training per client,
-                         checked finite (each round, and the burst)
+    _train_clients       every client trained from its own start, checked
+                         finite: validated and stopped early (localised and
+                         fine-tuning) or for local_epochs unvalidated (each
+                         round, and the burst)
     _warm_up             fl_hc phases 1 and 2: `_federate` without early
                          stopping, then the burst and its update distances
     _cluster_federation  fl_hc phase 3 for one cluster
-    _train_locally       validated per-client training from given starts
-                         (localised, and the fine-tuning of `_run_lft`)
 
 `run_scenario` checks the datasets once per entry and hands every regime
 them in ascending id order.
@@ -201,25 +201,6 @@ def _epoch_records(result, participants, **label) -> list:
             for rec in result.records]
 
 
-def _train_locally(starts: dict, datasets, cfg: ScenarioConfig, epochs: int,
-                   *stream_tag, **label):
-    """Every client trained from `starts[id]` on its own data, validated and
-    stopped early on its own validation RMSE.
-
-    Returns (round records, SessionResults by client id).
-    """
-    results = fit_epochs(
-        [Session(starts[ds.household_id], ds.train.windows, ds.train.labels,
-                 stream(cfg.seed, TRAIN, key_int(ds.household_id), *stream_tag),
-                 ds.val)
-         for ds in datasets],
-        epochs, cfg.batch_size, cfg.learning_rate, cfg.patience)
-    by_id = {ds.household_id: r for ds, r in zip(datasets, results)}
-    records = [rec for hid, r in by_id.items()
-               for rec in _epoch_records(r, [hid], **label, client=hid)]
-    return records, by_id
-
-
 def _centralised(datasets, cfg: ScenarioConfig):
     """One model over the pooled training data of every household.
 
@@ -246,59 +227,63 @@ def _centralised(datasets, cfg: ScenarioConfig):
 def _localised(datasets, cfg: ScenarioConfig):
     """One independent model per household on its own data only."""
     start = _init_flat(cfg, datasets[0].feature_dim)
+    results = _train_clients([start] * len(datasets), datasets, cfg, cfg.epochs_cap,
+                             "localised", patience=cfg.patience)
     report = _base_report(cfg, datasets)
-    report["rounds"], results = _train_locally(
-        {ds.household_id: start for ds in datasets}, datasets, cfg, cfg.epochs_cap)
+    report["rounds"] = [rec for hid, r in results.items()
+                        for rec in _epoch_records(r, [hid], client=hid)]
     report["best_val_rmse"] = {hid: r.best_metric for hid, r in results.items()}
     report["mean_best_val_rmse"] = _mean(report["best_val_rmse"].values())
     models = {hid: r.params for hid, r in results.items()}
     return _finish(report, models, datasets), models
 
 
-def _train_clients(start: np.ndarray, clients, cfg: ScenarioConfig, where: str,
-                   *stream_tag) -> list:
-    """Train each (id, dataset) client for local_epochs from `start`.
+def _train_clients(starts, datasets, cfg: ScenarioConfig, epochs: int, where: str,
+                   *stream_tag, patience: int | None = None) -> dict:
+    """Train each of `datasets` from its start in `starts` for `epochs`,
+    validated and stopped early on its validation set given a `patience`.
 
-    Returns one SessionResult per client.  A numerical failure, or a client
-    ending with non-finite parameters, raises NumericalError naming `where`
-    and the client.
+    Returns the SessionResults by client id.  A numerical failure, or a
+    client ending with non-finite parameters, raises NumericalError naming
+    `where` and the client.
     """
     try:
         results = fit_epochs(
             [Session(start, ds.train.windows, ds.train.labels,
-                     stream(cfg.seed, TRAIN, key_int(hid), *stream_tag))
-             for hid, ds in clients],
-            cfg.local_epochs, cfg.batch_size, cfg.learning_rate)
+                     stream(cfg.seed, TRAIN, key_int(ds.household_id), *stream_tag),
+                     None if patience is None else ds.val)
+             for start, ds in zip(starts, datasets)],
+            epochs, cfg.batch_size, cfg.learning_rate, patience)
     except NumericalError as err:
         raise NumericalError(
-            f"{where}: client {clients[err.session][0]} failed: {err}",
+            f"{where}: client {datasets[err.session].household_id} failed: {err}",
             param_index=err.param_index) from err
-    for (hid, _), result in zip(clients, results):
+    by_id = {ds.household_id: r for ds, r in zip(datasets, results)}
+    for hid, result in by_id.items():
         bad = np.flatnonzero(~np.isfinite(result.params))
         if bad.size:
             raise NumericalError(
                 f"{where}: client {hid} returned non-finite parameters "
                 f"(index {bad[0]})", param_index=int(bad[0]))
-    return results
+    return by_id
 
 
 def fedavg_round(global_params: np.ndarray, clients, cfg: ScenarioConfig,
                  round_index: int):
     """Train each participating client from the global model and aggregate.
 
-    `clients` is the ascending-id list of (household_id, dataset) pairs that
-    participate this round.  Every client starts from the global parameters
-    with a fresh optimizer, runs cfg.local_epochs, and the weighted mean of
-    the results replaces the global model.  Returns (new_params, stats,
-    samples) where stats maps client id to its last local training loss.
+    `clients` is the ascending-id list of the datasets that participate this
+    round.  Every client starts from the global parameters with a fresh
+    optimizer, runs cfg.local_epochs, and the weighted mean of the results
+    replaces the global model.  Returns (new_params, stats, samples) where
+    stats maps client id to its last local training loss.
     """
-    if not clients:
-        raise ValidationError("a round needs at least one participant")
-    results = _train_clients(global_params, clients, cfg, f"round {round_index}",
-                             ROUND, round_index)
-    updates = [(ds.n_train, r.params) for (_, ds), r in zip(clients, results)]
-    stats = {hid: r.records[-1]["train_loss"] for (hid, _), r in zip(clients, results)}
-    return fedavg_aggregate(updates), stats, sum(r.samples for r in results)
+    results = _train_clients([global_params] * len(clients), clients, cfg,
+                             cfg.local_epochs, f"round {round_index}", ROUND,
+                             round_index)
+    updates = [(ds.n_train, results[ds.household_id].params) for ds in clients]
+    stats = {hid: r.records[-1]["train_loss"] for hid, r in results.items()}
+    return fedavg_aggregate(updates), stats, sum(r.samples for r in results.values())
 
 
 def _federate(start: np.ndarray, datasets, cfg: ScenarioConfig, rounds,
@@ -308,27 +293,31 @@ def _federate(start: np.ndarray, datasets, cfg: ScenarioConfig, rounds,
 
     Every global model, the start included, is scored by the uniform mean of
     the clients' validation RMSEs and fed to the stopper, which keeps the
-    best snapshot.  Rounds stop early only when `patience` is given.
+    best snapshot.  Rounds stop early only when `patience` is given.  A
+    non-finite score raises NumericalError naming the round.
     """
     by_id = {ds.household_id: ds for ds in datasets}
+    stopper = EarlyStopper(patience)
 
-    def score(params):
-        return _mean(evaluate_rmse(params, ds.val) for ds in datasets)
+    def score(params, r):
+        metric = _mean(evaluate_rmse(params, ds.val) for ds in datasets)
+        try:
+            stopper.update(metric, params)
+        except NumericalError as err:
+            raise NumericalError(f"round {r}: {err}") from err
+        return metric
 
     params = start
-    stopper = EarlyStopper(patience)
-    stopper.update(score(params), params)
+    score(params, rounds.start - 1)
     records = []
     for r in rounds:
         chosen = sample_clients(by_id, cfg.client_fraction,
                                 stream(cfg.seed, SELECT, *select_key, r))
         params, stats, samples = fedavg_round(
-            params, [(hid, by_id[hid]) for hid in chosen], cfg, r)
-        metric = score(params)
+            params, [by_id[hid] for hid in chosen], cfg, r)
         records.append({**label, "round": r, "participants": chosen,
-                        "train_loss": stats, "avg_val_rmse": metric,
+                        "train_loss": stats, "avg_val_rmse": score(params, r),
                         "samples": samples})
-        stopper.update(metric, params)
         if stopper.should_stop:
             break
     return params, stopper, records
@@ -364,13 +353,13 @@ def _warm_up(datasets, cfg: ScenarioConfig):
         _init_flat(cfg, datasets[0].feature_dim), datasets, cfg,
         range(1, cfg.hc_rounds + 1), {"phase": 1})
     # Phase 2: full participation burst; deltas against the shared model.
-    clients = [(ds.household_id, ds) for ds in datasets]
-    results = _train_clients(params, clients, cfg, "clustering burst", CLUSTERING)
+    results = _train_clients([params] * len(datasets), datasets, cfg,
+                             cfg.local_epochs, "clustering burst", CLUSTERING)
     records.append({
-        "phase": 2, "round": cfg.hc_rounds,
-        "participants": [hid for hid, _ in clients], "train_loss": None,
-        "avg_val_rmse": None, "samples": sum(r.samples for r in results)})
-    distances = pairwise_euclidean([r.params - params for r in results])
+        "phase": 2, "round": cfg.hc_rounds, "participants": list(results),
+        "train_loss": None, "avg_val_rmse": None,
+        "samples": sum(r.samples for r in results.values())})
+    distances = pairwise_euclidean([r.params - params for r in results.values()])
     return stopper.initial_metric, params, records, distances
 
 
@@ -484,13 +473,15 @@ def _run_lft(datasets, cfg: ScenarioConfig, memo: dict):
     base parameters are scored first and win ties, so fine-tuning never
     worsens a client's validation RMSE."""
     base_report, base_models = _base_run(datasets, _base_config(cfg), memo)
-    records, results = _train_locally(
-        _model_of(base_report, base_models), datasets, cfg, cfg.lft_epochs_cap,
-        FINE_TUNE, phase="fine_tune")
+    model_of = _model_of(base_report, base_models)
+    results = _train_clients([model_of[ds.household_id] for ds in datasets],
+                             datasets, cfg, cfg.lft_epochs_cap, "fine-tuning",
+                             FINE_TUNE, patience=cfg.patience)
     report = _base_report(cfg, datasets)
     report["base"] = base_report
     report["base_samples"] = base_report["total_samples"]
-    report["rounds"] = records
+    report["rounds"] = [rec for hid, r in results.items() for rec in
+                        _epoch_records(r, [hid], phase="fine_tune", client=hid)]
     report["val_rmse_base"] = {h: r.initial_metric for h, r in results.items()}
     report["val_rmse_fine_tuned"] = {h: r.best_metric for h, r in results.items()}
     report["best_val_rmse"] = report["val_rmse_fine_tuned"]

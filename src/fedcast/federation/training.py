@@ -52,7 +52,7 @@ class EarlyStopper:
     def update(self, metric: float, params: np.ndarray) -> bool:
         """Record one evaluation point; returns True on improvement."""
         if not np.isfinite(metric):
-            raise ValidationError("early-stopping metric must be finite")
+            raise NumericalError(f"validation RMSE is {metric}")
         self._step += 1
         if self._step == 0:
             self.initial_metric = float(metric)
@@ -80,10 +80,12 @@ def predict(params: np.ndarray, windows: np.ndarray) -> np.ndarray:
 
 
 def evaluate_rmse(params: np.ndarray, seq_set) -> float:
-    """Root mean squared error of one model on one sequence set."""
+    """Root mean squared error of one model on one sequence set; inf when
+    the squared errors overflow."""
     preds = predict(params, seq_set.windows)
-    diff = preds - seq_set.labels
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):
+        diff = preds - seq_set.labels
+        return float(np.sqrt(np.mean(diff * diff)))
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,10 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
     mean pre-update batch loss per epoch and the optimizer-visited
     sequences (every sequence counts once per epoch).
 
-    On numerical failure the error raised is the one training the sessions
-    one after another would raise: that of the first failing session in
-    list order.  epochs=0 returns every session unchanged.
+    A bad gradient or a non-finite validation score fails a session.  The
+    error raised is the one training the sessions one after another would
+    raise: that of the first failing session in list order.  epochs=0
+    returns every session unchanged.
     """
     sessions = list(sessions)
     for s in sessions:
@@ -150,17 +153,33 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
     _, k, d = sessions[0].windows.shape
     stoppers = [None if s.val is None else EarlyStopper(patience)
                 for s in sessions]
-    for i, (s, stopper) in enumerate(zip(sessions, stoppers)):
-        if stopper is not None:
-            stopper.update(evaluate_rmse(params[i], s.val), params[i])
     records = [[] for _ in sessions]
     # The first failing session and its error; later sessions are dropped.
     failure = None
     limit = len(sessions)
+
+    def fail(i, err):
+        nonlocal failure, limit
+        if i < limit:
+            err.session = limit = i
+            failure = err
+
+    def validate(i):
+        """Session i's validation RMSE, fed to its stopper (None if unvalidated)."""
+        if stoppers[i] is None:
+            return None
+        metric = evaluate_rmse(params[i], sessions[i].val)
+        try:
+            stoppers[i].update(metric, params[i])
+        except NumericalError as err:
+            fail(i, err)
+        return metric
+
+    for i in range(len(sessions)):
+        validate(i)
     active = list(range(len(sessions)))
 
     def step(chunk, lo, size, perms, losses):
-        nonlocal failure, limit
         while chunk:
             x = np.empty((len(chunk) * size, k, d))
             y = np.empty(len(chunk) * size)
@@ -175,8 +194,7 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
             try:
                 grads, batch_losses = compute_gradients(x, y, p)
             except NumericalError as err:
-                err.session = limit = chunk[err.session]
-                failure = err
+                fail(chunk[err.session], err)
                 chunk = [i for i in chunk if i < limit]
                 continue
             adam_step(p, grads, m, v, t, learning_rate)
@@ -202,18 +220,14 @@ def fit_epochs(sessions, epochs: int, batch_size: int, learning_rate: float,
                 for start in range(0, len(members), per_stack):
                     chunk = [i for i in members[start:start + per_stack] if i < limit]
                     step(chunk, lo, size, perms, losses)
-        active = [i for i in active if i < limit]
         for i in active:
-            metric = None
-            if stoppers[i] is not None:
-                metric = evaluate_rmse(params[i], sessions[i].val)
-                stoppers[i].update(metric, params[i])
-            records[i].append({"epoch": epoch,
-                               "train_loss": float(np.mean(losses[i])),
-                               "val_rmse": metric,
-                               "samples": len(sessions[i].labels)})
-        active = [i for i in active
-                  if stoppers[i] is None or not stoppers[i].should_stop]
+            if i < limit:
+                records[i].append({"epoch": epoch,
+                                   "train_loss": float(np.mean(losses[i])),
+                                   "val_rmse": validate(i),
+                                   "samples": len(sessions[i].labels)})
+        active = [i for i in active if i < limit
+                  and (stoppers[i] is None or not stoppers[i].should_stop)]
     if failure is not None:
         raise failure
 

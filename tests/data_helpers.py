@@ -61,10 +61,10 @@ class FeatureVector:
 
 
 def design_row(matrix, i: int) -> FeatureVector:
-    """Row i of a DesignMatrix by column name."""
-    vals = matrix.values[i]
+    """Row i of a design matrix by column name."""
+    vals = matrix[i]
     extra = {}
-    if len(matrix.columns) == len(WEATHER_COLUMNS):
+    if matrix.shape[1] == len(WEATHER_COLUMNS):
         extra = {"air_temp_c": float(vals[5]), "rel_humidity_pct": float(vals[6])}
     return FeatureVector(float(vals[0]), float(vals[1]), float(vals[2]),
                          float(vals[3]), float(vals[4]), **extra)

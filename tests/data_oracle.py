@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from fedcast.data.cleaning import HourlySeries, epoch_minutes
-from fedcast.data.features import BASE_COLUMNS, WEATHER_COLUMNS, DesignMatrix
+from fedcast.data.features import BASE_COLUMNS, WEATHER_COLUMNS
 from fedcast.errors import DataError
 
 _SUPPORTED_STEPS_MIN = (30, 60)
@@ -105,7 +105,7 @@ def lookup(weather, hour: int, pos: dict | None = None):
     return float(weather.air_temp_c[i]), float(weather.rel_humidity_pct[i])
 
 
-def build_design_matrix(hourly: HourlySeries, weather=None) -> DesignMatrix:
+def build_design_matrix(hourly: HourlySeries, weather=None) -> np.ndarray:
     """Assemble the per-hour feature rows, joining weather on the exact hour."""
     if len(hourly) == 0:
         raise DataError("empty hourly series")
@@ -129,4 +129,4 @@ def build_design_matrix(hourly: HourlySeries, weather=None) -> DesignMatrix:
                     f"weather has no observation for {stamp.isoformat()} "
                     f"(household {hourly.household_id})")
             out[i, 5], out[i, 6] = obs
-    return DesignMatrix(columns=columns, values=out)
+    return out

@@ -164,7 +164,7 @@ def test_criterion_5_pipeline_counts_on_180_days():
         # and val_end follow one another in time
         assert np.all(np.diff(house.hours) > 0)
         energy[hid] = normalize(house.matrices["base"],
-                                prep.normalizers["base"]).values[:, 0]
+                                prep.normalizers["base"])[:, 0]
     for k in (6, 12, 24):
         for ds in household_datasets(prep, k, False):
             assert len(ds.train) == 3024 - k

@@ -5,6 +5,7 @@ main() exactly as a shell user would, on a population small enough to train
 in a couple of seconds.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import fedcast
 from fedcast import cli
 from fedcast.atomic import atomic_write
 from fedcast.cli import (
+    _OVERRIDE_KEYS,
     _run_group,
     _write_entry_outputs,
     main,
@@ -41,7 +44,10 @@ from fedcast.federation.config import (
     HC_ROUNDS_GRID,
     HC_THRESHOLD_GRID,
     LOCAL_EPOCHS_GRID,
+    SCENARIO_KEYS,
+    ScenarioConfig,
 )
+from fedcast.reporting import SCENARIO_ORDER, SCENARIO_TITLES
 from fedcast.seeding import ROUND, TRAIN, key_int
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
@@ -197,6 +203,17 @@ def test_the_readme_config_sweeps_the_canonical_grids():
     assert tuple(sections["fl"]["local_epochs"]) == LOCAL_EPOCHS_GRID
     assert tuple(sections["fl_hc"]["hc_threshold"]) == HC_THRESHOLD_GRID
     assert tuple(sections["fl_hc"]["hc_rounds"]) == HC_ROUNDS_GRID
+
+
+def test_every_config_field_is_settable_in_exactly_one_place():
+    # the kinds a config runs are the kinds a report orders and titles
+    assert tuple(SCENARIO_KEYS) == SCENARIO_ORDER == tuple(SCENARIO_TITLES)
+    # a field is an entry's identity, a scenario section's key or an override
+    groups = [("kind", "k", "with_weather", "seed"), _OVERRIDE_KEYS,
+              {key for keys in SCENARIO_KEYS.values() for key in keys}]
+    names = [name for group in groups for name in group]
+    assert len(names) == len(set(names))
+    assert set(names) == {f.name for f in fields(ScenarioConfig)}
 
 
 def test_run_identity_depends_on_all_parts():
@@ -416,6 +433,16 @@ def _tamper_with_a_matrix(root, cache):
     path.write_bytes(bytes(blob))
 
 
+def _narrow_a_matrix(root, cache):
+    # one column fewer, with the manifest's digest rewritten to match
+    shutil.copytree(root / "cache", cache)
+    rel = "households/h000/matrix_base.npy"
+    np.save(cache / rel, np.load(cache / rel)[:, :-1])
+    manifest = json.loads((cache / "manifest.json").read_text())
+    manifest["digests"][rel] = hashlib.sha256((cache / rel).read_bytes()).hexdigest()
+    (cache / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _drop_the_manifest(root, cache):
     shutil.copytree(root / "cache", cache)
     (cache / "manifest.json").unlink()
@@ -438,6 +465,8 @@ def _prepare_without_weather(root, cache):
      "{cache}: unsupported cache format 2"),
     (_tamper_with_a_matrix, {},
      "{cache}: digest mismatch for households/h000/matrix_base.npy"),
+    (_narrow_a_matrix, {},
+     "{cache}: households/h000/matrix_base.npy is not an (N, 5) matrix"),
     (_drop_the_manifest, {},
      "{cache}: not a prepared-data directory (no manifest.json)"),
     (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": 12},
@@ -447,7 +476,7 @@ def _prepare_without_weather(root, cache):
     (_prepare_without_weather, {"weather": True},
      "weather variant requested but cache has none"),
 ], ids=["truncated-manifest", "manifest-without-fields", "manifest-not-an-object",
-        "format-2", "tampered-matrix", "no-manifest", "unprepared-k",
+        "format-2", "tampered-matrix", "narrowed-matrix", "no-manifest", "unprepared-k",
         "one-k-unprepared", "no-weather-variant"])
 def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
         pipeline, tmp_path, capsys, make_cache, config, message):
@@ -765,6 +794,27 @@ def test_a_phase_3_failure_raises_the_serial_error(pipeline, tmp_path, monkeypat
     assert json.loads((run_dir / "failure.json").read_text()) == {
         "error": message, "error_class": "NumericalError", "param_index": index,
         "completed": ["centralised__k6-w"]}
+
+
+@pytest.mark.parametrize("scenario,cap,message", [
+    ({"kind": "localised"}, "epochs_cap",
+     "localised: client h000 failed: validation RMSE is inf"),
+    ({"kind": "fl", "client_fraction": 1.0, "local_epochs": 1}, "fl_rounds_cap",
+     "round 1: validation RMSE is inf"),
+], ids=["localised", "fl"])
+def test_a_diverging_run_is_a_numerical_failure(pipeline, tmp_path, capsys,
+                                                scenario, cap, message):
+    # One Adam step at a learning rate of 1e300 moves every weight by about
+    # 1e300: the squared validation errors overflow and the score is inf.
+    root, _ = pipeline
+    raw = base_config(scenarios=[scenario],
+                      overrides={"learning_rate": 1e300, cap: 3})
+    code, run_dir = run_into(root, tmp_path, raw)
+    assert code == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert json.loads((run_dir / "failure.json").read_text()) == {
+        "error": message, "error_class": "NumericalError", "param_index": None,
+        "completed": []}
 
 
 def test_a_serial_run_starts_no_group_after_a_failed_entry(pipeline, tmp_path,

@@ -157,7 +157,6 @@ def test_failure_raises_the_serial_error(tiny_datasets):
     sets = list(tiny_datasets)
     sets[1] = poisoned(sets[1], 0, 2, gen(h1))
     sets[2] = poisoned(sets[2], 1, 0, gen(h2))
-    clients = [(ds.household_id, ds) for ds in sets]
 
     def lone_error(i):
         ds = sets[i]
@@ -169,12 +168,45 @@ def test_failure_raises_the_serial_error(tiny_datasets):
     first, second = lone_error(1), lone_error(2)
     assert first.param_index != second.param_index
     with pytest.raises(NumericalError) as err:
-        fedavg_round(start, clients, cfg, round_index)
+        fedavg_round(start, sets, cfg, round_index)
     assert str(err.value) == f"round {round_index}: client {h1} failed: {first}"
     assert err.value.param_index == first.param_index
     # the same clients without client 1 fail on client 2
     with pytest.raises(NumericalError) as err:
-        fedavg_round(start, [c for c in clients if c[0] != h1], cfg, round_index)
+        fedavg_round(start, [ds for ds in sets if ds.household_id != h1], cfg,
+                     round_index)
     assert str(err.value) == f"round {round_index}: client {h2} failed: {second}"
     assert err.value.param_index == second.param_index
     assert h0 < h1 < h2 < h3
+
+
+def test_a_validation_failure_yields_to_an_earlier_session(tiny_datasets):
+    # Session 1 scores inf on its validation set before any training, and
+    # session 0 hits a poisoned gradient at its third step, later on.  One
+    # after another, training never reaches session 1: session 0's error is
+    # the one raised.
+    d = tiny_datasets[0].feature_dim
+    start = init_model(d, np.random.default_rng(5))
+    start[:80 * d].reshape(80, d)[:, :2] = 0.0  # as in the test above
+    ds0 = poisoned(tiny_datasets[0], 0, 2, np.random.default_rng(40))
+    ds1 = tiny_datasets[1]
+    unreachable = SequenceSet(ds1.val.windows, np.full(len(ds1.val), 1e200))
+
+    def sessions():
+        return [Session(start, ds0.train.windows, ds0.train.labels,
+                        np.random.default_rng(40), ds0.val),
+                Session(start, ds1.train.windows, ds1.train.labels,
+                        np.random.default_rng(41), unreachable)]
+
+    with pytest.raises(NumericalError) as lone:
+        train_serially(sessions()[0], 2, B, LR, patience=5)
+    with pytest.raises(NumericalError) as err:
+        fit_epochs(sessions(), 2, B, LR, patience=5)
+    assert str(err.value) == str(lone.value)
+    assert err.value.param_index == lone.value.param_index
+    assert err.value.session == 0
+    # alone, session 1 fails on its score, which overflows to inf
+    with pytest.raises(NumericalError) as err:
+        fit_epochs(sessions()[1:], 2, B, LR, patience=5)
+    assert str(err.value) == "validation RMSE is inf"
+    assert err.value.session == 0 and err.value.param_index is None

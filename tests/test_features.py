@@ -66,10 +66,9 @@ def weather_covering(series):
 def test_base_matrix_layout():
     series = hourly_series(30)
     matrix = build_design_matrix(series)
-    assert matrix.columns == BASE_COLUMNS
-    assert matrix.values.shape == (30, 5)
-    assert np.all(matrix.values[:, 0] == 0.5)
-    assert matrix.values[0, 1] == 2013
+    assert matrix.shape == (30, len(BASE_COLUMNS)) == (30, 5)
+    assert np.all(matrix[:, 0] == 0.5)
+    assert matrix[0, 1] == 2013
     row = design_row(matrix, 0)
     assert row.air_temp_c is None
 
@@ -77,8 +76,7 @@ def test_base_matrix_layout():
 def test_weather_join_on_exact_hour():
     series = hourly_series(10)
     matrix = build_design_matrix(series, weather_covering(series))
-    assert matrix.columns == WEATHER_COLUMNS
-    assert matrix.values.shape == (10, 7)
+    assert matrix.shape == (10, len(WEATHER_COLUMNS)) == (10, 7)
     assert design_row(matrix, 3).rel_humidity_pct == 60.0
 
 

@@ -168,8 +168,7 @@ def test_single_client_round_is_plain_local_training(tiny_datasets):
     ds = tiny_datasets[0]
     cfg = small_config("fl", client_fraction=1.0)
     start = _init_flat(cfg, ds.feature_dim)
-    new_params, stats, samples = fedavg_round(
-        start, [(ds.household_id, ds)], cfg, round_index=2)
+    new_params, stats, samples = fedavg_round(start, [ds], cfg, round_index=2)
     # replay the client's session by hand
     gen = stream(cfg.seed, TRAIN, key_int(ds.household_id), ROUND, 2)
     params, records = train_serially(

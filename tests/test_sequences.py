@@ -69,7 +69,7 @@ def test_splits_label_consecutive_hours_in_order(tiny_prepared, tiny_datasets):
     params = tiny_prepared.normalizers["base"]
     for ds in tiny_datasets:
         house = tiny_prepared.households[ds.household_id]
-        energy = normalize(house.matrices["base"], params).values[:, 0]
+        energy = normalize(house.matrices["base"], params)[:, 0]
         assert np.all(np.diff(house.hours) > 0)
         # each split labels the rows after its first K, and splits do not
         # overlap in time
