@@ -9,13 +9,3 @@ cost (optimizer-visited training sequences).
 """
 
 __version__ = "0.1.0"
-
-from .errors import DataError, FedcastError, NumericalError, ValidationError
-
-__all__ = [
-    "DataError",
-    "FedcastError",
-    "NumericalError",
-    "ValidationError",
-    "__version__",
-]

@@ -28,7 +28,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import hashlib
-import itertools
 import json
 import shutil
 import sys
@@ -46,91 +45,6 @@ from .errors import DataError, FedcastError, NumericalError, ValidationError
 # `synthesize` load only the data pipeline, and only `run --jobs N` with N > 1
 # loads the process pool.
 
-SEED_ENV = "FEDCAST_SEED"
-
-_OVERRIDE_KEYS = ("batch_size", "learning_rate", "patience", "epochs_cap",
-                  "fl_rounds_cap", "flhc_rounds_cap", "lft_epochs_cap")
-
-
-def _aslist(value) -> list:
-    return value if isinstance(value, list) else [value]
-
-
-def resolve_config(raw: dict) -> tuple[int, list]:
-    """Expand a run config into (seed, [ScenarioConfig...]).
-
-    Scalar fields stand for singleton grids; list fields sweep.  The
-    environment variable FEDCAST_SEED overrides the config seed.
-    """
-    from .federation.config import SCENARIO_KEYS, ScenarioConfig
-
-    if not isinstance(raw, dict):
-        raise ValidationError("the config must be a JSON object")
-    known = {"data", "seed", "k", "weather", "scenarios", "overrides"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("data", "scenarios"):
-        if key not in raw:
-            raise ValidationError(f"config needs a {key!r} entry")
-    if not isinstance(raw["data"], str):
-        raise ValidationError("'data' must be a cache directory path")
-    if not isinstance(raw["scenarios"], list):
-        raise ValidationError("'scenarios' must be a list of sections")
-
-    seed = raw.get("seed", 0)
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV}={env_seed!r} is not an integer")
-
-    overrides = raw.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ValidationError("'overrides' must be a JSON object")
-    bad = set(overrides) - set(_OVERRIDE_KEYS)
-    if bad:
-        raise ValidationError(f"unknown override keys: {sorted(bad)}")
-
-    # an integral float such as 12.0 stands for its integer; ScenarioConfig
-    # refuses any other value that is not an integer
-    k_values = [int(k) if isinstance(k, float) and k.is_integer() else k
-                for k in _aslist(raw.get("k", 12))]
-    weather_values = _aslist(raw.get("weather", False))
-
-    entries = []
-    for section in raw["scenarios"]:
-        if not isinstance(section, dict):
-            raise ValidationError("every scenario section must be a JSON object")
-        if "kind" not in section:
-            raise ValidationError("every scenario section needs a 'kind'")
-        kind = section["kind"]
-        if not isinstance(kind, str) or kind not in SCENARIO_KEYS:
-            raise ValidationError(f"unknown scenario {kind!r}")
-        allowed = SCENARIO_KEYS[kind]
-        bad = set(section) - {"kind"} - set(allowed)
-        if bad:
-            raise ValidationError(f"{kind}: unexpected keys {sorted(bad)}")
-        for key in allowed:
-            if section.get(key) == []:
-                raise ValidationError(f"{kind}: {key} sweeps an empty list")
-        grids = [[(key, v) for v in _aslist(section[key])]
-                 for key in allowed if key in section]
-        for combo in itertools.product(*grids):
-            for k, weather in itertools.product(k_values, weather_values):
-                entries.append(ScenarioConfig(
-                    kind=kind, k=k, with_weather=weather, seed=seed,
-                    **dict(combo), **overrides))
-    if not entries:
-        raise ValidationError("config expands to no scenario entries")
-    ids = [cfg.entry_id for cfg in entries]
-    dupes = sorted({e for e in ids if ids.count(e) > 1})
-    if dupes:
-        raise ValidationError(f"config expands to duplicate entries: {dupes}")
-    return seed, sorted(entries, key=lambda c: c.entry_id)
-
-
 def run_identity(seed: int, entries, data_digest: str) -> str:
     blob = json.dumps(
         {"seed": seed, "data": data_digest,
@@ -139,22 +53,21 @@ def run_identity(seed: int, entries, data_digest: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# (dataset digest, K, weather) -> the households' datasets, built once per
-# process; the digest keys it, so a cache re-prepared in place is rebuilt.
+# (K, weather) -> the households' datasets of the run in progress.
 _DATASETS: dict = {}
 
 
-def _build_datasets(prep, digest: str, variants) -> None:
+def _build_datasets(prep, variants) -> None:
     """Build each (K, weather) variant not yet in `_DATASETS`.  The pool runs
     it as each worker's initializer: forked workers find the table full."""
     from .data import household_datasets
 
     for k, weather in variants:
-        if (digest, k, weather) not in _DATASETS:
-            _DATASETS[digest, k, weather] = household_datasets(prep, k, weather)
+        if (k, weather) not in _DATASETS:
+            _DATASETS[k, weather] = household_datasets(prep, k, weather)
 
 
-def _run_group(digest: str, group: list):
+def _run_group(group: list):
     """Run one group of related entries in order, sharing one memo.
 
     Returns (done, failure): (entry_id, report, models) for each entry that
@@ -168,7 +81,7 @@ def _run_group(digest: str, group: list):
     for cfg in group:
         try:
             report, models = run_scenario(
-                _DATASETS[digest, cfg.k, cfg.with_weather], cfg, memo)
+                _DATASETS[cfg.k, cfg.with_weather], cfg, memo)
         except FedcastError as err:
             return done, (cfg.entry_id, err)
         done.append((cfg.entry_id, report, models))
@@ -245,6 +158,7 @@ def cmd_synthesize(args) -> int:
 def cmd_run(args) -> int:
     from .data import dataset_digest, load_cache
     from .federation import group_entries
+    from .federation.config import resolve_config
     from .reporting import emit_report
 
     if args.jobs < 1:
@@ -265,24 +179,26 @@ def cmd_run(args) -> int:
     digest = dataset_digest(cache_manifest)
     # A variant the cache lacks is refused here, before anything trains.
     variants = sorted({(cfg.k, cfg.with_weather) for cfg in entries})
-    _build_datasets(prep, digest, variants)
+    _DATASETS.clear()
+    _build_datasets(prep, variants)
     # An --out that cannot hold run directories is refused before training.
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
     run_id = run_identity(seed, entries, digest)
     started = time.time()
 
-    # Entries that share a base or a warm-up run as one group in one worker.
+    # Entries that share a base or a warm-up run as one group in one worker,
+    # and no more workers start than there are groups.
     groups = group_entries(entries)
+    jobs = min(args.jobs, len(groups))
     outcomes = []
-    if args.jobs > 1:
+    if jobs > 1:
         from concurrent.futures.process import (BrokenProcessPool,
                                                 ProcessPoolExecutor)
 
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=_build_datasets,
-                                 initargs=(prep, digest, variants)) as pool:
-            submitted = [(group, pool.submit(_run_group, digest, group))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_build_datasets,
+                                 initargs=(prep, variants)) as pool:
+            submitted = [(group, pool.submit(_run_group, group))
                          for group in sorted(groups, key=len, reverse=True)]
             for group, future in submitted:
                 try:
@@ -298,7 +214,7 @@ def cmd_run(args) -> int:
             if any(failure and failure[0] < group[0].entry_id
                    for _, failure in outcomes):
                 break
-            outcomes.append(_run_group(digest, group))
+            outcomes.append(_run_group(group))
     failure = min((f for _, f in outcomes if f), key=lambda f: f[0], default=None)
     done = sorted((item for items, _ in outcomes for item in items
                    if failure is None or item[0] < failure[0]),

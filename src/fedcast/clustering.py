@@ -66,7 +66,12 @@ class ClusterAssignment:
         return [groups[c] for c in sorted(groups)]
 
 
-def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray:
+def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
+    """Merge clusters while the minimum linkage distance is <= threshold."""
+    if linkage not in LINKAGES:
+        raise ValidationError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
+    if not (threshold > 0.0):
+        raise ValidationError("threshold must be positive")
     d = np.asarray(dist, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise ValidationError("distance matrix must be square and nonempty")
@@ -76,16 +81,6 @@ def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray:
         raise ValidationError("distances must be non-negative with a zero diagonal")
     if not np.allclose(d, d.T, rtol=0.0, atol=0.0):
         raise ValidationError("distance matrix must be symmetric")
-    return d
-
-
-def agglomerate(dist, linkage: str, threshold: float) -> ClusterAssignment:
-    """Merge clusters while the minimum linkage distance is <= threshold."""
-    if linkage not in LINKAGES:
-        raise ValidationError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
-    if not (threshold > 0.0):
-        raise ValidationError("threshold must be positive")
-    d = _validate_distance_matrix(dist)
     n = d.shape[0]
     # Working matrix: squared distances for ward, plain otherwise.  Row i
     # holds the cluster whose smallest member is i.

@@ -11,6 +11,7 @@ at load time for whichever (K, weather) variant a run asks for.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,14 +112,6 @@ def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
     return PreparedData(households, k_values, variants, normalizers)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def dataset_digest(manifest: dict) -> str:
     """Stable identity of the prepared data: digest of the per-file digests."""
     blob = json.dumps(manifest["digests"], sort_keys=True).encode()
@@ -142,7 +135,7 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
             # a file handle, so np.save adds no ".npy" to the temporary name
             with atomic_write(out / rel, "wb") as fh:
                 np.save(fh, arrays[key])
-            digests[rel] = _sha256(out / rel)
+            digests[rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
         entries.append({
             "household_id": hid,
             "rows": house.n_rows,
@@ -194,20 +187,20 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
         households = {}
         for entry in manifest["households"]:
             hid = entry["household_id"]
-            for rel in entry["files"].values():
-                if _sha256(cache / rel) != digests[rel]:
+            arrays = {}
+            for key, rel in entry["files"].items():
+                blob = (cache / rel).read_bytes()  # read once: hashed, then loaded
+                if hashlib.sha256(blob).hexdigest() != digests[rel]:
                     raise DataError(f"{cache}: digest mismatch for {rel}")
-            hours = np.load(cache / entry["files"]["hours"])
-            matrices = {}
+                arrays[key] = np.load(io.BytesIO(blob))
             for variant in variants:
-                rel = entry["files"][variant]
-                matrices[variant] = np.load(cache / rel)
                 width = len(normalizers[variant].columns)
-                if matrices[variant].shape[1:] != (width,):
-                    raise DataError(f"{cache}: {rel} is not an (N, {width}) matrix")
+                if arrays[variant].shape[1:] != (width,):
+                    raise DataError(f"{cache}: {entry['files'][variant]} "
+                                    f"is not an (N, {width}) matrix")
             households[hid] = PreparedHousehold(
-                hours=hours,
-                matrices=matrices,
+                hours=arrays["hours"],
+                matrices={variant: arrays[variant] for variant in variants},
                 train_end=int(entry["train_end"]),
                 val_end=int(entry["val_end"]),
                 filled_fraction=float(entry["filled_fraction"]),

@@ -1,15 +1,18 @@
 """Scenario configuration: which regime to train and with what knobs.
 
 Sweep grids mirror the hyperparameter values the experiments explore; a
-single config holds one point of such a grid.  Under the clustered regimes
-the pre-clustering phase always runs with client_fraction 0.1 and 3 local
+single config holds one point of such a grid, and `resolve_config` expands
+a run config into its entries.  Under the clustered regimes the
+pre-clustering phase always runs with client_fraction 0.1 and 3 local
 epochs, so those two fields are validated rather than free.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 from ..clustering import LINKAGES as HC_LINKAGES
@@ -131,3 +134,90 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# Every field an entry's identity or a scenario section does not set is an
+# override, set once for the whole run.
+OVERRIDE_KEYS = tuple(
+    f.name for f in fields(ScenarioConfig)
+    if f.name not in ("kind", "k", "with_weather", "seed")
+    and not any(f.name in keys for keys in SCENARIO_KEYS.values()))
+
+SEED_ENV = "FEDCAST_SEED"
+
+
+def _aslist(value) -> list:
+    return value if isinstance(value, list) else [value]
+
+
+def resolve_config(raw: dict) -> tuple[int, list]:
+    """Expand a run config into (seed, [ScenarioConfig...]).
+
+    Scalar fields stand for singleton grids; list fields sweep.  The
+    environment variable FEDCAST_SEED overrides the config seed.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError("the config must be a JSON object")
+    known = {"data", "seed", "k", "weather", "scenarios", "overrides"}
+    unknown = set(raw) - known
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("data", "scenarios"):
+        if key not in raw:
+            raise ValidationError(f"config needs a {key!r} entry")
+    if not isinstance(raw["data"], str):
+        raise ValidationError("'data' must be a cache directory path")
+    if not isinstance(raw["scenarios"], list):
+        raise ValidationError("'scenarios' must be a list of sections")
+
+    seed = raw.get("seed", 0)
+    env_seed = os.environ.get(SEED_ENV)
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(f"{SEED_ENV}={env_seed!r} is not an integer")
+
+    overrides = raw.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ValidationError("'overrides' must be a JSON object")
+    bad = set(overrides) - set(OVERRIDE_KEYS)
+    if bad:
+        raise ValidationError(f"unknown override keys: {sorted(bad)}")
+
+    # an integral float such as 12.0 stands for its integer; ScenarioConfig
+    # refuses any other value that is not an integer
+    k_values = [int(k) if isinstance(k, float) and k.is_integer() else k
+                for k in _aslist(raw.get("k", 12))]
+    weather_values = _aslist(raw.get("weather", False))
+
+    entries = []
+    for section in raw["scenarios"]:
+        if not isinstance(section, dict):
+            raise ValidationError("every scenario section must be a JSON object")
+        if "kind" not in section:
+            raise ValidationError("every scenario section needs a 'kind'")
+        kind = section["kind"]
+        if not isinstance(kind, str) or kind not in SCENARIO_KEYS:
+            raise ValidationError(f"unknown scenario {kind!r}")
+        allowed = SCENARIO_KEYS[kind]
+        bad = set(section) - {"kind"} - set(allowed)
+        if bad:
+            raise ValidationError(f"{kind}: unexpected keys {sorted(bad)}")
+        for key in allowed:
+            if section.get(key) == []:
+                raise ValidationError(f"{kind}: {key} sweeps an empty list")
+        grids = [[(key, v) for v in _aslist(section[key])]
+                 for key in allowed if key in section]
+        for combo in itertools.product(*grids):
+            for k, weather in itertools.product(k_values, weather_values):
+                entries.append(ScenarioConfig(
+                    kind=kind, k=k, with_weather=weather, seed=seed,
+                    **dict(combo), **overrides))
+    if not entries:
+        raise ValidationError("config expands to no scenario entries")
+    ids = [cfg.entry_id for cfg in entries]
+    dupes = sorted({e for e in ids if ids.count(e) > 1})
+    if dupes:
+        raise ValidationError(f"config expands to duplicate entries: {dupes}")
+    return seed, sorted(entries, key=lambda c: c.entry_id)

@@ -210,9 +210,12 @@ def _centralised(datasets, cfg: ScenarioConfig):
     ids = [ds.household_id for ds in datasets]
     train, val, test = (_pool([getattr(ds, split) for ds in datasets])
                         for split in ("train", "val", "test"))
-    result = train_session(_init_flat(cfg, datasets[0].feature_dim),
-                           train.windows, train.labels, val, cfg.epochs_cap,
-                           cfg, stream(cfg.seed, TRAIN, *map(key_int, ids)))
+    try:
+        result = train_session(_init_flat(cfg, datasets[0].feature_dim),
+                               train.windows, train.labels, val, cfg.epochs_cap,
+                               cfg, stream(cfg.seed, TRAIN, *map(key_int, ids)))
+    except NumericalError as err:
+        raise NumericalError(f"centralised: {err}", param_index=err.param_index) from err
     report = _base_report(cfg, datasets)
     report["initial_val_rmse"] = result.initial_metric
     report["rounds"] = _epoch_records(result, ids)

@@ -70,19 +70,14 @@ class EarlyStopper:
         return self.patience is not None and self.stale >= self.patience
 
 
-def predict(params: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Deterministic batched predictions over any number of windows."""
+def evaluate_rmse(params: np.ndarray, seq_set) -> float:
+    """Root mean squared error of one model on one sequence set, predicted
+    EVAL_BATCH windows at a time; inf when the squared errors overflow."""
+    windows = seq_set.windows
     if len(windows) == 0:
         raise ValidationError("no windows to predict")
-    parts = [forward_batch(windows[i:i + EVAL_BATCH], params)
-             for i in range(0, len(windows), EVAL_BATCH)]
-    return np.concatenate(parts)
-
-
-def evaluate_rmse(params: np.ndarray, seq_set) -> float:
-    """Root mean squared error of one model on one sequence set; inf when
-    the squared errors overflow."""
-    preds = predict(params, seq_set.windows)
+    preds = np.concatenate([forward_batch(windows[i:i + EVAL_BATCH], params)
+                            for i in range(0, len(windows), EVAL_BATCH)])
     with np.errstate(over="ignore"):
         diff = preds - seq_set.labels
         return float(np.sqrt(np.mean(diff * diff)))

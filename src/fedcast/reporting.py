@@ -70,10 +70,6 @@ def _variant_key(variant):
     return (1, not with_weather, k)
 
 
-def _entry_sort_key(report: dict):
-    return report["entry_id"]
-
-
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -268,7 +264,7 @@ def emit_report(reports, out_dir, run_meta: dict | None = None) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = sorted(reports, key=_entry_sort_key)
+    reports = sorted(reports, key=lambda report: report["entry_id"])
     payload = {"entries": reports}
     if run_meta:
         payload.update(run_meta)

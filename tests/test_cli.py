@@ -9,6 +9,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -23,14 +24,7 @@ import pytest
 import fedcast
 from fedcast import cli
 from fedcast.atomic import atomic_write
-from fedcast.cli import (
-    _OVERRIDE_KEYS,
-    _run_group,
-    _write_entry_outputs,
-    main,
-    resolve_config,
-    run_identity,
-)
+from fedcast.cli import _run_group, _write_entry_outputs, main, run_identity
 from fedcast.data import (
     ingest_meter_csv,
     prepare_datasets,
@@ -44,8 +38,10 @@ from fedcast.federation.config import (
     HC_ROUNDS_GRID,
     HC_THRESHOLD_GRID,
     LOCAL_EPOCHS_GRID,
+    OVERRIDE_KEYS,
     SCENARIO_KEYS,
     ScenarioConfig,
+    resolve_config,
 )
 from fedcast.reporting import SCENARIO_ORDER, SCENARIO_TITLES
 from fedcast.seeding import ROUND, TRAIN, key_int
@@ -178,12 +174,51 @@ def test_seed_env_override(monkeypatch):
         {"kind": "fl_hc", "hc_threshold": float("inf"), "hc_linkage": "ward",
          "hc_rounds": 2}]),
     lambda raw: raw.update(overrides={"learning_rate": float("inf")}),
+    # values of the right type out of their range
+    lambda raw: raw.update(k=0),
+    lambda raw: raw.update(scenarios=[{"kind": "fl", "client_fraction": 0.0}]),
+    lambda raw: raw.update(scenarios=[{"kind": "fl", "client_fraction": 1.5}]),
+    lambda raw: raw.update(scenarios=[{"kind": "fl", "local_epochs": 0}]),
+    lambda raw: raw.update(overrides={"batch_size": 0}),
+    lambda raw: raw.update(overrides={"learning_rate": 0.0}),
+    lambda raw: raw.update(overrides={"patience": 0}),
+    lambda raw: raw.update(overrides={"fl_rounds_cap": 0}),
+    # clustering settings a clustered kind cannot run with
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward"}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 0.0, "hc_linkage": "ward",
+         "hc_rounds": 2}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "median",
+         "hc_rounds": 2}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc_lft", "hc_threshold": 1.4, "hc_linkage": "ward",
+         "hc_rounds": 200}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward",
+         "hc_rounds": 2, "client_fraction": 0.2}]),
+    lambda raw: raw.update(scenarios=[
+        {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward",
+         "hc_rounds": 2, "local_epochs": 1}]),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()
     mangle(raw)
     with pytest.raises(ValidationError):
         resolve_config(raw)
+
+
+@pytest.mark.parametrize("settings", [
+    {"kind": "mystery"},
+    {"kind": "fl", "hc_threshold": 1.4},
+    {"kind": "localised", "hc_linkage": "ward"},
+    {"kind": "fl_lft", "hc_rounds": 2},
+])
+def test_configs_no_run_config_can_express_are_refused(settings):
+    # resolve_config refuses these sections before it builds an entry
+    with pytest.raises(ValidationError):
+        ScenarioConfig(k=6, with_weather=False, seed=0, **settings)
 
 
 def test_an_integral_float_k_stands_for_its_integer():
@@ -209,7 +244,7 @@ def test_every_config_field_is_settable_in_exactly_one_place():
     # the kinds a config runs are the kinds a report orders and titles
     assert tuple(SCENARIO_KEYS) == SCENARIO_ORDER == tuple(SCENARIO_TITLES)
     # a field is an entry's identity, a scenario section's key or an override
-    groups = [("kind", "k", "with_weather", "seed"), _OVERRIDE_KEYS,
+    groups = [("kind", "k", "with_weather", "seed"), OVERRIDE_KEYS,
               {key for keys in SCENARIO_KEYS.values() for key in keys}]
     names = [name for group in groups for name in group]
     assert len(names) == len(set(names))
@@ -640,14 +675,14 @@ def test_a_data_error_inside_a_group_writes_failure_json(pipeline, tmp_path,
     assert not (run_dir / "results.json").exists()
 
 
-def _die_in_the_clustered_group(digest, group):
+def _die_in_the_clustered_group(group):
     """`_run_group` whose worker dies once the parent holds the other result.
 
     Module-level, so the pool can pickle it by name; forked workers inherit
     the patched `fedcast.cli._run_group` and the marker path.
     """
     if group[0].kind != "fl_hc":
-        return _run_group(digest, group)
+        return _run_group(group)
     marker = Path(os.environ["FEDCAST_TEST_MARKER"])
     deadline = time.monotonic() + 60
     while not marker.exists() and time.monotonic() < deadline:
@@ -658,8 +693,8 @@ def _die_in_the_clustered_group(digest, group):
 class _MarkingPool(_ForkPool):
     """Touches the marker once the unclustered group's result is in."""
 
-    def submit(self, fn, digest, group):
-        future = super().submit(fn, digest, group)
+    def submit(self, fn, group):
+        future = super().submit(fn, group)
         if group[0].kind != "fl_hc":
             marker = Path(os.environ["FEDCAST_TEST_MARKER"])
             future.add_done_callback(lambda _: marker.touch())
@@ -801,7 +836,8 @@ def test_a_phase_3_failure_raises_the_serial_error(pipeline, tmp_path, monkeypat
      "localised: client h000 failed: validation RMSE is inf"),
     ({"kind": "fl", "client_fraction": 1.0, "local_epochs": 1}, "fl_rounds_cap",
      "round 1: validation RMSE is inf"),
-], ids=["localised", "fl"])
+    ({"kind": "centralised"}, "epochs_cap", "centralised: loss is not finite"),
+], ids=["localised", "fl", "centralised"])
 def test_a_diverging_run_is_a_numerical_failure(pipeline, tmp_path, capsys,
                                                 scenario, cap, message):
     # One Adam step at a learning rate of 1e300 moves every weight by about
@@ -861,6 +897,44 @@ def test_an_out_that_is_a_file_is_refused_before_training(pipeline, tmp_path,
     assert out.read_text() == "not a directory"
 
 
+class _AtMostTwoWorkers(_ForkPool):
+    """Records the worker count each pool is asked for; starts at most two."""
+
+    asked = []
+
+    def __init__(self, *args, max_workers, **kwargs):
+        self.asked.append(max_workers)
+        super().__init__(*args, max_workers=min(max_workers, 2), **kwargs)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+def test_a_pool_starts_no_more_workers_than_groups(pipeline, tmp_path,
+                                                   monkeypatch):
+    root, _ = pipeline
+    monkeypatch.setattr(_AtMostTwoWorkers, "asked", [])
+    _use_pool(monkeypatch, _AtMostTwoWorkers)
+    code, _ = run_into(root, tmp_path, grouped_config(GROUPED), jobs=8)
+    assert code == 0
+    assert _AtMostTwoWorkers.asked == [2]  # GROUPED runs as two groups
+
+
+def test_a_one_group_sweep_runs_in_process(pipeline, tmp_path, monkeypatch):
+    root, _ = pipeline
+    code, serial = run_into(root, tmp_path / "serial",
+                            base_config(scenarios=[{"kind": "centralised"}]))
+    assert code == 0
+    _use_pool(monkeypatch, _NoPool)
+    code, jobs4 = run_into(root, tmp_path / "jobs4",
+                           base_config(scenarios=[{"kind": "centralised"}]), jobs=4)
+    assert code == 0
+    assert (jobs4 / "results.json").read_bytes() == \
+        (serial / "results.json").read_bytes()
+
+
 def test_workers_that_inherit_nothing_match_a_serial_run(pipeline, tmp_path,
                                                          monkeypatch):
     # a forkserver worker starts without the parent's datasets and builds
@@ -874,6 +948,31 @@ def test_workers_that_inherit_nothing_match_a_serial_run(pipeline, tmp_path,
     assert code == 0
     for name in ("results.json", "results.csv", "tables.txt"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_the_module_entry_point_runs_forkserver_workers(pipeline, tmp_path,
+                                                        monkeypatch):
+    # Under `python -m fedcast.cli` the pool pickles `__main__._run_group`
+    # and `__main__._build_datasets`; a forkserver worker re-runs the module
+    # as its own main to find them.
+    root, _ = pipeline
+    code, serial = run_into(root, tmp_path / "serial", grouped_config(GROUPED))
+    assert code == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(grouped_config(GROUPED),
+                                      data=str(root / "cache"))))
+    _use_pool(monkeypatch, _ForkserverPool)
+    # as in a fresh `python -m`, the module is not imported under its name
+    monkeypatch.delitem(sys.modules, "fedcast.cli")
+    monkeypatch.setattr(sys, "argv", [
+        "fedcast", "run", "--config", str(config),
+        "--out", str(tmp_path / "module"), "--jobs", "2"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("fedcast.cli", run_name="__main__", alter_sys=True)
+    assert exit_.value.code == 0
+    run_dir, = (tmp_path / "module").iterdir()
+    for name in ("results.json", "results.csv", "tables.txt"):
+        assert (serial / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 # --------------------------------------------------------- crash-safe outputs

@@ -1,13 +1,22 @@
-"""Golden bytes: what `synthesize` and `prepare` write, pinned by sha256.
+"""Golden bytes: what `synthesize`, `prepare` and `run` write, pinned by sha256.
 
-The digests were recorded before the synthetic generator, the weather
-ingest and the CSV writers became columnar, so they pin that no output byte
-moved: the CSVs, archetypes.json and the prepared cache's dataset digest.
+The `synthesize` and `prepare` digests were recorded before the synthetic
+generator, the weather ingest and the CSV writers became columnar, so they
+pin that no output byte moved: the CSVs, archetypes.json and the prepared
+cache's dataset digest.
+
+A run's bytes also depend on the host's numerics: numpy's SIMD loops and
+the OpenBLAS kernels both change the last bits of trained weights.  So the
+golden run's results.json is pinned per numerics fingerprint, and on a host
+with another fingerprint the case skips, naming the digest it computed.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedcast.cli import main
@@ -67,3 +76,62 @@ def test_synthesize_and_prepare_write_the_golden_bytes(tmp_path, args, files, pr
                      "--out", str(tmp_path / "cache"), "--k", k]) == 0
         manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
         assert dataset_digest(manifest) == expected
+
+
+def numerics_fingerprint() -> tuple:
+    """(numpy version, active SIMD dispatch targets, OpenBLAS core name or
+    None when the bundled OpenBLAS cannot be asked)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = tuple(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    core = None
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if libs:
+        try:
+            corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            pass
+        else:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return np.__version__, targets, core
+
+
+# results.json sha256 of the golden run, per numerics fingerprint
+GOLDEN_RUN = {
+    ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), "SkylakeX"):
+        "a673838d830c7dc5830cdd511e2334581e8a7920f828e58a7d341caa8ff57354",
+}
+
+
+def test_a_run_of_every_regime_writes_the_golden_bytes(tmp_path):
+    # seven entries over the six regimes with short caps: under a second
+    assert main(["synthesize", "--n", "6", "--days", "12", "--seed", "11",
+                 "--out", str(tmp_path / "synth")]) == 0
+    assert main(["prepare", "--meters", str(tmp_path / "synth" / "meters.csv"),
+                 "--out", str(tmp_path / "cache"), "--k", "6",
+                 "--weather-variant", "without"]) == 0
+    hc = {"hc_linkage": "ward", "hc_rounds": 2}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": "cache", "seed": 11, "k": 6, "weather": False,
+        "scenarios": [
+            {"kind": "centralised"}, {"kind": "localised"},
+            {"kind": "fl", "client_fraction": 0.1, "local_epochs": 3},
+            {"kind": "fl_hc", "hc_threshold": [0.8, 1.4], **hc},
+            {"kind": "fl_lft", "client_fraction": 0.1, "local_epochs": 3},
+            {"kind": "fl_hc_lft", "hc_threshold": 1.4, **hc}],
+        "overrides": {"epochs_cap": 3, "fl_rounds_cap": 4, "flhc_rounds_cap": 5,
+                      "lft_epochs_cap": 2}}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+    run_dir, = (tmp_path / "runs").iterdir()
+    assert len(json.loads((run_dir / "results.json").read_text())["entries"]) == 7
+    digest = hashlib.sha256((run_dir / "results.json").read_bytes()).hexdigest()
+    fingerprint = numerics_fingerprint()
+    if fingerprint not in GOLDEN_RUN:
+        pytest.skip(f"no golden run for numerics {fingerprint}; "
+                    f"results.json sha256 here is {digest}")
+    assert digest == GOLDEN_RUN[fingerprint]
