@@ -94,6 +94,14 @@ def test_single_reading_is_rejected():
         clean([Reading(T0, 0.5)], "h0")
 
 
+def test_readings_with_no_fully_covered_hour_are_rejected():
+    # 00:30 and 01:00 fill half of each of two hours
+    readings = [Reading(T0 + timedelta(minutes=30), 0.2),
+                Reading(T0 + timedelta(minutes=60), 0.3)]
+    with pytest.raises(DataError, match="no fully covered hour"):
+        clean(readings, "h0")
+
+
 def test_unsupported_interval_is_rejected():
     readings = [Reading(T0 + timedelta(minutes=15 * i), 0.1)
                 for i in range(8)]

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 import fedcast
-from fedcast import cli
+from fedcast import sweep
 from fedcast.atomic import atomic_write
-from fedcast.cli import _run_group, _write_entry_outputs, main, run_identity
+from fedcast.cli import main
 from fedcast.data import (
     ingest_meter_csv,
     prepare_datasets,
@@ -45,6 +45,12 @@ from fedcast.federation.config import (
 )
 from fedcast.reporting import SCENARIO_ORDER, SCENARIO_TITLES
 from fedcast.seeding import ROUND, TRAIN, key_int
+from fedcast.sweep import (
+    _run_group,
+    _write_entry_outputs,
+    run_identity,
+    run_sweep,
+)
 
 SMALL_OVERRIDES = {"epochs_cap": 2, "fl_rounds_cap": 2, "patience": 1,
                    "lft_epochs_cap": 1}
@@ -142,6 +148,8 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(weather="yes"),
     lambda raw: raw.update(seed=-1),
     # values of the wrong type
+    lambda raw: raw.update(data=5),
+    lambda raw: raw.update(scenarios=5),
     lambda raw: raw.update(k="x"),
     lambda raw: raw.update(k=12.5),
     lambda raw: raw.update(k=True),
@@ -166,6 +174,7 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(scenarios=[5]),
     lambda raw: raw.update(scenarios=[["kind"]]),
     lambda raw: raw.update(scenarios=[{"kind": ["fl"]}]),
+    lambda raw: raw.update(scenarios=[]),
     # an empty sweep list would drop its section without a word
     lambda raw: raw.update(scenarios=[
         {"kind": "centralised"}, {"kind": "fl", "client_fraction": []}]),
@@ -313,6 +322,12 @@ def test_manifest_flags_a_heavily_filled_household(tiny_population, tmp_path):
         assert flags[hid] == {"filled_fraction": 0.0, "high_fill": False}
 
 
+def test_a_split_too_short_for_the_largest_k_is_refused(tiny_population):
+    # 96 hours split 68/19/9: at K=12 the test split holds no window
+    with pytest.raises(DataError, match="split of 9 rows is too short for K=12"):
+        prepare_datasets(tiny_population.households, None, [6, 12], False)
+
+
 def test_run_directory_layout(pipeline):
     root, run_dir = pipeline
     for name in ("results.json", "results.csv", "tables.txt", "manifest.json"):
@@ -371,6 +386,7 @@ def test_report_aggregates_a_run(pipeline, tmp_path, capsys):
     assert main(["report", str(run_dir), "--out", str(tmp_path / "agg")]) == 0
     out = capsys.readouterr().out
     assert "Centralised" in out and "FL" in out
+    assert out.endswith("\n" + (tmp_path / "agg" / "tables.txt").read_text())
     agg = json.loads((tmp_path / "agg" / "results.json").read_text())
     assert agg["source_runs"] == [str(run_dir)]
     assert agg["seeds"] == [5]
@@ -577,7 +593,7 @@ class _ForkserverPool(ProcessPoolExecutor):
 
 
 def _use_pool(monkeypatch, pool):
-    # `cmd_run` imports the pool from its module when --jobs is above 1
+    # `run_sweep` imports the pool from its module when --jobs is above 1
     monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", pool)
 
 
@@ -679,7 +695,7 @@ def _die_in_the_clustered_group(group):
     """`_run_group` whose worker dies once the parent holds the other result.
 
     Module-level, so the pool can pickle it by name; forked workers inherit
-    the patched `fedcast.cli._run_group` and the marker path.
+    the patched `fedcast.sweep._run_group` and the marker path.
     """
     if group[0].kind != "fl_hc":
         return _run_group(group)
@@ -704,7 +720,7 @@ class _MarkingPool(_ForkPool):
 def _kill_the_clustered_group(monkeypatch, marker):
     """Make the next `run --jobs 2` of GROUPED lose its fl_hc group's worker."""
     monkeypatch.setenv("FEDCAST_TEST_MARKER", str(marker))
-    monkeypatch.setattr(cli, "_run_group", _die_in_the_clustered_group)
+    monkeypatch.setattr(sweep, "_run_group", _die_in_the_clustered_group)
     _use_pool(monkeypatch, _MarkingPool)
 
 
@@ -952,9 +968,9 @@ def test_workers_that_inherit_nothing_match_a_serial_run(pipeline, tmp_path,
 
 def test_the_module_entry_point_runs_forkserver_workers(pipeline, tmp_path,
                                                         monkeypatch):
-    # Under `python -m fedcast.cli` the pool pickles `__main__._run_group`
-    # and `__main__._build_datasets`; a forkserver worker re-runs the module
-    # as its own main to find them.
+    # Under `python -m fedcast.cli` the CLI runs as `__main__`, which a
+    # forkserver worker does not import; the pool's `_run_group` and
+    # `_build_datasets` must resolve there all the same.
     root, _ = pipeline
     code, serial = run_into(root, tmp_path / "serial", grouped_config(GROUPED))
     assert code == 0
@@ -973,6 +989,57 @@ def test_the_module_entry_point_runs_forkserver_workers(pipeline, tmp_path,
     run_dir, = (tmp_path / "module").iterdir()
     for name in ("results.json", "results.csv", "tables.txt"):
         assert (serial / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+# ------------------------------------------------ the sweep without the CLI
+
+def run_outputs(run_dir):
+    """A run directory's manifest without the run's wall-clock time, and
+    {path: bytes} of every other file in it."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["wall_clock_seconds"]
+    return manifest, {p.relative_to(run_dir): p.read_bytes()
+                      for p in run_dir.rglob("*")
+                      if p.is_file() and p.name != "manifest.json"}
+
+
+def test_run_sweep_writes_what_fedcast_run_writes(pipeline, tmp_path):
+    root, _ = pipeline
+    code, via_cli = run_into(root, tmp_path / "cli", grouped_config(GROUPED))
+    assert code == 0
+    manifest, files = run_outputs(via_cli)
+    assert len([p for p in files if p.parts[0] == "logs"]) == 5
+    seed, entries = resolve_config(grouped_config(GROUPED))
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        run_dir = run_sweep(seed, entries, root / "cache", out, jobs)
+        assert run_dir == out / via_cli.name
+        assert run_outputs(run_dir) == (manifest, files)
+
+
+def test_run_sweep_writes_failure_json_then_raises_the_entry_error(
+        pipeline, tmp_path, monkeypatch):
+    root, _ = pipeline
+    real = scenarios.agglomerate
+    raised = []
+
+    def agglomerate(dist, linkage, threshold):
+        if threshold < 1.0:
+            raised.append(NumericalError("clustering failed", param_index=7))
+            raise raised[-1]
+        return real(dist, linkage, threshold)
+    monkeypatch.setattr(scenarios, "agglomerate", agglomerate)
+    seed, entries = resolve_config(grouped_config(GROUPED))
+    with pytest.raises(NumericalError) as err:
+        run_sweep(seed, entries, root / "cache", tmp_path, 1)
+    assert err.value is raised[0]
+    run_dir, = tmp_path.iterdir()
+    assert json.loads((run_dir / "failure.json").read_text()) == {
+        "error": "clustering failed", "error_class": "NumericalError",
+        "param_index": 7,
+        "completed": ["fl__k6-w__f0.5_e1", "fl_hc__k6-w__f0.1_e3__n1_t1e+09_ward"]}
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "failure.json", "logs", "models"]
 
 
 # --------------------------------------------------------- crash-safe outputs
@@ -1086,6 +1153,39 @@ def test_prepare_without_inputs_fails_cleanly(tmp_path, capsys):
     assert main(["prepare", "--meters", str(tmp_path / "none.csv"),
                  "--out", str(tmp_path / "c"), "--k", "6"]) == 2
     assert "--weather" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "6,x"], "bad --k value: '6,x'"),
+    (["--k", "", "--weather-variant", "without"],
+     "need at least one window length"),
+    (["--weather", "{tmp}/weather.csv"], "weather file not found: {tmp}/weather.csv"),
+], ids=["bad-k", "no-k", "no-weather-file"])
+def test_bad_prepare_arguments_fail_cleanly(pipeline, tmp_path, capsys, argv,
+                                            message):
+    root, _ = pipeline
+    capsys.readouterr()
+    assert main(["prepare", "--meters", str(root / "synth" / "meters.csv"),
+                 "--out", str(tmp_path / "c"),
+                 *(arg.format(tmp=tmp_path) for arg in argv)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: " + message.format(tmp=tmp_path))
+    assert not (tmp_path / "c").exists()
+
+
+def test_prepare_notes_the_malformed_rows_it_skips(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    for name in ("meters.csv", "weather.csv"):
+        # a row of two fields
+        (tmp_path / name).write_text((root / "synth" / name).read_text() + "x,y\n")
+    capsys.readouterr()
+    assert main(["prepare", "--meters", str(tmp_path / "meters.csv"),
+                 "--weather", str(tmp_path / "weather.csv"),
+                 "--out", str(tmp_path / "cache"), "--k", "6"]) == 0
+    assert capsys.readouterr().err == ("note: skipped 1 malformed weather rows\n"
+                                       "note: skipped 1 malformed meter rows\n")
+    assert (tmp_path / "cache" / "manifest.json").read_bytes() == \
+        (root / "cache" / "manifest.json").read_bytes()
 
 
 def test_a_meter_file_of_only_its_header_prepares_nothing(tmp_path, capsys):

@@ -255,6 +255,13 @@ def test_missing_variants_render_as_dashes():
     text = render_tables(table)
     assert "-" in text
     verify_comparison(table)
+    # a cell with no entry has no CSV line
+    assert results_csv_lines(table) == [
+        RESULTS_CSV_HEADER,
+        "localised,k6-w,6,false,0.02,0.02,700,11",
+        "fl,k6-w,6,false,0.019,0.019,60,11",
+        "fl,k12-w,12,false,0.021,0.021,80,11",
+    ]
 
 
 # -------------------------------------------------------------------- emitted
