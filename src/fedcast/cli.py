@@ -106,7 +106,7 @@ def cmd_run(args) -> int:
         raise DataError(f"config file not found: {config_path}")
     try:
         raw = json.loads(config_path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not UTF-8 text
         raise ValidationError(f"{config_path}: not valid JSON ({err})")
     seed, entries = resolve_config(raw)
 

@@ -82,7 +82,7 @@ def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
         raise DataError("no households in the input")
     variants = (VARIANT_BASE, VARIANT_WEATHER) if with_weather else (VARIANT_BASE,)
     if with_weather and not weather:
-        raise DataError("weather variant requested but no weather data given")
+        raise DataError("weather variant requested but the weather data has no usable row")
 
     max_k = max(k_values)
     households = {}
@@ -132,10 +132,11 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
                  **{v: f"households/{hid}/matrix_{v}.npy" for v in prep.variants}}
         arrays = {"hours": house.hours, **house.matrices}
         for key, rel in files.items():
-            # a file handle, so np.save adds no ".npy" to the temporary name
+            buf = io.BytesIO()
+            np.save(buf, arrays[key])
             with atomic_write(out / rel, "wb") as fh:
-                np.save(fh, arrays[key])
-            digests[rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+                fh.write(buf.getbuffer())
+            digests[rel] = hashlib.sha256(buf.getbuffer()).hexdigest()
         entries.append({
             "household_id": hid,
             "rows": house.n_rows,

@@ -5,13 +5,15 @@ Wire formats:
     weather: timestamp,air_temp_c,rel_humidity_pct
 
 Timestamps are ISO-8601; naive values are taken as UTC.  Malformed data rows
-are skipped and counted rather than aborting the ingest, but a wrong header
-is a hard error because it means the file is not the expected format at all.
+are skipped and counted rather than aborting the ingest, but a wrong header,
+a byte that is not UTF-8 or a row the csv module refuses (a field over its
+size limit) is a hard error, because the file is not the expected format.
 
-Both files are read into columns, and the row checks run as array masks:
-each household's readings come back as one `MeterReadings` (epoch minutes
-and kWh arrays), and the weather as one `WeatherTable` (unix hours,
-temperature and humidity arrays).  The writers take the same types back.
+Both files go through one block reader into columns, and the row checks
+run as array masks: each household's readings come back as one
+`MeterReadings` (epoch minutes and kWh arrays), and the weather as one
+`WeatherTable` (unix hours, temperature and humidity arrays).  The writers
+take the same types back.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ import csv
 import itertools
 import math
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
 from ..atomic import atomic_write
 from ..errors import DataError
-from .cleaning import MeterReadings, epoch_minutes
+from .cleaning import MeterReadings
 from .features import WeatherTable
 
 METER_HEADER = ["household_id", "timestamp", "kwh"]
 WEATHER_HEADER = ["timestamp", "air_temp_c", "rel_humidity_pct"]
+
+_BLOCK_ROWS = 1 << 14                # rows held as Python strings at once
 
 
 def _parse_ts(text: str) -> datetime:
@@ -43,44 +46,60 @@ def _check_header(row, expected, path):
         raise DataError(f"{path}: expected header {','.join(expected)!r}")
 
 
-_UNPARSED = np.iinfo(np.int64).min  # stands in for a timestamp that fails to parse
-_BLOCK_ROWS = 1 << 14                # meter rows held as Python strings at once
-
-
-def _epoch_minutes_or_unparsed(text: str) -> int:
+def _seconds_or_nan(text: str) -> float:
     try:
-        return epoch_minutes(_parse_ts(text))
+        return _parse_ts(text).timestamp()
     except (ValueError, OverflowError):
-        return _UNPARSED
+        return math.nan  # fails the finiteness checks like a NaN value
 
 
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        return math.nan  # fails the kWh >= 0 check like a NaN in the file
+        return math.nan  # fails the range checks like a NaN in the file
 
 
-def _meter_columns(rows: list, code_of: dict, minute_of: dict) -> tuple:
-    """(household codes, epoch minutes, kWh) of the rows that pass the checks.
+def _floats(rows: list, i: int) -> np.ndarray:
+    return np.fromiter((_float_or_nan(row[i]) for row in rows),
+                       dtype=np.float64, count=len(rows))
 
-    `code_of` numbers households in order of first appearance and
-    `minute_of` caches parsed timestamps; both carry over between calls.
+
+def _read_columns(path, header: list, columns) -> tuple[list, int]:
+    """[unix seconds, *columns(rows)] over the rows of three fields, and
+    the count of data rows read.
+
+    Checks the header, then reads `_BLOCK_ROWS` rows at a time, so only one
+    block is ever held as Python strings; `columns` turns a block's rows
+    into arrays.  Each distinct timestamp string is parsed once, as
+    households share timestamps; one that does not parse gives NaN.  A byte
+    that is not UTF-8, or a row the csv module refuses, is a DataError.
     """
-    fields = [row for row in rows if len(row) == 3]
-    ids = [row[0].strip() for row in fields]
-    for hid in dict.fromkeys(ids):
-        code_of.setdefault(hid, len(code_of))
-    for text in {row[1] for row in fields} - minute_of.keys():
-        minute_of[text] = _epoch_minutes_or_unparsed(text)
-    n = len(fields)
-    codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=n)
-    minutes = np.fromiter((minute_of[row[1]] for row in fields), dtype=np.int64,
-                          count=n)
-    kwh = np.fromiter((_float_or_nan(row[2]) for row in fields), dtype=np.float64,
-                      count=n)
-    keep = (kwh >= 0.0) & (minutes != _UNPARSED) & (codes != code_of.get("", -1))
-    return codes[keep], minutes[keep], kwh[keep]
+    stamp = header.index("timestamp")
+    seconds_of = {}
+
+    def block(rows):
+        fields = [row for row in rows if len(row) == 3]
+        for text in {row[stamp] for row in fields} - seconds_of.keys():
+            seconds_of[text] = _seconds_or_nan(text)
+        seconds = np.fromiter((seconds_of[row[stamp]] for row in fields),
+                              dtype=np.float64, count=len(fields))
+        return seconds, *columns(fields)
+
+    blocks, n_rows = [], 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is not None:
+                _check_header(first, header, path)
+            while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+                n_rows += len(rows)
+                blocks.append(block(rows))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataError(f"{path}: not a readable CSV file ({err})")
+    # a file without data rows still gives typed, empty columns
+    return [np.concatenate(c) for c in zip(*(blocks or [block([])]))], n_rows
 
 
 def ingest_meter_csv(path) -> tuple[dict, int]:
@@ -89,26 +108,23 @@ def ingest_meter_csv(path) -> tuple[dict, int]:
     A row is skipped when it has other than three fields, an empty id, an
     unparseable timestamp, or a kWh value that is not a number >= 0 (NaN
     included).  Households appear in the order their ids first appear, and
-    each keeps its readings in file order.  Each distinct timestamp string
-    is parsed once: households share timestamps.  Rows are read in blocks,
-    so only one block is ever held as Python strings.
+    each keeps its readings in file order.
     """
-    path = Path(path)
-    code_of, minute_of = {}, {}
-    blocks = []
-    n_rows = 0
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return {}, 0
-        _check_header(header, METER_HEADER, path)
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            n_rows += len(rows)
-            blocks.append(_meter_columns(rows, code_of, minute_of))
-    if not blocks:
-        return {}, 0
-    codes, minutes, kwh = (np.concatenate(column) for column in zip(*blocks))
+    code_of = {}  # household id -> code, numbered in order of first appearance
+
+    def codes_and_kwh(rows):
+        ids = [row[0].strip() for row in rows]
+        for hid in dict.fromkeys(ids):
+            code_of.setdefault(hid, len(code_of))
+        codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64,
+                            count=len(rows))
+        return codes, _floats(rows, 2)
+
+    (seconds, codes, kwh), n_rows = _read_columns(path, METER_HEADER,
+                                                  codes_and_kwh)
+    keep = (kwh >= 0.0) & np.isfinite(seconds) & (codes != code_of.get("", -1))
+    codes, kwh = codes[keep], kwh[keep]
+    minutes = (seconds[keep] // 60).astype(np.int64)
 
     # a stable sort by household keeps each household's rows in file order
     order = np.argsort(codes, kind="stable")
@@ -120,13 +136,6 @@ def ingest_meter_csv(path) -> tuple[dict, int]:
     return by_household, n_rows - len(codes)
 
 
-def _seconds_or_nan(text: str) -> float:
-    try:
-        return _parse_ts(text).timestamp()
-    except (ValueError, OverflowError):
-        return math.nan  # fails the finiteness check like a NaN value
-
-
 def ingest_weather_csv(path) -> tuple[WeatherTable, int]:
     """Hourly weather plus the count of skipped rows.
 
@@ -136,21 +145,8 @@ def ingest_weather_csv(path) -> tuple[WeatherTable, int]:
     stably so equal stamps keep file order, and each hour keeps its
     earliest observation.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None:
-            _check_header(header, WEATHER_HEADER, path)
-        rows = list(reader)
-    fields = [row for row in rows if len(row) == 3]
-    n = len(fields)
-    seconds = np.fromiter((_seconds_or_nan(row[0]) for row in fields),
-                          dtype=np.float64, count=n)
-    temps = np.fromiter((_float_or_nan(row[1]) for row in fields),
-                        dtype=np.float64, count=n)
-    hums = np.fromiter((_float_or_nan(row[2]) for row in fields),
-                       dtype=np.float64, count=n)
+    (seconds, temps, hums), n_rows = _read_columns(
+        path, WEATHER_HEADER, lambda rows: (_floats(rows, 1), _floats(rows, 2)))
     kept = np.flatnonzero(np.isfinite(seconds) & np.isfinite(temps)
                           & np.isfinite(hums) & (hums >= 0.0) & (hums <= 100.0))
     order = kept[np.argsort(seconds[kept], kind="stable")]
@@ -158,7 +154,7 @@ def ingest_weather_csv(path) -> tuple[WeatherTable, int]:
     hours, first = np.unique((seconds[order] // 3600).astype(np.int64),
                              return_index=True)
     pick = order[first]
-    return WeatherTable(hours, temps[pick], hums[pick]), len(rows) - len(kept)
+    return WeatherTable(hours, temps[pick], hums[pick]), n_rows - len(kept)
 
 
 def _meter_rows(household_id: str, readings: MeterReadings):

@@ -9,12 +9,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import runpy
 import shutil
 import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -526,9 +528,12 @@ def _prepare_without_weather(root, cache):
      "K=12 was not prepared (have (6,))"),
     (_prepare_without_weather, {"weather": True},
      "weather variant requested but cache has none"),
+    (_with_manifest(lambda text: re.sub(r'"train_end": \d+', '"train_end": "x"',
+                                        text)), {},
+     "{cache}: malformed manifest.json"),
 ], ids=["truncated-manifest", "manifest-without-fields", "manifest-not-an-object",
         "format-2", "tampered-matrix", "narrowed-matrix", "no-manifest", "unprepared-k",
-        "one-k-unprepared", "no-weather-variant"])
+        "one-k-unprepared", "no-weather-variant", "mistyped-field"])
 def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
         pipeline, tmp_path, capsys, make_cache, config, message):
     root, _ = pipeline
@@ -1071,17 +1076,19 @@ def test_an_entry_log_that_fails_midway_is_not_written(tmp_path):
 def test_a_cache_write_that_fails_midway_leaves_no_partial_file(
         tiny_prepared, tmp_path, monkeypatch):
     write_cache(tiny_prepared, tmp_path / "whole")
-    real_save = np.save
-    saved = []
+    opened = []
 
-    def save_then_fail(fh, arr):
-        if len(saved) == 2:
-            fh.write(b"\x93NUMPY")  # part of a header, then the disk fills
-            raise OSError("disk full")
-        saved.append(fh.name)
-        real_save(fh, arr)
+    @contextmanager
+    def fill_the_disk_on_the_third_file(path, mode):
+        with atomic_write(path, mode) as fh:
+            opened.append(path)
+            if len(opened) == 3:
+                fh.write(b"\x93NUMPY")  # part of a header, then the disk fills
+                raise OSError("disk full")
+            yield fh
 
-    monkeypatch.setattr(np, "save", save_then_fail)
+    monkeypatch.setattr("fedcast.data.cache.atomic_write",
+                        fill_the_disk_on_the_third_file)
     cut = tmp_path / "cut"
     with pytest.raises(OSError):
         write_cache(tiny_prepared, cut)
@@ -1111,9 +1118,10 @@ def test_missing_config_is_a_usage_error(tmp_path, capsys):
 
 def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    for blob in (b"{not json", b"\xff\xfe{}"):  # not JSON; not UTF-8 text
+        bad.write_bytes(blob)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw,jobs,message", [
@@ -1186,6 +1194,40 @@ def test_prepare_notes_the_malformed_rows_it_skips(pipeline, tmp_path, capsys):
                                        "note: skipped 1 malformed meter rows\n")
     assert (tmp_path / "cache" / "manifest.json").read_bytes() == \
         (root / "cache" / "manifest.json").read_bytes()
+
+
+CSV_HEADER_AND_ROW = {
+    "meters.csv": (b"household_id,timestamp,kwh\n", b"h0,2013-01-01T00:00:00,0.5\n"),
+    "weather.csv": (b"timestamp,air_temp_c,rel_humidity_pct\n",
+                    b"2013-01-01T00:00:00,5.0,60\n"),
+}
+UNREADABLE = "{path}: not a readable CSV file"
+
+
+@pytest.mark.parametrize("name,rows,message", [
+    ("meters.csv", b"h0,2013-01-01T00:30:00,0.\xff\n", UNREADABLE),
+    ("meters.csv", b"h0,2013-01-01T00:30:00," + b"5" * 200_000 + b"\n", UNREADABLE),
+    ("weather.csv", b"2013-01-01T01:00:00,\xff,60\n", UNREADABLE),
+    ("weather.csv", b"2013-01-01T01:00:00," + b"5" * 200_000 + b",60\n",
+     UNREADABLE),
+    ("weather.csv", b"x,y\n",
+     "weather variant requested but the weather data has no usable row"),
+], ids=["meters-not-utf8", "meters-long-field", "weather-not-utf8",
+        "weather-long-field", "weather-no-usable-row"])
+def test_an_unusable_input_csv_is_an_input_error(tmp_path, capsys, name, rows,
+                                                 message):
+    # a byte that is not UTF-8 or a field over the csv module's size limit
+    # names the file, and is refused like any other input error
+    for csv_name, (header, row) in CSV_HEADER_AND_ROW.items():
+        (tmp_path / csv_name).write_bytes(header + (rows if csv_name == name
+                                                    else row))
+    assert main(["prepare", "--meters", str(tmp_path / "meters.csv"),
+                 "--weather", str(tmp_path / "weather.csv"),
+                 "--out", str(tmp_path / "c"), "--k", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " + message.format(path=tmp_path / name) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_a_meter_file_of_only_its_header_prepares_nothing(tmp_path, capsys):

@@ -60,7 +60,10 @@ def test_malformed_meter_rows_are_skipped_and_counted(tmp_path):
     assert len(readings["h0"]) == 2
 
 
-@pytest.mark.parametrize("block_rows", [2, 5, 1 << 14])
+BLOCK_SIZES = [2, 5, 1 << 14]
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_SIZES)
 def test_every_malformed_meter_row_kind(tmp_path, monkeypatch, block_rows):
     # every way a row can be skipped, beside rows that look odd but are
     # kept; the counts and rows are those of the record-at-a-time ingest,
@@ -128,7 +131,7 @@ def test_a_file_of_only_malformed_rows_gives_no_households(tmp_path):
     assert ingest_meter_csv(path) == ({}, 2)
 
 
-def test_malformed_weather_rows_are_skipped(tmp_path):
+def test_malformed_weather_rows_are_skipped(tmp_path, monkeypatch):
     path = tmp_path / "weather.csv"
     path.write_text(
         "timestamp,air_temp_c,rel_humidity_pct\n"
@@ -137,15 +140,17 @@ def test_malformed_weather_rows_are_skipped(tmp_path):
         "2013-01-01T02:00:00,oops,60\n"
         "yesterday,5.0,60\n"             # unparseable timestamps
         "2013-13-01T00:00:00,5.0,60\n")
-    table, skipped = ingest_weather_csv(path)
-    assert skipped == 4
-    assert len(table) == 1
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        table, skipped = ingest_weather_csv(path)
+        assert skipped == 4
+        assert len(table) == 1
 
 
 T0_HOUR = int(datetime(2013, 1, 1, tzinfo=timezone.utc).timestamp() // 3600)
 
 
-def test_weather_values_out_of_range_are_skipped_and_counted(tmp_path):
+def test_weather_values_out_of_range_are_skipped_and_counted(tmp_path, monkeypatch):
     path = tmp_path / "weather.csv"
     path.write_text(
         "timestamp,air_temp_c,rel_humidity_pct\n"
@@ -158,14 +163,16 @@ def test_weather_values_out_of_range_are_skipped_and_counted(tmp_path):
         "2013-01-01T06:00:00,5.0,100.5\n"  # humidity above 100
         "2013-01-01T07:00:00,-5.0,0\n"     # humidity at either bound: kept
         "2013-01-01T08:00:00,5.0,100\n")
-    table, skipped = ingest_weather_csv(path)
-    assert skipped == 6
-    assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 7, T0_HOUR + 8]
-    assert table.air_temp_c.tolist() == [5.0, -5.0, 5.0]
-    assert table.rel_humidity_pct.tolist() == [60.0, 0.0, 100.0]
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        table, skipped = ingest_weather_csv(path)
+        assert skipped == 6
+        assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 7, T0_HOUR + 8]
+        assert table.air_temp_c.tolist() == [5.0, -5.0, 5.0]
+        assert table.rel_humidity_pct.tolist() == [60.0, 0.0, 100.0]
 
 
-def test_a_duplicate_weather_hour_keeps_its_earliest_observation(tmp_path):
+def test_a_duplicate_weather_hour_keeps_its_earliest_observation(tmp_path, monkeypatch):
     path = tmp_path / "weather.csv"
     path.write_text(
         "timestamp,air_temp_c,rel_humidity_pct\n"
@@ -174,11 +181,13 @@ def test_a_duplicate_weather_hour_keeps_its_earliest_observation(tmp_path):
         "2013-01-01T00:00:00,99.0,10\n"         # same stamp, later in the file
         "2013-01-01T01:10:00,4.0,50\n"          # earliest of hour 1
         "2013-01-01T01:45:00+01:00,7.0,50\n")   # 00:45 UTC, later in hour 0
-    table, skipped = ingest_weather_csv(path)
-    assert skipped == 0
-    assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 1]
-    assert table.air_temp_c.tolist() == [5.0, 4.0]
-    assert table.rel_humidity_pct.tolist() == [50.0, 50.0]
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        table, skipped = ingest_weather_csv(path)
+        assert skipped == 0
+        assert table.hours.tolist() == [T0_HOUR, T0_HOUR + 1]
+        assert table.air_temp_c.tolist() == [5.0, 4.0]
+        assert table.rel_humidity_pct.tolist() == [50.0, 50.0]
 
 
 def test_wrong_header_is_a_hard_error(tmp_path):
