@@ -4,10 +4,12 @@ Wire formats:
     meters:  household_id,timestamp,kwh
     weather: timestamp,air_temp_c,rel_humidity_pct
 
-Timestamps are ISO-8601; naive values are taken as UTC.  Malformed data rows
-are skipped and counted rather than aborting the ingest, but a wrong header,
-a byte that is not UTF-8 or a row the csv module refuses (a field over its
-size limit) is a hard error, because the file is not the expected format.
+Files are UTF-8, with or without a byte-order mark.  Timestamps are
+ISO-8601; naive values are taken as UTC.  Malformed data rows are skipped
+and counted rather than aborting the ingest, but a wrong header, a byte
+that is not UTF-8 (reported by line and file offset) or a row the csv
+module refuses (a field over its size limit) is a hard error, because the
+file is not the expected format.
 
 Both files go through one block reader into columns, and the row checks
 run as array masks: each household's readings come back as one
@@ -18,6 +20,7 @@ take the same types back.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import math
@@ -65,6 +68,27 @@ def _floats(rows: list, i: int) -> np.ndarray:
                        dtype=np.float64, count=len(rows))
 
 
+def _first_bad_byte(path) -> str:
+    """Where the first byte that is not UTF-8 lies, by line and file
+    offset, found by rescanning the file block by block."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, start = 1, 0  # the line and file offset of data[0]
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            data = decoder.getstate()[0] + block  # the bytes decode() sees
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as err:
+                line += data.count(b"\n", 0, err.start)
+                return (f"byte 0x{data[err.start]:02x} at line {line}, "
+                        f"file offset {start + err.start}, is not UTF-8")
+            if not block:
+                return "a byte is not UTF-8"  # the file changed after the read
+            line += data.count(b"\n")
+            start += len(data) - len(decoder.getstate()[0])
+
+
 def _read_columns(path, header: list, columns) -> tuple[list, int]:
     """[unix seconds, *columns(rows)] over the rows of three fields, and
     the count of data rows read.
@@ -72,8 +96,9 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
     Checks the header, then reads `_BLOCK_ROWS` rows at a time, so only one
     block is ever held as Python strings; `columns` turns a block's rows
     into arrays.  Each distinct timestamp string is parsed once, as
-    households share timestamps; one that does not parse gives NaN.  A byte
-    that is not UTF-8, or a row the csv module refuses, is a DataError.
+    households share timestamps; one that does not parse gives NaN.  A
+    leading byte-order mark is dropped.  A byte that is not UTF-8, or a row
+    the csv module refuses, is a DataError.
     """
     stamp = header.index("timestamp")
     seconds_of = {}
@@ -88,7 +113,7 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
 
     blocks, n_rows = [], 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is not None:
@@ -96,7 +121,9 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
             while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
                 n_rows += len(rows)
                 blocks.append(block(rows))
-    except (UnicodeDecodeError, csv.Error) as err:
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not a readable CSV file ({_first_bad_byte(path)})")
+    except csv.Error as err:
         raise DataError(f"{path}: not a readable CSV file ({err})")
     # a file without data rows still gives typed, empty columns
     return [np.concatenate(c) for c in zip(*(blocks or [block([])]))], n_rows

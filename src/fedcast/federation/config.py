@@ -2,9 +2,9 @@
 
 Sweep grids mirror the hyperparameter values the experiments explore; a
 single config holds one point of such a grid, and `resolve_config` expands
-a run config into its entries.  Under the clustered regimes the
-pre-clustering phase always runs with client_fraction 0.1 and 3 local
-epochs, so those two fields are validated rather than free.
+a run config into its entries.  The clustered kinds take neither
+client_fraction nor local_epochs: every phase of theirs runs at 0.1 and 3,
+which `ScenarioConfig` checks on a config built in Python.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..reporting import variant_label
 # The scenario kinds, each with the config keys it takes; a run config sweeps
 # a key given as a list.
 _FL_KEYS = ("client_fraction", "local_epochs")
-_HC_KEYS = _FL_KEYS + ("hc_threshold", "hc_linkage", "hc_rounds")
+_HC_KEYS = ("hc_threshold", "hc_linkage", "hc_rounds")
 SCENARIO_KEYS = {
     "centralised": (),
     "localised": (),
@@ -31,8 +31,7 @@ SCENARIO_KEYS = {
     "fl_lft": _FL_KEYS,
     "fl_hc_lft": _HC_KEYS,
 }
-_FL_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items()
-                  if "client_fraction" in keys)
+_FL_KINDS = ("fl", "fl_hc", "fl_lft", "fl_hc_lft")  # the kinds that run FedAvg rounds
 _HC_KINDS = tuple(kind for kind, keys in SCENARIO_KEYS.items() if "hc_rounds" in keys)
 
 CLIENT_FRACTION_GRID = (0.1, 0.2, 0.3)

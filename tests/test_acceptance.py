@@ -180,8 +180,8 @@ def test_criterion_5_pipeline_counts_on_180_days():
 
 # criterion 6 -------------------------------------------------------------
 # One 20-household population, three behaviour archetypes, 90 days, K=12.
-# The flat-federation run and the clustered-plus-fine-tuned run share the
-# protocol settings (10% of clients per round, 3 local epochs).
+# The flat-federation run is set to 10% of clients per round and 3 local
+# epochs; the clustered kinds take neither key and run every phase at these.
 
 @pytest.fixture(scope="module")
 def desk_runs():
@@ -194,8 +194,7 @@ def desk_runs():
                             seed=DESK_SEED, client_fraction=0.1, local_epochs=3)
     fl_report, _ = run_scenario(datasets, fl_cfg)
     lft_cfg = ScenarioConfig(kind="fl_hc_lft", k=12, with_weather=False,
-                             seed=DESK_SEED, client_fraction=0.1,
-                             local_epochs=3, hc_threshold=1.4,
+                             seed=DESK_SEED, hc_threshold=1.4,
                              hc_linkage="ward", hc_rounds=5)
     lft_report, _ = run_scenario(datasets, lft_cfg)
     elapsed = time.time() - started

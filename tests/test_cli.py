@@ -5,6 +5,7 @@ main() exactly as a shell user would, on a population small enough to train
 in a couple of seconds.
 """
 
+import codecs
 import hashlib
 import json
 import multiprocessing
@@ -28,6 +29,7 @@ from fedcast import sweep
 from fedcast.atomic import atomic_write
 from fedcast.cli import main
 from fedcast.data import (
+    dataset_digest,
     ingest_meter_csv,
     prepare_datasets,
     write_cache,
@@ -96,7 +98,7 @@ def test_clustered_grid_expansion():
     ])
     _, entries = resolve_config(raw)
     assert len(entries) == 8
-    # the pre-clustering phase settings are fixed, not swept
+    # a clustered kind takes neither FedAvg key: every phase runs at 0.1 and 3
     assert all(cfg.client_fraction == 0.1 and cfg.local_epochs == 3
                for cfg in entries)
 
@@ -212,6 +214,12 @@ def test_seed_env_override(monkeypatch):
     lambda raw: raw.update(scenarios=[
         {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward",
          "hc_rounds": 2, "local_epochs": 1}]),
+    # a clustered kind takes neither FedAvg key, not even at its only value
+    *(lambda raw, kind=kind, key=key, value=value: raw.update(scenarios=[
+        {"kind": kind, "hc_threshold": 1.4, "hc_linkage": "ward",
+         "hc_rounds": 2, key: value}])
+      for kind in ("fl_hc", "fl_hc_lft")
+      for key, value in (("client_fraction", 0.1), ("local_epochs", 3))),
 ])
 def test_bad_configs_are_rejected(mangle):
     raw = base_config()
@@ -225,6 +233,10 @@ def test_bad_configs_are_rejected(mangle):
     {"kind": "fl", "hc_threshold": 1.4},
     {"kind": "localised", "hc_linkage": "ward"},
     {"kind": "fl_lft", "hc_rounds": 2},
+    {"kind": "fl_hc", "hc_threshold": 1.4, "hc_linkage": "ward", "hc_rounds": 2,
+     "client_fraction": 0.2},
+    {"kind": "fl_hc_lft", "hc_threshold": 1.4, "hc_linkage": "ward",
+     "hc_rounds": 2, "local_epochs": 1},
 ])
 def test_configs_no_run_config_can_express_are_refused(settings):
     # resolve_config refuses these sections before it builds an entry
@@ -244,6 +256,9 @@ def test_the_readme_config_sweeps_the_canonical_grids():
     _, entries = resolve_config(raw)
     # 2 K values x 2 weather variants x (1 + 1 + 9 + 9 + 1 + 1) sections
     assert len(entries) == 88
+    # the clustered entries keep the FedAvg settings they run at in their ids
+    assert all("__f0.1_e3__" in cfg.entry_id for cfg in entries
+               if cfg.kind in ("fl_hc", "fl_hc_lft"))
     sections = {section["kind"]: section for section in raw["scenarios"]}
     assert tuple(sections["fl"]["client_fraction"]) == CLIENT_FRACTION_GRID
     assert tuple(sections["fl"]["local_epochs"]) == LOCAL_EPOCHS_GRID
@@ -1128,6 +1143,10 @@ def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
     (base_config(overrides={"batch_size": "32"}), 1, "batch_size"),
     (base_config(), 0, "--jobs"),
     (5, 1, "JSON object"),
+    (base_config(scenarios=[{"kind": "fl_hc_lft", "hc_threshold": 1.4,
+                             "hc_linkage": "ward", "hc_rounds": 2,
+                             "client_fraction": 0.1}]),
+     1, "fl_hc_lft: unexpected keys ['client_fraction']"),
 ])
 def test_a_mistyped_config_or_jobs_is_a_usage_error(tmp_path, capsys, raw,
                                                     jobs, message):
@@ -1194,6 +1213,19 @@ def test_prepare_notes_the_malformed_rows_it_skips(pipeline, tmp_path, capsys):
                                        "note: skipped 1 malformed meter rows\n")
     assert (tmp_path / "cache" / "manifest.json").read_bytes() == \
         (root / "cache" / "manifest.json").read_bytes()
+
+
+def test_prepare_reads_csvs_that_start_with_a_byte_order_mark(pipeline, tmp_path):
+    root, _ = pipeline
+    for name in ("meters.csv", "weather.csv"):
+        (tmp_path / name).write_bytes(codecs.BOM_UTF8
+                                      + (root / "synth" / name).read_bytes())
+    assert main(["prepare", "--meters", str(tmp_path / "meters.csv"),
+                 "--weather", str(tmp_path / "weather.csv"),
+                 "--out", str(tmp_path / "cache"), "--k", "6"]) == 0
+    marked, plain = (dataset_digest(json.loads((cache / "manifest.json").read_text()))
+                     for cache in (tmp_path / "cache", root / "cache"))
+    assert marked == plain
 
 
 CSV_HEADER_AND_ROW = {

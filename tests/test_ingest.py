@@ -1,5 +1,6 @@
 """CSV wire-format round trips and malformed-row handling."""
 
+import codecs
 import csv
 from datetime import datetime, timezone
 
@@ -195,6 +196,43 @@ def test_wrong_header_is_a_hard_error(tmp_path):
     path.write_text("id,when,value\nh0,2013-01-01,0.5\n")
     with pytest.raises(DataError, match="expected header"):
         ingest_meter_csv(path)
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path):
+    # a CSV saved as "CSV UTF-8" starts with U+FEFF, which strip() keeps
+    pop = generate_synthetic_households(2, seed=4, days=1)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_meter_csv(plain, pop.households)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    (want, want_skipped), (got, got_skipped) = map(ingest_meter_csv, (plain, marked))
+    assert list(got) == list(want) and got_skipped == want_skipped == 0
+    for hid, readings in want.items():
+        assert got[hid].minutes.tobytes() == readings.minutes.tobytes()
+        assert got[hid].kwh.tobytes() == readings.kwh.tobytes()
+    write_weather_csv(plain, pop.weather)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    (want, want_skipped), (got, got_skipped) = map(ingest_weather_csv, (plain, marked))
+    assert got_skipped == want_skipped == 0
+    for name in ("hours", "air_temp_c", "rel_humidity_pct"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_a_byte_that_is_not_utf8_is_reported_by_line_and_file_offset(tmp_path):
+    pop = generate_synthetic_households(4, seed=4, days=60)
+    path = tmp_path / "meters.csv"
+    write_meter_csv(path, pop.households)
+    blob = path.read_bytes()
+    # the last byte of a kWh field, far past the first block that either the
+    # text reader or the rescan reads
+    offset = blob.index(b"\n", 300_000) - 1
+    path.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
+    line = blob.count(b"\n", 0, offset) + 1
+    assert line > 6000
+    message = (f"{path}: not a readable CSV file (byte 0xff at line {line}, "
+               f"file offset {offset}, is not UTF-8)")
+    with pytest.raises(DataError) as err:
+        ingest_meter_csv(path)
+    assert str(err.value) == message
 
 
 def test_empty_file_gives_empty_result(tmp_path):
