@@ -23,7 +23,8 @@ from ..errors import DataError, ValidationError
 from .cleaning import clean_readings
 from .features import BASE_COLUMNS, WEATHER_COLUMNS, WeatherTable, build_design_matrix
 from .normalize import NormalizationParams, fit_normalizer, normalize
-from .sequences import build_household_dataset, split_chronological
+from .ingest import check_household_id
+from .sequences import build_household_dataset, check_splits, split_chronological
 
 CACHE_FORMAT = 1
 HIGH_FILL_THRESHOLD = 0.10
@@ -91,12 +92,8 @@ def prepare_datasets(readings_by_household: dict, weather: WeatherTable | None,
         matrices = {VARIANT_BASE: build_design_matrix(series)}
         if with_weather:
             matrices[VARIANT_WEATHER] = build_design_matrix(series, weather)
-        n = len(series)
-        train_end, val_end = split_chronological(n, max_k)
-        for lo, hi in ((0, train_end), (train_end, val_end), (val_end, n)):
-            if hi - lo <= max_k:
-                raise DataError(
-                    f"{hid}: split of {hi - lo} rows is too short for K={max_k}")
+        train_end, val_end = split_chronological(len(series))
+        check_splits(hid, len(series), train_end, val_end, max_k)
         households[hid] = PreparedHousehold(
             hours=series.hours,
             matrices=matrices,
@@ -166,8 +163,8 @@ def write_cache(prep: PreparedData, out_dir) -> dict:
 
 
 def load_cache(cache_dir) -> tuple[PreparedData, dict]:
-    """Read a cache directory back; verifies file digests.  A manifest that
-    is not an object holding the fields read here raises DataError."""
+    """Read a cache directory back, checking its file digests, household ids
+    and splits; a manifest that fails a check is a DataError naming the cache."""
     cache = Path(cache_dir)
     manifest_path = cache / "manifest.json"
     if not manifest_path.is_file():
@@ -187,27 +184,31 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
                        for v in variants}
         households = {}
         for entry in manifest["households"]:
-            hid = entry["household_id"]
+            hid = check_household_id(entry["household_id"])
             arrays = {}
             for key, rel in entry["files"].items():
                 blob = (cache / rel).read_bytes()  # read once: hashed, then loaded
                 if hashlib.sha256(blob).hexdigest() != digests[rel]:
-                    raise DataError(f"{cache}: digest mismatch for {rel}")
+                    raise DataError(f"digest mismatch for {rel}")
                 arrays[key] = np.load(io.BytesIO(blob))
+            n_rows = len(arrays["hours"])
             for variant in variants:
                 width = len(normalizers[variant].columns)
-                if arrays[variant].shape[1:] != (width,):
-                    raise DataError(f"{cache}: {entry['files'][variant]} "
-                                    f"is not an (N, {width}) matrix")
+                if arrays[variant].shape != (n_rows, width):
+                    raise DataError(f"{entry['files'][variant]} is not an "
+                                    f"(N, {width}) matrix of the N={n_rows} hours")
+            train_end, val_end = int(entry["train_end"]), int(entry["val_end"])
+            check_splits(hid, n_rows, train_end, val_end, max(manifest["k_values"]))
             households[hid] = PreparedHousehold(
                 hours=arrays["hours"],
                 matrices={variant: arrays[variant] for variant in variants},
-                train_end=int(entry["train_end"]),
-                val_end=int(entry["val_end"]),
+                train_end=train_end, val_end=val_end,
                 filled_fraction=float(entry["filled_fraction"]),
             )
         prep = PreparedData(households, tuple(manifest["k_values"]), variants,
                             normalizers)
+    except DataError as err:
+        raise DataError(f"{cache}: {err}")
     except KeyError as err:
         raise DataError(f"{cache}: manifest.json has no field {err}")
     except (AttributeError, TypeError, ValueError) as err:

@@ -129,13 +129,22 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
     return [np.concatenate(c) for c in zip(*(blocks or [block([])]))], n_rows
 
 
+def check_household_id(household_id: str) -> str:
+    """`household_id`, refused unless it can name a file of its own: it is
+    neither `.` nor `..` and holds no `/` or `\\`."""
+    if household_id in (".", "..") or "/" in household_id or "\\" in household_id:
+        raise DataError(f"household id {household_id!r} cannot name a file "
+                        "(it is . or .., or holds / or \\)")
+    return household_id
+
+
 def ingest_meter_csv(path) -> tuple[dict, int]:
     """{household_id: MeterReadings} plus the count of skipped rows.
 
     A row is skipped when it has other than three fields, an empty id, an
     unparseable timestamp, or a kWh value that is not a number >= 0 (NaN
-    included).  Households appear in the order their ids first appear, and
-    each keeps its readings in file order.
+    included); an id `check_household_id` refuses is a DataError.  Households
+    appear in the order their ids first appear and keep their rows in file order.
     """
     code_of = {}  # household id -> code, numbered in order of first appearance
 
@@ -159,7 +168,8 @@ def ingest_meter_csv(path) -> tuple[dict, int]:
     bounds = np.cumsum(counts)[:-1]
     parts = zip(code_of, counts, np.split(minutes[order], bounds),
                 np.split(kwh[order], bounds))
-    by_household = {hid: MeterReadings(m, k) for hid, n, m, k in parts if n}
+    by_household = {check_household_id(hid): MeterReadings(m, k)
+                    for hid, n, m, k in parts if n}
     return by_household, n_rows - len(codes)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import DataError, ValidationError
 
 SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 
@@ -31,23 +31,24 @@ class SequenceSet:
         return len(self.labels)
 
 
-def split_chronological(n_rows: int, k: int) -> tuple[int, int]:
-    """(train_end, val_end) for a chronological 70/20/10 split.
-
-    Each split size is the floor of its fraction; leftover rows join the
-    training split.  Fewer than 3*(K+1) rows cannot give every split a
-    usable window and are rejected.
-    """
-    if k < 1:
-        raise ValidationError("window length must be >= 1")
-    if n_rows < 3 * (k + 1):
-        raise ValidationError(
-            f"{n_rows} rows cannot be split for K={k}; need at least {3 * (k + 1)}")
+def split_chronological(n_rows: int) -> tuple[int, int]:
+    """(train_end, val_end) of a chronological 70/20/10 split of n_rows: each
+    split size is the floor of its fraction, and leftover rows join training."""
     n_train = int(n_rows * SPLIT_FRACTIONS[0] // 1)
     n_val = int(n_rows * SPLIT_FRACTIONS[1] // 1)
     n_test = int(n_rows * SPLIT_FRACTIONS[2] // 1)
     n_train += n_rows - (n_train + n_val + n_test)
     return n_train, n_train + n_val
+
+
+def check_splits(household_id: str, n_rows: int, train_end: int, val_end: int,
+                 k: int) -> None:
+    """Refuse a household's split boundaries unless each split holds more
+    than K rows, and so yields a window."""
+    sizes = (train_end, val_end - train_end, n_rows - val_end)
+    if min(sizes) <= k:
+        raise DataError(f"{household_id}: the train/val/test splits hold "
+                        f"{'/'.join(map(str, sizes))} rows; each needs more than K={k}")
 
 
 def make_sequences(values: np.ndarray, k: int) -> SequenceSet:
@@ -91,9 +92,6 @@ def build_household_dataset(household_id: str, matrix: np.ndarray, k: int,
                             with_weather: bool, energy_range: float,
                             splits: tuple[int, int]) -> HouseholdDataset:
     """Cut one household's normalised (N, D) matrix at `splits` (train end,
-    val end) into per-split sequence sets of the (K, weather) variant."""
-    train_end, val_end = splits
-    if not 0 < train_end < val_end < len(matrix):
-        raise ValidationError("split boundaries out of order")
+    val end; see `check_splits`) into the (K, weather) variant's sequence sets."""
     parts = [make_sequences(rows, k) for rows in np.split(matrix, splits)]
     return HouseholdDataset(household_id, k, with_weather, energy_range, *parts)

@@ -5,6 +5,11 @@ single config holds one point of such a grid, and `resolve_config` expands
 a run config into its entries.  The clustered kinds take neither
 client_fraction nor local_epochs: every phase of theirs runs at 0.1 and 3,
 which `ScenarioConfig` checks on a config built in Python.
+
+Each field's type and bound come from its declaration on `ScenarioConfig`:
+an `int` holds an integer >= 1 (seed >= 0), a `float` a finite number > 0
+(client_fraction <= 1) and a `bool` true or false; a bool is no number, and
+a field declared `| None` may be unset.
 """
 
 from __future__ import annotations
@@ -39,13 +44,6 @@ LOCAL_EPOCHS_GRID = (1, 3, 5)
 HC_THRESHOLD_GRID = (0.8, 1.4, 2.0)
 HC_ROUNDS_GRID = (3, 5, 10)
 
-# Fields that must hold an integer and fields that must hold a finite number
-# (a bool is neither); an unset (None) clustering setting is checked by kind.
-_INTEGER_FIELDS = ("k", "seed", "local_epochs", "hc_rounds", "batch_size",
-                   "patience", "epochs_cap", "fl_rounds_cap", "flhc_rounds_cap",
-                   "lft_epochs_cap")
-_NUMBER_FIELDS = ("client_fraction", "hc_threshold", "learning_rate")
-
 
 def _short(x) -> str:
     """`x` to 6 significant digits when that reads back as `x`, else in full."""
@@ -76,43 +74,33 @@ class ScenarioConfig:
         if self.kind not in SCENARIO_KEYS:
             raise ValidationError(
                 f"unknown scenario {self.kind!r}; expected one of {tuple(SCENARIO_KEYS)}")
-        for names, kind, noun in ((_INTEGER_FIELDS, Integral, "an integer"),
-                                  (_NUMBER_FIELDS, Real, "a finite number")):
-            for name in names:
-                value = getattr(self, name)
-                if value is None and name.startswith("hc_"):
-                    continue
-                if isinstance(value, bool) or not isinstance(value, kind) \
-                        or not -math.inf < value < math.inf:
-                    raise ValidationError(f"{name} must be {noun}, got {value!r}")
-        if not isinstance(self.with_weather, bool):
-            raise ValidationError(
-                f"with_weather must be true or false, got {self.with_weather!r}")
-        if self.k < 1:
-            raise ValidationError("window length K must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ValidationError("client_fraction must lie in (0, 1]")
-        if self.local_epochs < 1:
-            raise ValidationError("local_epochs must be >= 1")
-        if self.batch_size < 1 or not self.learning_rate > 0 or self.patience < 1:
-            raise ValidationError("bad optimizer settings")
-        for cap in (self.epochs_cap, self.fl_rounds_cap, self.flhc_rounds_cap,
-                    self.lft_epochs_cap):
-            if cap < 1:
-                raise ValidationError("caps must be >= 1")
+        for f in fields(self):  # f.type is the annotation's text
+            value, declared = getattr(self, f.name), f.type.removesuffix(" | None")
+            if declared == "str" or value is None and declared != f.type:
+                continue  # names, and unset clustering settings, are checked by kind
+            number = isinstance(value, Real) and not isinstance(value, bool)
+            if declared == "bool":
+                ok, rule = isinstance(value, bool), "true or false"
+            elif declared == "int":
+                low = 0 if f.name == "seed" else 1
+                ok = number and isinstance(value, Integral) and value >= low
+                rule = f"an integer >= {low}"
+            else:  # float
+                high = 1 if f.name == "client_fraction" else math.inf
+                ok = number and 0 < value < math.inf and value <= high
+                rule = "a number in (0, 1]" if high == 1 else "a finite number > 0"
+            if not ok:
+                raise ValidationError(f"{f.name} must be {rule}, got {value!r}")
         if self.kind in _HC_KINDS:
             if self.hc_threshold is None or self.hc_linkage is None or self.hc_rounds is None:
                 raise ValidationError(
                     f"{self.kind} needs hc_threshold, hc_linkage, and hc_rounds")
-            if not self.hc_threshold > 0:
-                raise ValidationError("hc_threshold must be positive")
             if self.hc_linkage not in HC_LINKAGES:
                 raise ValidationError(
                     f"unknown linkage {self.hc_linkage!r}; expected one of {HC_LINKAGES}")
-            if not 1 <= self.hc_rounds < self.flhc_rounds_cap:
-                raise ValidationError("hc_rounds must leave room under flhc_rounds_cap")
+            if not self.hc_rounds < self.flhc_rounds_cap:
+                raise ValidationError(f"hc_rounds must be below flhc_rounds_cap "
+                                      f"({self.flhc_rounds_cap}), got {self.hc_rounds}")
             if self.client_fraction != 0.1 or self.local_epochs != 3:
                 raise ValidationError(
                     "clustered regimes fix client_fraction=0.1 and local_epochs=3")

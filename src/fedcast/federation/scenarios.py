@@ -436,12 +436,10 @@ def _warmup_key(cfg: ScenarioConfig) -> tuple:
             cfg.learning_rate, cfg.hc_rounds)
 
 
-_BASE_KIND = {"fl_lft": "fl", "fl_hc_lft": "fl_hc"}
-
-
 def _base_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """The standalone fl or fl_hc entry a fine-tuning entry starts from."""
-    return replace(cfg, kind=_BASE_KIND[cfg.kind])
+    """The standalone fl or fl_hc entry a fine-tuning entry starts from;
+    any other entry is its own base."""
+    return replace(cfg, kind=cfg.kind.removesuffix("_lft"))
 
 
 def _base_run(datasets, cfg: ScenarioConfig, memo: dict):
@@ -460,12 +458,7 @@ def group_entries(cfgs) -> list:
     """
     groups = {}
     for cfg in cfgs:
-        if cfg.kind in ("fl_hc", "fl_hc_lft"):
-            key = _warmup_key(cfg)
-        elif cfg.kind == "fl_lft":
-            key = _base_config(cfg)
-        else:
-            key = cfg
+        key = _warmup_key(cfg) if cfg.hc_rounds is not None else _base_config(cfg)
         groups.setdefault(key, []).append(cfg)
     return list(groups.values())
 

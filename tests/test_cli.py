@@ -33,6 +33,7 @@ from fedcast.data import (
     ingest_meter_csv,
     prepare_datasets,
     write_cache,
+    write_meter_csv,
 )
 from fedcast.data.cleaning import MeterReadings
 from fedcast.errors import DataError, NumericalError, ValidationError
@@ -228,6 +229,69 @@ def test_bad_configs_are_rejected(mangle):
         resolve_config(raw)
 
 
+NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig)
+                  if f.type.removesuffix(" | None") in ("int", "float")]
+
+
+def config_setting(name, value):
+    """base_config() with the field `name` set to `value` where a run config
+    sets that field."""
+    raw = base_config()
+    if name in ("k", "seed"):
+        raw[name] = value
+    elif name in OVERRIDE_KEYS:
+        raw["overrides"][name] = value
+    elif name in SCENARIO_KEYS["fl"]:
+        raw["scenarios"] = [{"kind": "fl", name: value}]
+    else:
+        raw["scenarios"] = [dict({"kind": "fl_hc", "hc_threshold": 1.4,
+                                  "hc_linkage": "ward", "hc_rounds": 2},
+                                 **{name: value})]
+    return raw
+
+
+def test_every_numeric_field_is_covered():
+    assert sorted(NUMERIC_FIELDS) == sorted([
+        "k", "seed", "client_fraction", "local_epochs", "hc_threshold",
+        "hc_rounds", "batch_size", "learning_rate", "patience", "epochs_cap",
+        "fl_rounds_cap", "flhc_rounds_cap", "lft_epochs_cap"])
+
+
+@pytest.mark.parametrize("bad", ["wrong-type", "bool", "below-bound"])
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_a_numeric_field_refuses_a_string_a_bool_and_a_value_below_its_bound(
+        name, bad):
+    below = -1 if name == "seed" else 0
+    value = {"wrong-type": "3", "bool": True, "below-bound": below}[bad]
+    # the refusal names the field, whichever rule the value breaks
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        resolve_config(config_setting(name, value))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("client_fraction", 1.5), ("client_fraction", float("nan")),
+    ("learning_rate", float("inf")), ("hc_threshold", -1.0),
+])
+def test_a_number_field_refuses_a_value_above_its_bound_or_not_finite(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be a "):
+        resolve_config(config_setting(name, value))
+
+
+def test_the_bounds_include_their_edges():
+    # seed 0 and client_fraction 1.0 are the least and the greatest allowed
+    _, entries = resolve_config(dict(config_setting("client_fraction", 1.0),
+                                     seed=0))
+    assert [(cfg.seed, cfg.client_fraction) for cfg in entries] == [(0, 1.0)]
+    # hc_rounds must leave phase 3 at least one round under flhc_rounds_cap
+    raw = config_setting("hc_rounds", 4)
+    raw["overrides"]["flhc_rounds_cap"] = 5
+    assert resolve_config(raw)[1][0].hc_rounds == 4
+    raw["overrides"]["flhc_rounds_cap"] = 4
+    with pytest.raises(ValidationError,
+                       match=r"^hc_rounds must be below flhc_rounds_cap \(4\), got 4$"):
+        resolve_config(raw)
+
+
 @pytest.mark.parametrize("settings", [
     {"kind": "mystery"},
     {"kind": "fl", "hc_threshold": 1.4},
@@ -341,7 +405,8 @@ def test_manifest_flags_a_heavily_filled_household(tiny_population, tmp_path):
 
 def test_a_split_too_short_for_the_largest_k_is_refused(tiny_population):
     # 96 hours split 68/19/9: at K=12 the test split holds no window
-    with pytest.raises(DataError, match="split of 9 rows is too short for K=12"):
+    with pytest.raises(DataError, match="^h000: the train/val/test splits hold "
+                       "68/19/9 rows; each needs more than K=12$"):
         prepare_datasets(tiny_population.households, None, [6, 12], False)
 
 
@@ -501,19 +566,33 @@ def _tamper_with_a_matrix(root, cache):
     path.write_bytes(bytes(blob))
 
 
-def _narrow_a_matrix(root, cache):
-    # one column fewer, with the manifest's digest rewritten to match
-    shutil.copytree(root / "cache", cache)
-    rel = "households/h000/matrix_base.npy"
-    np.save(cache / rel, np.load(cache / rel)[:, :-1])
-    manifest = json.loads((cache / "manifest.json").read_text())
-    manifest["digests"][rel] = hashlib.sha256((cache / rel).read_bytes()).hexdigest()
-    (cache / "manifest.json").write_text(json.dumps(manifest))
+def _cut_a_matrix(cut):
+    """A copy of the pipeline's cache with h000's base matrix replaced by
+    cut(matrix), and the manifest's digest rewritten to match."""
+    def make(root, cache):
+        shutil.copytree(root / "cache", cache)
+        rel = "households/h000/matrix_base.npy"
+        np.save(cache / rel, cut(np.load(cache / rel)))
+        manifest = json.loads((cache / "manifest.json").read_text())
+        manifest["digests"][rel] = hashlib.sha256((cache / rel).read_bytes()).hexdigest()
+        (cache / "manifest.json").write_text(json.dumps(manifest))
+    return make
 
 
 def _drop_the_manifest(root, cache):
     shutil.copytree(root / "cache", cache)
     (cache / "manifest.json").unlink()
+
+
+def _move_val_end(offset):
+    """A copy of the pipeline's cache whose manifest puts h001's val_end
+    `offset` rows after its train_end."""
+    def rewrite(text):
+        manifest = json.loads(text)
+        house = next(h for h in manifest["households"] if h["household_id"] == "h001")
+        house["val_end"] = house["train_end"] + offset
+        return json.dumps(manifest)
+    return _with_manifest(rewrite)
 
 
 def _prepare_without_weather(root, cache):
@@ -533,8 +612,12 @@ def _prepare_without_weather(root, cache):
      "{cache}: unsupported cache format 2"),
     (_tamper_with_a_matrix, {},
      "{cache}: digest mismatch for households/h000/matrix_base.npy"),
-    (_narrow_a_matrix, {},
+    (_cut_a_matrix(lambda matrix: matrix[:, :-1]), {},
      "{cache}: households/h000/matrix_base.npy is not an (N, 5) matrix"),
+    # a matrix must have a row for each of the household's hours
+    (_cut_a_matrix(lambda matrix: matrix[:-1]), {},
+     "{cache}: households/h000/matrix_base.npy is not an (N, 5) matrix "
+     "of the N=240 hours\n"),
     (_drop_the_manifest, {},
      "{cache}: not a prepared-data directory (no manifest.json)"),
     (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": 12},
@@ -546,9 +629,21 @@ def _prepare_without_weather(root, cache):
     (_with_manifest(lambda text: re.sub(r'"train_end": \d+', '"train_end": "x"',
                                         text)), {},
      "{cache}: malformed manifest.json"),
+    # every split must hold more than K rows, or it yields no window
+    (_move_val_end(3), {},
+     "{cache}: h001: the train/val/test splits hold 168/3/69 rows; "
+     "each needs more than K=6\n"),
+    (_move_val_end(-5), {},
+     "{cache}: h001: the train/val/test splits hold 168/-5/77 rows; "
+     "each needs more than K=6\n"),
+    # the manifest's ids name the run's model files
+    (_with_manifest(lambda text: text.replace('"h001"', '"../escaped"')), {},
+     "{cache}: household id '../escaped' cannot name a file"),
 ], ids=["truncated-manifest", "manifest-without-fields", "manifest-not-an-object",
-        "format-2", "tampered-matrix", "narrowed-matrix", "no-manifest", "unprepared-k",
-        "one-k-unprepared", "no-weather-variant", "mistyped-field"])
+        "format-2", "tampered-matrix", "narrowed-matrix", "shortened-matrix",
+        "no-manifest", "unprepared-k",
+        "one-k-unprepared", "no-weather-variant", "mistyped-field", "val-split-short",
+        "val-end-before-train-end", "id-not-a-file-name"])
 def test_a_cache_that_cannot_serve_the_run_is_an_input_error(
         pipeline, tmp_path, capsys, make_cache, config, message):
     root, _ = pipeline
@@ -1270,6 +1365,32 @@ def test_a_meter_file_of_only_its_header_prepares_nothing(tmp_path, capsys):
                  "--k", "6", "--weather-variant", "without"]) == 2
     assert capsys.readouterr().err == "error: no households in the input\n"
     assert not (tmp_path / "c").exists()
+
+
+def _hourly_meters(path, rows_by_household):
+    """A meter CSV of hourly readings, one hourly row each once cleaned."""
+    start = np.datetime64("2013-01-01T00:00", "m")
+    write_meter_csv(path, {hid: MeterReadings(
+        (start + 60 * np.arange(rows)).astype(np.int64), np.full(rows, 0.5))
+        for hid, rows in rows_by_household.items()})
+
+
+@pytest.mark.parametrize("households,k,message", [
+    ({"h000": 200, "h001": 30}, "12",
+     "h001: the train/val/test splits hold 21/6/3 rows; "
+     "each needs more than K=12\n"),
+    ({"h000": 200, "../../escaped": 200}, "6",
+     "household id '../../escaped' cannot name a file"),
+], ids=["short-household", "id-not-a-file-name"])
+def test_prepare_refuses_a_household_it_cannot_use(tmp_path, capsys, households,
+                                                   k, message):
+    _hourly_meters(tmp_path / "meters.csv", households)
+    assert main(["prepare", "--meters", str(tmp_path / "meters.csv"),
+                 "--out", str(tmp_path / "work" / "cache"), "--k", k,
+                 "--weather-variant", "without"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    # nothing is written, inside --out or beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["meters.csv"]
 
 
 def test_prepare_has_no_with_weather_variant(tmp_path, capsys):

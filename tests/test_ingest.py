@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -233,6 +234,18 @@ def test_a_byte_that_is_not_utf8_is_reported_by_line_and_file_offset(tmp_path):
     with pytest.raises(DataError) as err:
         ingest_meter_csv(path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad_id", [".", "..", "../../escaped", "a/b", "a\\b"])
+def test_a_household_id_that_cannot_name_a_file_is_refused(tmp_path, bad_id):
+    # the id names the household's cache directory and its model file
+    path = tmp_path / "meters.csv"
+    path.write_text("household_id,timestamp,kwh\n"
+                    "h001,2013-01-01T00:00:00,0.5\n"
+                    f"{bad_id},2013-01-01T00:00:00,0.5\n")
+    with pytest.raises(DataError, match=f"^household id {re.escape(repr(bad_id))} "
+                       "cannot name a file"):
+        ingest_meter_csv(path)
 
 
 def test_empty_file_gives_empty_result(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from data_helpers import sample_at
 from fedcast.data.normalize import normalize
-from fedcast.data.sequences import make_sequences, split_chronological
-from fedcast.errors import ValidationError
+from fedcast.data.sequences import check_splits, make_sequences, split_chronological
+from fedcast.errors import DataError, ValidationError
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -19,7 +19,7 @@ from fedcast.errors import ValidationError
     (4320, (3024, 864, 432)),  # 180 days of hours
 ])
 def test_split_sizes(n, expected):
-    train_end, val_end = split_chronological(n, 6)
+    train_end, val_end = split_chronological(n)
     sizes = (train_end, val_end - train_end, n - val_end)
     assert sizes == expected
 
@@ -27,11 +27,7 @@ def test_split_sizes(n, expected):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(21, 5000), st.integers(1, 24))
 def test_split_properties(n, k):
-    if n < 3 * (k + 1):
-        with pytest.raises(ValidationError):
-            split_chronological(n, k)
-        return
-    train_end, val_end = split_chronological(n, k)
+    train_end, val_end = split_chronological(n)
     n_train, n_val, n_test = train_end, val_end - train_end, n - val_end
     assert n_train + n_val + n_test == n
     assert n_train >= n_val >= n_test > 0
@@ -39,11 +35,33 @@ def test_split_properties(n, k):
     assert n_train >= int(n * 0.7)
     assert n_val == int(n * 0.2)
     assert n_test == int(n * 0.1)
+    # the check passes exactly the splits that each hold more than K rows
+    if min(n_train, n_val, n_test) <= k:
+        with pytest.raises(DataError, match=f"^h7: the train/val/test splits hold "
+                           f"{n_train}/{n_val}/{n_test} rows; each needs more than K={k}$"):
+            check_splits("h7", n, train_end, val_end, k)
+    else:
+        check_splits("h7", n, train_end, val_end, k)
 
 
 def test_too_short_series_is_rejected():
-    with pytest.raises(ValidationError, match="need at least 21"):
-        split_chronological(20, 6)
+    # 30 rows split 21/6/3: at K=6 the val and test splits hold no window
+    train_end, val_end = split_chronological(30)
+    with pytest.raises(DataError, match="^h7: the train/val/test splits hold "
+                       "21/6/3 rows; each needs more than K=6$"):
+        check_splits("h7", 30, train_end, val_end, 6)
+
+
+@pytest.mark.parametrize("train_end,val_end,sizes", [
+    (0, 20, "0/20/10"),
+    (20, 20, "20/0/10"),
+    (20, 15, "20/-5/15"),
+    (20, 30, "20/10/0"),
+    (20, 35, "20/15/-5"),
+])
+def test_boundaries_out_of_order_are_rejected(train_end, val_end, sizes):
+    with pytest.raises(DataError, match=f"^h7: the train/val/test splits hold {sizes} "):
+        check_splits("h7", 30, train_end, val_end, 1)
 
 
 def test_window_count_and_labels():
