@@ -27,13 +27,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
-import json
 import sys
 from datetime import datetime
 from pathlib import Path
 
 from . import __version__
-from .atomic import write_json
+from .atomic import read_json, write_json
 from .errors import DataError, NumericalError, ValidationError
 
 # Each command imports the layers it runs when it runs: `prepare` and
@@ -51,13 +50,9 @@ def cmd_prepare(args) -> int:
     with_weather = args.weather_variant != "without"
     if with_weather and not args.weather:
         raise DataError("--weather-variant %s needs --weather" % args.weather_variant)
-    if not Path(args.meters).is_file():
-        raise DataError(f"meter file not found: {args.meters}")
     readings, skipped_m = ingest_meter_csv(args.meters)
     weather = None
     if with_weather:
-        if not Path(args.weather).is_file():
-            raise DataError(f"weather file not found: {args.weather}")
         weather, skipped_w = ingest_weather_csv(args.weather)
         if skipped_w:
             print(f"note: skipped {skipped_w} malformed weather rows",
@@ -101,21 +96,15 @@ def cmd_run(args) -> int:
 
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        raise DataError(f"config file not found: {config_path}")
-    try:
-        raw = json.loads(config_path.read_text())
-    except ValueError as err:  # not JSON, or not UTF-8 text
-        raise ValidationError(f"{config_path}: not valid JSON ({err})")
+    raw = read_json(args.config)
     seed, entries = resolve_config(raw)
 
     data_dir = Path(raw["data"])
     if not data_dir.is_absolute():
-        data_dir = (config_path.parent / data_dir).resolve()
+        data_dir = (Path(args.config).parent / data_dir).resolve()
     run_dir = run_sweep(seed, entries, data_dir, args.out, args.jobs)
     print(f"run {run_dir.name}: {len(entries)} entries -> {run_dir}")
-    print((run_dir / "tables.txt").read_text(), end="")
+    print((run_dir / "tables.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 
@@ -160,8 +149,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a scenario sweep")
     p.add_argument("--config", required=True, help="JSON run config")
     p.add_argument("--out", required=True, help="parent directory for runs")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent sweep entries (default 1)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes, one per group of entries at "
+                        "most; 1 (the default) runs in this process")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="aggregate run directories")

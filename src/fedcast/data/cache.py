@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import atomic_write, write_json
+from ..atomic import atomic_write, read_json, write_json
 from ..errors import DataError, ValidationError
 from .cleaning import clean_readings
 from .features import BASE_COLUMNS, WEATHER_COLUMNS, WeatherTable, build_design_matrix
@@ -166,15 +166,7 @@ def load_cache(cache_dir) -> tuple[PreparedData, dict]:
     """Read a cache directory back, checking its file digests, household ids
     and splits; a manifest that fails a check is a DataError naming the cache."""
     cache = Path(cache_dir)
-    manifest_path = cache / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"{cache}: not a prepared-data directory (no manifest.json)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as err:  # not JSON, or not UTF-8 text
-        raise DataError(f"{cache}: manifest.json is not JSON ({err})")
-    if not isinstance(manifest, dict):
-        raise DataError(f"{cache}: manifest.json is not a JSON object")
+    manifest = read_json(cache / "manifest.json")
     if manifest.get("format") != CACHE_FORMAT:
         raise DataError(f"{cache}: unsupported cache format {manifest.get('format')!r}")
     try:

@@ -6,10 +6,10 @@ Wire formats:
 
 Files are UTF-8, with or without a byte-order mark.  Timestamps are
 ISO-8601; naive values are taken as UTC.  Malformed data rows are skipped
-and counted rather than aborting the ingest, but a wrong header, a byte
-that is not UTF-8 (reported by line and file offset) or a row the csv
-module refuses (a field over its size limit) is a hard error, because the
-file is not the expected format.
+and counted rather than aborting the ingest, but a file that cannot be
+opened, a wrong header, a byte that is not UTF-8 (reported by line and
+file offset) or a row the csv module refuses (a field over its size
+limit) is a hard error, because the file is not the expected format.
 
 Both files go through one block reader into columns, and the row checks
 run as array masks: each household's readings come back as one
@@ -97,8 +97,8 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
     block is ever held as Python strings; `columns` turns a block's rows
     into arrays.  Each distinct timestamp string is parsed once, as
     households share timestamps; one that does not parse gives NaN.  A
-    leading byte-order mark is dropped.  A byte that is not UTF-8, or a row
-    the csv module refuses, is a DataError.
+    leading byte-order mark is dropped.  A file that cannot be opened, a
+    byte that is not UTF-8, or a row the csv module refuses, is a DataError.
     """
     stamp = header.index("timestamp")
     seconds_of = {}
@@ -121,6 +121,8 @@ def _read_columns(path, header: list, columns) -> tuple[list, int]:
             while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
                 n_rows += len(rows)
                 blocks.append(block(rows))
+    except OSError as err:
+        raise DataError(f"{path}: cannot be read ({err.strerror})")
     except UnicodeDecodeError:
         raise DataError(f"{path}: not a readable CSV file ({_first_bad_byte(path)})")
     except csv.Error as err:

@@ -98,6 +98,8 @@ def generate_synthetic_households(n: int, archetypes: int = 3, noise: float = 0.
         raise ValidationError("noise must lie in [0, 1)")
     if days < 1:
         raise ValidationError("days must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if start is None:
         start = datetime(2013, 1, 1, tzinfo=timezone.utc)
     elif start.tzinfo is None:

@@ -143,8 +143,6 @@ def resolve_config(raw: dict) -> tuple[int, list]:
     Scalar fields stand for singleton grids; list fields sweep.  The
     environment variable FEDCAST_SEED overrides the config seed.
     """
-    if not isinstance(raw, dict):
-        raise ValidationError("the config must be a JSON object")
     known = {"data", "seed", "k", "weather", "scenarios", "overrides"}
     unknown = set(raw) - known
     if unknown:

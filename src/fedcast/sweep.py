@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write, write_json
+from .atomic import atomic_write, read_json, write_json
 from .errors import DataError, FedcastError
 
 
@@ -178,13 +178,6 @@ def run_sweep(seed: int, entries, cache_dir, out, jobs: int) -> Path:
     return run_dir
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except ValueError as err:  # not JSON, or not UTF-8 text
-        raise DataError(f"{path}: not JSON ({err})")
-
-
 def aggregate_runs(dirs, out) -> list:
     """The entries of run directories made from one dataset; with an `out`,
     their combined report is written there too."""
@@ -199,12 +192,12 @@ def aggregate_runs(dirs, out) -> list:
     for run in map(Path, dirs):
         results = run / "results.json"
         manifest = run / "manifest.json"
-        if not results.is_file() or not manifest.is_file():
+        if not results.exists() and not manifest.exists():
             raise DataError(f"{run}: not a run directory")
-        payload, meta = _read_json(results), _read_json(manifest)
-        if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+        payload, meta = read_json(results), read_json(manifest)
+        if not isinstance(payload.get("entries"), list):
             raise DataError(f"{results}: no list of entries")
-        if not isinstance(meta, dict) or not isinstance(meta.get("data_digest"), str):
+        if not isinstance(meta.get("data_digest"), str):
             raise DataError(f"{manifest}: no data digest")
         digests[str(run)] = meta["data_digest"]
         for report in payload["entries"]:

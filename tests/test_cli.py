@@ -603,11 +603,11 @@ def _prepare_without_weather(root, cache):
 
 @pytest.mark.parametrize("make_cache,config,message", [
     (_with_manifest(lambda text: text[:len(text) // 2]), {},
-     "{cache}: manifest.json is not JSON"),
+     "{cache}/manifest.json: not JSON"),
     (_with_manifest(lambda text: '{"format": 1}'), {},
      "{cache}: manifest.json has no field 'digests'"),
     (_with_manifest(lambda text: "[1, 2]"), {},
-     "{cache}: manifest.json is not a JSON object"),
+     "{cache}/manifest.json: not a JSON object"),
     (_with_manifest(lambda text: text.replace('"format": 1', '"format": 2')), {},
      "{cache}: unsupported cache format 2"),
     (_tamper_with_a_matrix, {},
@@ -619,7 +619,7 @@ def _prepare_without_weather(root, cache):
      "{cache}: households/h000/matrix_base.npy is not an (N, 5) matrix "
      "of the N=240 hours\n"),
     (_drop_the_manifest, {},
-     "{cache}: not a prepared-data directory (no manifest.json)"),
+     "{cache}/manifest.json: cannot be read (No such file or directory)"),
     (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": 12},
      "K=12 was not prepared (have (6,))"),
     (lambda root, cache: shutil.copytree(root / "cache", cache), {"k": [6, 12]},
@@ -1223,15 +1223,17 @@ def test_run_outputs_leave_no_temporary_files(pipeline):
 def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'nope.json'}: "
+                                       "cannot be read (No such file or directory)\n")
 
 
 def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for blob in (b"{not json", b"\xff\xfe{}"):  # not JSON; not UTF-8 text
+    for blob, message in ((b"{not json", "not JSON"),
+                          (b"\xff\xfe{}", "not UTF-8 text")):
         bad.write_bytes(blob)
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message} (")
 
 
 @pytest.mark.parametrize("raw,jobs,message", [
@@ -1263,6 +1265,9 @@ def test_bad_synthesize_arguments_fail_cleanly(tmp_path, capsys):
     assert main(["synthesize", "--n", "2", "--start", "2013-01-01T00:30",
                  "--out", str(tmp_path)]) == 2
     assert "whole UTC hour" in capsys.readouterr().err
+    assert main(["synthesize", "--n", "2", "--seed", "-3",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1281,7 +1286,8 @@ def test_prepare_without_inputs_fails_cleanly(tmp_path, capsys):
     (["--k", "6,x"], "bad --k value: '6,x'"),
     (["--k", "", "--weather-variant", "without"],
      "need at least one window length"),
-    (["--weather", "{tmp}/weather.csv"], "weather file not found: {tmp}/weather.csv"),
+    (["--weather", "{tmp}/weather.csv"],
+     "{tmp}/weather.csv: cannot be read (No such file or directory)"),
 ], ids=["bad-k", "no-k", "no-weather-file"])
 def test_bad_prepare_arguments_fail_cleanly(pipeline, tmp_path, capsys, argv,
                                             message):
@@ -1292,6 +1298,23 @@ def test_bad_prepare_arguments_fail_cleanly(pipeline, tmp_path, capsys, argv,
                  *(arg.format(tmp=tmp_path) for arg in argv)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: " + message.format(tmp=tmp_path))
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("flag", ["--meters", "--weather"])
+@pytest.mark.parametrize("name,message", [
+    ("none.csv", "cannot be read (No such file or directory)"),
+    ("", "cannot be read (Is a directory)"),
+], ids=["missing", "directory"])
+def test_prepare_refuses_an_input_csv_it_cannot_open(pipeline, tmp_path, capsys,
+                                                     flag, name, message):
+    root, _ = pipeline
+    inputs = {"--meters": str(root / "synth" / "meters.csv"),
+              "--weather": str(root / "synth" / "weather.csv"),
+              flag: str(tmp_path / name)}
+    assert main(["prepare", *(arg for pair in inputs.items() for arg in pair),
+                 "--out", str(tmp_path / "c"), "--k", "6"]) == 2
+    assert capsys.readouterr().err == f"error: {inputs[flag]}: {message}\n"
     assert not (tmp_path / "c").exists()
 
 
@@ -1421,7 +1444,7 @@ def results_with(**fields):
     (GOOD_RESULTS, "nope", "manifest.json: not JSON"),
     ("{}", GOOD_MANIFEST, "results.json: no list of entries"),
     ('{"entries": 3}', GOOD_MANIFEST, "results.json: no list of entries"),
-    (GOOD_RESULTS, "[1]", "manifest.json: no data digest"),
+    (GOOD_RESULTS, "[1]", "manifest.json: not a JSON object"),
     (GOOD_RESULTS, '{"data_digest": 5}', "manifest.json: no data digest"),
     ('{"entries": [1]}', GOOD_MANIFEST, "results.json: an entry is not an object"),
     ('{"entries": [{}]}', GOOD_MANIFEST, "results.json: an entry has no entry_id"),
@@ -1467,6 +1490,99 @@ def _subprocess_env() -> dict:
     src = str(Path(fedcast.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+# ----------------------------------------------------------------- JSON inputs
+
+# what each JSON input may hold instead of an object (None: nothing, "dir": a
+# directory), and the start of the message that refuses it
+BAD_JSON = {
+    "missing": (None, "cannot be read (No such file or directory)"),
+    "directory": ("dir", "cannot be read (Is a directory)"),
+    "not-utf8": (b'{"seed": "\xff"}', "not UTF-8 text ("),
+    "not-json": (b"{not json", "not JSON ("),
+    "too-deep": (b"[" * 100_000 + b"]" * 100_000, "not JSON (maximum recursion"),
+    "array": (b"[1, 2]", "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_JSON))
+@pytest.mark.parametrize("target", ["config", "cache-manifest", "results",
+                                    "run-manifest"])
+def test_every_json_input_is_refused_by_the_reader(pipeline, tmp_path, capsys,
+                                                   target, case):
+    root, _ = pipeline
+    shutil.copytree(root / "cache", tmp_path / "cache")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(data="cache")))
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "results.json").write_text(GOOD_RESULTS)
+    (run / "manifest.json").write_text(GOOD_MANIFEST)
+    bad = {"config": config, "cache-manifest": tmp_path / "cache" / "manifest.json",
+           "results": run / "results.json", "run-manifest": run / "manifest.json"}[target]
+    content, message = BAD_JSON[case]
+    bad.unlink()
+    if content == "dir":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    argv = (["report", str(run)] if target in ("results", "run-manifest") else
+            ["run", "--config", str(config), "--out", str(tmp_path / "runs")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_config_with_a_byte_order_mark_runs_as_one_without(pipeline, tmp_path):
+    root, run_dir = pipeline
+    config = tmp_path / "config.json"
+    config.write_bytes(codecs.BOM_UTF8 + json.dumps(
+        base_config(data=str(root / "cache"))).encode())
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    marked, = (p for p in tmp_path.iterdir() if p.is_dir())
+    assert (marked / "results.json").read_bytes() == \
+        (run_dir / "results.json").read_bytes()
+
+
+def _ascii_locale_env() -> dict:
+    """A subprocess environment whose locale encoding is ASCII."""
+    return dict(_subprocess_env(), PYTHONUTF8="0", LC_ALL="C")
+
+
+def test_a_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(base_config(scenarios=[{"kind": "flé"}]),
+                                  ensure_ascii=False).encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcast.cli", "run", "--config", str(config),
+         "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, env=_ascii_locale_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown scenario 'fl")
+    assert "Traceback" not in proc.stderr
+
+
+def test_meter_csvs_are_written_and_read_as_utf8_whatever_the_locale(tmp_path):
+    script = (
+        "import codecs, locale, sys\n"
+        "import numpy as np\n"
+        "from fedcast.data import ingest_meter_csv, write_meter_csv\n"
+        "from fedcast.data.cleaning import MeterReadings\n"
+        "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+        "path = sys.argv[1]\n"
+        "write_meter_csv(path, {'maison-\\xe9': MeterReadings(\n"
+        "    np.array([0, 30], dtype=np.int64), np.array([0.5, 0.25]))})\n"
+        "readings, skipped = ingest_meter_csv(path)\n"
+        "assert list(readings) == ['maison-\\xe9'] and skipped == 0, readings\n")
+    meters = tmp_path / "meters.csv"
+    proc = subprocess.run([sys.executable, "-c", script, str(meters)],
+                          capture_output=True, text=True, env=_ascii_locale_env())
+    assert proc.returncode == 0, proc.stderr
+    assert meters.read_bytes().splitlines()[1].startswith(
+        "maison-é,".encode("utf-8"))
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(pipeline, tmp_path):

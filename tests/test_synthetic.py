@@ -88,6 +88,8 @@ def test_parameter_validation():
         generate_synthetic_households(2, noise=1.5)
     with pytest.raises(ValidationError):
         generate_synthetic_households(2, days=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+        generate_synthetic_households(2, seed=-3)
 
 
 @pytest.mark.parametrize("start", [
