@@ -30,9 +30,14 @@ step s beside layer 2's step s-1 (tick 0 runs layer 1 alone, tick K layer
 (2, C, B, .) pair of layers, and both recurrent products are one product
 against a (2, C, 4h, h) view of both layers' weights; only the input
 products, of widths d and h, stay apart.  The backward pass runs the same
-pairs from tick K down.  Outputs and cells are (K+2, 2, C, B, h) slots:
-tick s reads slot s and writes slot s+1; slot 0 and layer 2's half of slot
-1 hold the zero state.
+pairs from tick K down.  Cells are (K+2, 2, C, B, h) slots: tick s reads
+slot s and writes slot s+1; slot 0 and layer 2's half of slot 1 hold the
+zero state.  Outputs roll in two (2, C, B, h) slots, s mod 2 and s+1 mod 2,
+with the same zero state.  The backward pass rebuilds tick s's input
+outputs as o * tanh(c) of tick s-1, by the forward's own multiply on the
+same stored gate and tanh(c) slots, so they are bitwise the ones the
+forward pass read and need no slots of their own (recompute for storage,
+as in Chen et al., arXiv 1604.06174).
 
 The products stay row-major, (2, C, B, 4h) per tick; the activations are
 gate-major.  Tick s's forget, input and output gates are slot s of a
@@ -176,8 +181,8 @@ def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, tc, step):
     """Run both layers of C models over (K, C, B, d) inputs from a zero state.
 
     Slots of the outputs `hs`, cells `cs`, gates `sig` and `g` and cell
-    activations `tc` (tanh(c)) are taken modulo their count, so two output
-    slots and one slot of the others can roll.
+    activations `tc` (tanh(c)) are each taken modulo that buffer's own
+    count, so two output or cell slots and one slot of the others can roll.
     """
     k = len(xs)
     z, zh = step[:2]
@@ -187,8 +192,8 @@ def _forward(xs, w_x1, w_x2, pairs, hs, cs, sig, g, tc, step):
     hs[0] = cs[0] = hs[1, 1] = cs[1, 1] = 0.0  # the zero state
     for s in range(k + 1):
         pair = slice(int(s == k), 1 + (s > 0))  # the layers running at tick s
-        now, nxt = s % len(hs), (s + 1) % len(hs)
-        h_prev, c_prev, h_next, c_next = hs[now], cs[now], hs[nxt, pair], cs[nxt, pair]
+        h_prev, h_next = hs[s % len(hs)], hs[(s + 1) % len(hs), pair]
+        c_prev, c_next = cs[s % len(cs)], cs[(s + 1) % len(cs), pair]
         if s < k:
             np.matmul(xs[s], wx1_t, out=z[0])
         if s > 0:
@@ -220,6 +225,11 @@ def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, tc, d_last, step):
     sums, where adds run faster than on views; the sums are copied into
     `grads`, the gradient matrix's `_blocks`, at the end.  Layer 2's input
     gradient reaches layer 1 one tick later via `above`.
+
+    The cells, gates and tanh(c) of every tick are read from their slots,
+    but `_forward` rolled the outputs in two: each tick rebuilds its input
+    outputs into slot s mod 2 with the multiply that made them, on the same
+    operands, so the products read bitwise the forward pass's inputs.
     """
     k = len(xs)
     s_wx1, s_wx2, s_wh, s_b, p_x, p_h = sums
@@ -234,6 +244,12 @@ def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, tc, d_last, step):
     dzg, comp = zh.reshape((4,) + dh.shape), dz.reshape((4,) + dh.shape)[:3]
     for s in range(k, -1, -1):
         pair = slice(int(s == k), 1 + (s > 0))
+        h_in = hs[s % 2]  # tick s's input outputs
+        if s < 2:
+            h_in[...] = 0.0  # the zero state; tick 1 rebuilds layer 1's half
+        if s > 0:
+            ran = slice(0, 1 + (s > 1))  # the layers that ran at tick s-1
+            np.multiply(sig[s - 1, 2, ran], tc[s - 1, ran], out=h_in[ran])
         d, d_h, d_c, t, t2 = dzg[:, pair], dh[pair], dc[pair], tmp[pair], tmp2[pair]
         gates, cand, t_c = sig[s][:, pair], g[s, pair], tc[s, pair]
         # dh holds the carry from the tick after; add the gradient from above
@@ -256,9 +272,9 @@ def _backward(xs, w_x2, w_h, grads, sums, hs, cs, sig, g, tc, d_last, step):
         if s < k:
             s_wx1 += np.matmul(dz_t[0], xs[s], out=p_x)
         if s > 0:
-            s_wx2 += np.matmul(dz_t[1], hs[s, 0], out=p_h[0])
+            s_wx2 += np.matmul(dz_t[1], h_in[0], out=p_h[0])
             np.matmul(dz[1], w_x2, out=above[0])
-        s_wh[pair] += np.matmul(dz_t[pair], hs[s, pair], out=p_h[pair])
+        s_wh[pair] += np.matmul(dz_t[pair], h_in[pair], out=p_h[pair])
         s_b[pair] += dz[pair].sum(axis=2)
         np.matmul(dz[pair], w_h[pair], out=d_h)
         d_c *= gates[0]
@@ -315,9 +331,10 @@ def compute_gradients(windows, targets, params):
     n = rows // c
     wx1, _, _, wx2, _, _, head_w, head_b = blocks = _blocks(params, d)
     pairs, h = _pairs(blocks), head_w.shape[1]
-    slots, ticks, pair = (k + 2, 2, c, n, h), (k + 1, 2, c, n, h), (2, c, n)
+    ticks, pair = (k + 1, 2, c, n, h), (2, c, n)
     xs, hs, cs, sig, g, tc, *rest = _carve(
-        (k, c, n, d), slots, slots, (k + 1, 3, 2, c, n, h), ticks, ticks,
+        (k, c, n, d), (2, 2, c, n, h), (k + 2, 2, c, n, h),
+        (k + 1, 3, 2, c, n, h), ticks, ticks,
         # sums of the wx1, wx2, wh-pair and bias-pair gradients, then the
         # scratch of the input-width and hidden-width weight products
         (c, 4 * h, d), (c, 4 * h, h), (2, c, 4 * h, h), (2, c, 4 * h),
@@ -328,7 +345,7 @@ def compute_gradients(windows, targets, params):
     # Overflow shows up as a non-finite loss or gradient, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         _forward(xs, wx1, wx2, pairs, hs, cs, sig, g, tc, step)
-        last = hs[k + 1, 1]
+        last = hs[(k + 1) % 2, 1]
         pred = (last @ head_w[:, :, None])[:, :, 0] + head_b[:, None]
         resid = pred - y.reshape(c, n)
         losses = np.mean(resid * resid, axis=1)

@@ -8,7 +8,10 @@ in this order it:
 2. refuses a (K, weather) variant the cache lacks, and an `out` that cannot
    hold run directories, before anything trains;
 3. trains the entries in this process, or on a process pool when `jobs` is
-   above 1;
+   above 1.  A run in this process drops the loaded cache once the datasets
+   are built, so it trains without the raw cache beside them; the pool's
+   workers are handed it, since forkserver and spawn workers build their
+   datasets from it;
 4. rewrites out/<run-id>/ from empty and returns that directory.
 
 The run-id is a digest of the seed, the entries and the dataset identity,
@@ -97,6 +100,7 @@ def run_sweep(seed: int, entries, cache_dir, out, jobs: int) -> Path:
     """Train `entries` on the cache at `cache_dir`; return out/<run-id>/."""
     from .data import dataset_digest, load_cache
     from .federation import group_entries
+    from .numerics import numerics_fingerprint
     from .reporting import emit_report
 
     prep, cache_manifest = load_cache(cache_dir)
@@ -132,6 +136,7 @@ def run_sweep(seed: int, entries, cache_dir, out, jobs: int) -> Path:
                     # as done, so the failure is the group's first entry.
                     outcomes.append(([], (group[0].entry_id, err)))
     else:
+        del prep  # the datasets are built: train without the raw cache
         for group in groups:
             # Outputs stop at the first failed entry in entry_id order, so a
             # group starting after a failed entry could not add any.
@@ -167,6 +172,7 @@ def run_sweep(seed: int, entries, cache_dir, out, jobs: int) -> Path:
         "run_id": run_id,
         "seed": seed,
         "data_digest": digest,
+        "numerics": numerics_fingerprint(),
         "config": {"data": str(cache_dir),
                    "entries": [cfg.to_dict() for cfg in entries]},
         "files": sorted(path.relative_to(run_dir).as_posix()

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields
@@ -1005,6 +1006,31 @@ def test_a_serial_run_starts_no_group_after_a_failed_entry(pipeline, tmp_path,
     assert started == ["centralised__k6-w", "fl__k6-w__f0.5_e3"]
     assert json.loads((run_dir / "failure.json").read_text())["completed"] == [
         "centralised__k6-w"]
+
+
+def test_a_serial_run_trains_without_the_raw_cache(pipeline, tmp_path,
+                                                   monkeypatch):
+    # once a --jobs 1 run has built its datasets, nothing holds the loaded
+    # cache, so its raw matrices are not resident beside them while training
+    root, _ = pipeline
+    loaded, started = [], []
+    real_load, real_run = fedcast.data.load_cache, fedcast.federation.run_scenario
+
+    def load_cache(cache_dir):
+        prep, manifest = real_load(cache_dir)
+        loaded.append(weakref.ref(prep))
+        return prep, manifest
+
+    def run_scenario(datasets, cfg, memo=None):
+        if not started:
+            assert loaded[0]() is None, "the loaded cache is still referenced"
+        started.append(cfg.entry_id)
+        return real_run(datasets, cfg, memo)
+    monkeypatch.setattr(fedcast.data, "load_cache", load_cache)
+    monkeypatch.setattr(fedcast.federation, "run_scenario", run_scenario)
+    code, _ = run_into(root, tmp_path, base_config())
+    assert code == 0
+    assert len(loaded) == 1 and len(started) == 2
 
 
 def test_an_out_that_is_a_file_is_refused_before_training(pipeline, tmp_path,

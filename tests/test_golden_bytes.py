@@ -7,20 +7,19 @@ cache's dataset digest.
 
 A run's bytes also depend on the host's numerics: numpy's SIMD loops and
 the OpenBLAS kernels both change the last bits of trained weights.  So the
-golden run's results.json is pinned per numerics fingerprint, and on a host
-with another fingerprint the case skips, naming the digest it computed.
+golden run's results.json is pinned per numerics fingerprint, the one a
+run's manifest.json records, and on a host with another fingerprint the
+case skips, naming the digest it computed.
 """
 
-import ctypes
 import hashlib
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fedcast.cli import main
 from fedcast.data import dataset_digest
+from fedcast.numerics import numerics_fingerprint
 
 CASES = [
     pytest.param(
@@ -78,28 +77,6 @@ def test_synthesize_and_prepare_write_the_golden_bytes(tmp_path, args, files, pr
         assert dataset_digest(manifest) == expected
 
 
-def numerics_fingerprint() -> tuple:
-    """(numpy version, active SIMD dispatch targets, OpenBLAS core name or
-    None when the bundled OpenBLAS cannot be asked)."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    targets = tuple(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
-    core = None
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*.so"))
-    if libs:
-        try:
-            corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            pass
-        else:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            core = corename().decode()
-    return np.__version__, targets, core
-
-
 # results.json sha256 of the golden run, per numerics fingerprint
 GOLDEN_RUN = {
     ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), "SkylakeX"):
@@ -130,7 +107,11 @@ def test_a_run_of_every_regime_writes_the_golden_bytes(tmp_path):
     run_dir, = (tmp_path / "runs").iterdir()
     assert len(json.loads((run_dir / "results.json").read_text())["entries"]) == 7
     digest = hashlib.sha256((run_dir / "results.json").read_bytes()).hexdigest()
-    fingerprint = numerics_fingerprint()
+    # the run records the fingerprint its bytes were made under
+    numpy_version, targets, core = json.loads(
+        (run_dir / "manifest.json").read_text())["numerics"]
+    fingerprint = (numpy_version, tuple(targets), core)
+    assert fingerprint == numerics_fingerprint()
     if fingerprint not in GOLDEN_RUN:
         pytest.skip(f"no golden run for numerics {fingerprint}; "
                     f"results.json sha256 here is {digest}")

@@ -189,6 +189,19 @@ def test_a_call_that_raises_mid_pass_leaves_the_next_call_exact():
     assert_same_result(compute_gradients(*arena_inputs(3)), expected[1])
 
 
+@pytest.mark.parametrize("c,n,k,d,doubles", [
+    (1, 256, 12, 5, 986_880),  # fl_desk's batch: 7.53 MiB
+    (20, 8, 6, 5, 555_200),    # local_b8's 20 households at B=8: 4.24 MiB
+])
+def test_the_arena_holds_two_output_slots(c, n, k, d, doubles):
+    # the backward pass rebuilds the outputs instead of reading K+2 slots
+    reset_arena()
+    gen = np.random.default_rng(0)
+    params = np.stack([init_model(d, gen) for _ in range(c)])
+    compute_gradients(gen.normal(size=(c * n, k, d)), gen.normal(size=c * n), params)
+    assert lstm._arena.size == doubles
+
+
 def test_no_call_reads_what_an_earlier_call_left_in_the_arena():
     # every carved buffer is written before it is read, so stale contents,
     # NaN here, cannot reach a result
